@@ -98,7 +98,7 @@ func init() {
 }
 
 // Retry aborts the current transaction with the given reason. It never
-// returns; the enclosing Run recovers it.
+// returns; the enclosing retry loop recovers it.
 func Retry(r Reason) {
 	if r >= 0 && r < NumReasons {
 		panic(signals[r])
@@ -112,7 +112,7 @@ type Stats struct {
 	Aborts  uint64
 }
 
-// Manager is the contention-management hook RunPolicy consults around each
+// Manager is the contention-management hook RunPolicyCtx consults around each
 // attempt. The canonical implementation is *cm.Manager (package
 // internal/cm); the indirection keeps this package free of a dependency on
 // the policy layer.
@@ -140,19 +140,6 @@ type Manager interface {
 	Release()
 }
 
-// Run executes attempt repeatedly until it completes without aborting.
-//
-// Before each attempt it calls begin; after an abort it calls rollback with
-// the signal's reason, waits with exponential backoff, and retries. Panics
-// that are not abort Signals propagate unchanged. Stats, if non-nil, is
-// updated by the calling goroutine only.
-//
-// Run is the legacy fixed-policy entry point, kept for callers that need no
-// contention management; it is RunPolicy with a nil Manager.
-func Run(stats *Stats, begin func(), attempt func(), rollback func(Reason)) {
-	RunPolicy(stats, nil, begin, attempt, rollback)
-}
-
 // CtxPauser is implemented by managers whose serial-gate wait can observe a
 // context (cm.Manager). RunPolicyCtx uses it so a transaction cancelled
 // while parked at the gate returns promptly instead of waiting out the
@@ -163,8 +150,13 @@ type CtxPauser interface {
 	PauseCtx(ctx context.Context) error
 }
 
-// RunPolicy is Run with a pluggable contention manager. A nil Manager gives
-// the default yielding exponential backoff and never escalates.
+// RunPolicyCtx executes attempt repeatedly until it completes without
+// aborting, under a pluggable contention manager.
+//
+// Before each attempt it calls begin; after an abort it calls rollback with
+// the signal's reason, paces the retry, and tries again. Stats, if non-nil,
+// is updated by the calling goroutine only. A nil Manager gives the default
+// yielding exponential backoff and never escalates.
 //
 // With a Manager, every optimistic attempt first passes the serial-mode
 // gate (Manager.Pause); after each abort the manager paces the retry and
@@ -173,20 +165,16 @@ type CtxPauser interface {
 // without policy waits until it commits — new optimistic attempts
 // everywhere block at the gate meanwhile, so the escalated transaction
 // competes only with attempts already in flight and commits after a
-// bounded number of retries. RunPolicy reports whether the transaction
+// bounded number of retries. RunPolicyCtx reports whether the transaction
 // escalated, so callers can record it (telemetry's Escalated counter).
-func RunPolicy(stats *Stats, m Manager, begin func(), attempt func(), rollback func(Reason)) (escalated bool) {
-	escalated, _ = RunPolicyCtx(nil, stats, m, begin, attempt, rollback)
-	return escalated
-}
-
-// RunPolicyCtx is RunPolicy observing a context: cancellation (or deadline
-// expiry) is checked before every attempt, after every abort, and inside the
-// serial-gate wait of managers implementing CtxPauser. On cancellation the
-// loop calls rollback with the Canceled reason (attempt state was already
-// rolled back, so this only classifies the outcome and lets runtimes record
-// it), releases the serial gate if this transaction held it, and returns the
-// context's error; the transaction did not commit. A nil ctx never cancels.
+//
+// Cancellation of ctx (or deadline expiry) is checked before every attempt,
+// after every abort, and inside the serial-gate wait of managers
+// implementing CtxPauser. On cancellation the loop calls rollback with the
+// Canceled reason (attempt state was already rolled back, so this only
+// classifies the outcome and lets runtimes record it), releases the serial
+// gate if this transaction held it, and returns the context's error; the
+// transaction did not commit. A nil ctx never cancels.
 //
 // Foreign panics (anything that is not an abort Signal) unwind through the
 // rollback path with the Panicked reason — releasing locks, logs, and the
@@ -196,7 +184,7 @@ func RunPolicyCtx(ctx context.Context, stats *Stats, m Manager, begin func(), at
 	return RunPolicyTxCtx(ctx, stats, m, &t)
 }
 
-// funcRunner adapts the closure-based RunPolicy API to TxRunner.
+// funcRunner adapts the closure-based RunPolicyCtx API to TxRunner.
 type funcRunner struct {
 	begin    func()
 	attempt  func()
@@ -221,12 +209,6 @@ type TxRunner interface {
 	Begin()
 	Attempt()
 	Rollback(Reason)
-}
-
-// RunPolicyTx is RunPolicyTxCtx with no context.
-func RunPolicyTx(stats *Stats, m Manager, t TxRunner) (escalated bool) {
-	escalated, _ = RunPolicyTxCtx(nil, stats, m, t)
-	return escalated
 }
 
 // RunPolicyTxCtx is RunPolicyCtx driving a TxRunner descriptor. It is the

@@ -1,6 +1,7 @@
 package abort
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -10,7 +11,7 @@ func TestRunRetriesUntilSuccess(t *testing.T) {
 	attempts := 0
 	begins := 0
 	rollbacks := 0
-	Run(&stats,
+	RunPolicyCtx(context.Background(), &stats, nil,
 		func() { begins++ },
 		func() {
 			attempts++
@@ -44,7 +45,7 @@ func TestForeignPanicsPropagate(t *testing.T) {
 			t.Error("foreign panic must roll back (release locks) before propagating")
 		}
 	}()
-	Run(nil, func() {}, func() { panic(boom) }, func(r Reason) {
+	RunPolicyCtx(context.Background(), nil, nil, func() {}, func() { panic(boom) }, func(r Reason) {
 		if r != Panicked {
 			t.Errorf("rollback reason = %v, want Panicked", r)
 		}
@@ -69,7 +70,7 @@ func TestReasonStrings(t *testing.T) {
 
 func TestNilStats(t *testing.T) {
 	ran := false
-	Run(nil, func() {}, func() { ran = true }, func(Reason) {})
+	RunPolicyCtx(context.Background(), nil, nil, func() {}, func() { ran = true }, func(Reason) {})
 	if !ran {
 		t.Fatal("attempt did not run")
 	}

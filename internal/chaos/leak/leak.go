@@ -66,8 +66,9 @@ func interesting(stack string) bool {
 }
 
 // snapshot returns the set of live interesting goroutine stacks, keyed by
-// the goroutine header line ("goroutine 12 [running]:") — stable enough to
-// diff before/after within one test.
+// the goroutine id from the header line ("goroutine 12" of "goroutine 12
+// [running]:"). The wait state is left out of the key: a goroutine started
+// just before the first snapshot is runnable there and parked in the next.
 func snapshot() map[string]string {
 	buf := make([]byte, 1<<20)
 	for {
@@ -83,8 +84,8 @@ func snapshot() map[string]string {
 		if !interesting(g) {
 			continue
 		}
-		header, _, _ := strings.Cut(g, "\n")
-		stacks[header] = g
+		id, _, _ := strings.Cut(g, " [")
+		stacks[id] = g
 	}
 	return stacks
 }
@@ -117,8 +118,8 @@ func wait(before map[string]string) []string {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		var leaked []string
-		for header, stack := range snapshot() {
-			if _, ok := before[header]; !ok {
+		for id, stack := range snapshot() {
+			if _, ok := before[id]; !ok {
 				leaked = append(leaked, stack)
 			}
 		}

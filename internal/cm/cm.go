@@ -25,7 +25,7 @@
 // serial-gate check); everything else runs only after an abort.
 //
 // A *Manager implements abort.Manager and is threaded through
-// abort.RunPolicy; runtimes default to the shared Default manager and
+// abort.RunPolicyCtx; runtimes default to the shared Default manager and
 // accept a custom one through their SetManager methods.
 package cm
 

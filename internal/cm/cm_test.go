@@ -132,7 +132,7 @@ func TestEscalationsSerialize(t *testing.T) {
 	}
 }
 
-// TestRunPolicyEscalates drives abort.RunPolicy with a manager whose budget
+// TestRunPolicyEscalates drives abort.RunPolicyCtx with a manager whose budget
 // forces escalation, checking the full loop: budget aborts, then the serial
 // retry commits.
 func TestRunPolicyEscalates(t *testing.T) {
@@ -140,7 +140,7 @@ func TestRunPolicyEscalates(t *testing.T) {
 	m := New(Aggressive, budget)
 	attempts := 0
 	var stats abort.Stats
-	escalated := abort.RunPolicy(&stats, m,
+	escalated, _ := abort.RunPolicyCtx(context.Background(), &stats, m,
 		func() {},
 		func() {
 			attempts++
@@ -155,7 +155,7 @@ func TestRunPolicyEscalates(t *testing.T) {
 		func(abort.Reason) {},
 	)
 	if !escalated {
-		t.Fatal("RunPolicy did not report escalation")
+		t.Fatal("RunPolicyCtx did not report escalation")
 	}
 	if attempts != budget+1 {
 		t.Fatalf("attempts = %d, want %d", attempts, budget+1)
@@ -173,7 +173,7 @@ func TestRunPolicyEscalates(t *testing.T) {
 func TestRunPolicyNoEscalationUnderBudget(t *testing.T) {
 	m := New(Backoff, 10)
 	attempts := 0
-	escalated := abort.RunPolicy(nil, m,
+	escalated, _ := abort.RunPolicyCtx(context.Background(), nil, m,
 		func() {},
 		func() {
 			attempts++

@@ -303,6 +303,12 @@ func (t *norecCtx) commit() {
 	}
 	t.holdsClock = true
 	t.tr.Lock(norecClockTraceKey)
+	// A semantic operation logs its entry after its post-validation, so the
+	// entries of the last operation may predate the snapshot the lock was
+	// taken at. Nothing can commit now; check them before publishing.
+	if !t.ctx.sem.ValidateAllWithoutLocks() {
+		abort.Retry(abort.Conflict)
+	}
 	fpNOrecCommitLocked.Hit()
 	if t.s.semanticLocks {
 		// Ablation: pay for the fine-grained semantic locks the global

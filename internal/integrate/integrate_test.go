@@ -4,7 +4,9 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/chaos/failpoint"
 	"repro/internal/integrate"
 	"repro/internal/mem"
 	"repro/internal/otb"
@@ -62,6 +64,45 @@ func TestMixedSetAndMemory(t *testing.T) {
 				t.Fatalf("set len = %d, successful adds = %d", got, success.Load())
 			}
 		})
+	}
+}
+
+// TestOTBNOrecCommitValidatesLastOperation lets other transactions commit
+// between a semantic operation's traversal and its post-validation (the
+// otb.validate.mid failpoint sits exactly there). The operation then logs
+// entries older than the snapshot OTB-NOrec commits at; unless commit
+// re-checks them, two transactions insert the same key.
+func TestOTBNOrecCommitValidatesLastOperation(t *testing.T) {
+	defer failpoint.Arm("otb.validate.mid", failpoint.Spec{Action: failpoint.Delay, Delay: 20 * time.Microsecond})()
+	alg := integrate.NewOTBNOrec()
+	defer alg.Stop()
+	set := otb.NewSkipSet()
+	counter := mem.NewCell(0) // element count, updated in-tx
+	const workers = 4
+	const keys = 4
+	each := stressIters(250)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(seed, 19))
+			for i := 0; i < each; i++ {
+				k := int64(rng.IntN(keys))
+				alg.Atomic(func(ctx *integrate.Ctx) {
+					if set.Remove(ctx.Sem(), k) {
+						ctx.Write(counter, ctx.Read(counter)-1)
+					} else {
+						set.Add(ctx.Sem(), k)
+						ctx.Write(counter, ctx.Read(counter)+1)
+					}
+				})
+			}
+		}(uint64(w + 1))
+	}
+	wg.Wait()
+	if got, want := uint64(set.Len()), counter.Load(); got != want {
+		t.Fatalf("set len = %d (%v), in-tx counter = %d", got, set.Keys(), want)
 	}
 }
 

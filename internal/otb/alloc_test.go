@@ -82,6 +82,37 @@ func TestSkipSetWriteTxAllocFree(t *testing.T) {
 	})
 }
 
+// TestMapWriteTxAllocFree deletes and re-inserts one key: the map is the
+// same skip list, so the insert draws its tower from the epoch pool and the
+// delete retires one, exactly as the set does. Both transactions run inside
+// one measured round because AllocsPerRun truncates to whole allocations
+// per round.
+func TestMapWriteTxAllocFree(t *testing.T) {
+	m := otb.NewMap()
+	for k := int64(1); k <= 64; k++ {
+		otb.Atomic(nil, func(tx *otb.Tx) { m.Put(tx, k, uint64(k)) })
+	}
+	key := int64(32)
+	del := func(tx *otb.Tx) { m.Delete(tx, key) }
+	put := func(tx *otb.Tx) { m.Put(tx, key, 7) }
+	runAllocTx(t, "otb map write tx pair", func() {
+		otb.Atomic(nil, del)
+		otb.Atomic(nil, put)
+	})
+}
+
+// TestMapReadTxAllocFree pins the map's read-only fast path (get).
+func TestMapReadTxAllocFree(t *testing.T) {
+	m := otb.NewMap()
+	for k := int64(1); k <= 64; k++ {
+		otb.Atomic(nil, func(tx *otb.Tx) { m.Put(tx, k, uint64(k)) })
+	}
+	fn := func(tx *otb.Tx) { m.Get(tx, 32) }
+	runAllocTx(t, "otb map read tx", func() {
+		otb.Atomic(nil, fn)
+	})
+}
+
 // TestListSetReadTxAllocFree pins the read-only fast path (contains).
 func TestListSetReadTxAllocFree(t *testing.T) {
 	set := otb.NewListSet()

@@ -14,11 +14,15 @@ import (
 // maxLevel is the number of skip-list levels.
 const maxLevel = 20
 
-// snode is an OTB skip-list node: the lazy skip-list layout plus a
-// versioned semantic lock.
+// snode is the OTB skip-list node: the lazy skip-list layout plus a
+// versioned semantic lock and a value slot. Sets leave the value 0. It is
+// atomic so lock-free readers and committing writers are race-free; value
+// consistency is guaranteed by value-based semantic validation, as NOrec
+// does for memory words.
 type snode struct {
 	id          uint64
 	key         int64
+	val         atomic.Uint64
 	next        [maxLevel]atomic.Pointer[snode]
 	topLevel    int
 	marked      atomic.Bool
@@ -82,19 +86,23 @@ func sortSkipWritesByKeyDesc(ws []skipWrite) {
 	}
 }
 
-// SkipSet is the optimistically boosted skip-list set (Section 3.2.1): the
-// same three-step structure as ListSet, with per-level predecessor arrays
-// in the semantic entries and the paper's level-aware validation
-// optimizations.
-type SkipSet struct {
+// skipList is the one optimistically boosted skip list (Section 3.2.1)
+// behind both SkipSet and Map: the same three-step structure as ListSet,
+// with per-level predecessor arrays in the semantic entries and the paper's
+// level-aware validation optimizations. A set is this list with every value
+// 0; a map adds reads of a node's value and in-place value updates. The
+// list, not its wrapper, is what a transaction attaches.
+type skipList struct {
 	head *snode
 	// fullValidation ablates the level-aware validation optimization:
-	// every read entry validates adjacency at all populated levels.
+	// a read that found its key validates adjacency at every level of the
+	// node's tower instead of the node alone. Sets only — such an entry
+	// does not guard the node's value.
 	fullValidation bool
 }
 
-// NewSkipSet creates an empty set. Keys exclude the int64 sentinels.
-func NewSkipSet() *SkipSet {
+// newSkipList creates an empty list bounded by the int64 sentinels.
+func newSkipList() skipList {
 	tail := newSNode(math.MaxInt64, maxLevel-1)
 	tail.fullyLinked.Store(true)
 	head := newSNode(math.MinInt64, maxLevel-1)
@@ -102,8 +110,14 @@ func NewSkipSet() *SkipSet {
 		head.next[i].Store(tail)
 	}
 	head.fullyLinked.Store(true)
-	return &SkipSet{head: head}
+	return skipList{head: head}
 }
+
+// SkipSet is the optimistically boosted skip-list set.
+type SkipSet struct{ skipList }
+
+// NewSkipSet creates an empty set. Keys exclude the int64 sentinels.
+func NewSkipSet() *SkipSet { return &SkipSet{newSkipList()} }
 
 // NewSkipSetFullValidation creates a set with the level-aware validation
 // optimization ablated. For the ablation benches only.
@@ -117,30 +131,47 @@ func NewSkipSetFullValidation() *SkipSet {
 type skipReadKind int8
 
 const (
-	skipPresentOnly skipReadKind = iota // successful contains / unsuccessful add
-	skipBottomOnly                      // unsuccessful remove / contains
-	skipFull                            // successful add / remove
+	// skipPresent guards a key that was found: its node is still live and
+	// still holds the observed value (successful contains / get,
+	// unsuccessful add, put on a present key).
+	skipPresent skipReadKind = iota
+	// skipLevels guards adjacency of preds and succs on levels 0..topLevel:
+	// the bottom level only for a key that was not found (unsuccessful
+	// remove / contains / get), the whole tower for a successful insert or
+	// delete.
+	skipLevels
 )
 
 // skipRead is a semantic read entry.
 type skipRead struct {
 	kind     skipReadKind
-	curr     *snode // the key's node (present cases) or bottom-level succ
-	topLevel int    // levels validated for skipFull entries
+	curr     *snode // the key's node (present cases); nil for absent reads
+	val      uint64 // observed value for skipPresent entries
+	topLevel int    // highest level validated for skipLevels entries
 	preds    [maxLevel]*snode
 	succs    [maxLevel]*snode
 }
 
+// skipWriteKind identifies the deferred operation of a write entry.
+type skipWriteKind int8
+
+const (
+	skipInsert skipWriteKind = iota
+	skipUpdate               // maps only: store val into victim, locking only it
+	skipDelete
+)
+
 // skipWrite is a semantic write (redo) entry.
 type skipWrite struct {
+	kind     skipWriteKind
 	key      int64
-	isAdd    bool
-	topLevel int    // tower height: new node's (add) or victim's (remove)
-	victim   *snode // remove only
+	val      uint64
+	topLevel int    // tower height: new node's (insert) or victim's (delete)
+	victim   *snode // update/delete target
 	preds    [maxLevel]*snode
 }
 
-// skipState is the per-transaction state for one SkipSet.
+// skipState is the per-transaction state for one skipList.
 type skipState struct {
 	reads    []skipRead
 	writes   []skipWrite
@@ -168,20 +199,24 @@ func (st *skipState) addToLock(n *snode) {
 	st.toLock = append(st.toLock, n)
 }
 
-func (s *SkipSet) state(tx *Tx) *skipState {
-	return tx.Attach(s, func() any { return &skipState{} }).(*skipState)
-}
-
-func (s *SkipSet) peekState(tx *Tx) *skipState {
+func (s *skipList) peekState(tx *Tx) *skipState {
 	if st, ok := tx.state[s]; ok {
 		return st.(*skipState)
 	}
 	return nil
 }
 
+// begin opens one operation on key: it attaches the list to tx and returns
+// the transaction's semantic read/write sets for it.
+func (s *skipList) begin(tx *Tx, key int64) *skipState {
+	checkKey(key)
+	tx.tr.Op(traceKey(key))
+	return tx.Attach(s, func() any { return &skipState{} }).(*skipState)
+}
+
 // find fills preds/succs with key's per-level neighbours in the shared
 // structure and returns the highest level at which key was found, or -1.
-func (s *SkipSet) find(key int64, preds, succs *[maxLevel]*snode) int {
+func (s *skipList) find(key int64, preds, succs *[maxLevel]*snode) int {
 	found := -1
 	pred := s.head
 	for level := maxLevel - 1; level >= 0; level-- {
@@ -199,6 +234,43 @@ func (s *SkipSet) find(key int64, preds, succs *[maxLevel]*snode) int {
 	return found
 }
 
+// locate runs the unmonitored probabilistic traversal for key, waits out a
+// found node another commit is still linking (as in the lazy skip list) and
+// post-validates the whole transaction. It returns key's node when the key
+// is present, nil otherwise; preds/succs hold the traversal either way.
+func (s *skipList) locate(tx *Tx, key int64, preds, succs *[maxLevel]*snode) *snode {
+	found := s.find(key, preds, succs)
+	if found != -1 {
+		var b spin.Backoff
+		for !succs[found].fullyLinked.Load() {
+			b.Wait()
+		}
+	}
+	tx.PostValidate()
+	if found == -1 || succs[found].marked.Load() {
+		return nil
+	}
+	return succs[found]
+}
+
+// readPresent records that key's node curr was seen present and returns
+// the value it held.
+func (s *skipList) readPresent(st *skipState, curr *snode, preds, succs *[maxLevel]*snode) uint64 {
+	v := curr.val.Load()
+	if s.fullValidation {
+		st.reads = append(st.reads, skipRead{kind: skipLevels, curr: curr, topLevel: curr.topLevel, preds: *preds, succs: *succs})
+	} else {
+		st.reads = append(st.reads, skipRead{kind: skipPresent, curr: curr, val: v})
+	}
+	return v
+}
+
+// readAbsent records that the key was seen absent between preds[0] and
+// succs[0].
+func (st *skipState) readAbsent(preds, succs *[maxLevel]*snode) {
+	st.reads = append(st.reads, skipRead{kind: skipLevels, preds: *preds, succs: *succs})
+}
+
 // randomTower draws a tower height with geometric distribution p=1/2.
 func randomTower() int {
 	lvl := 0
@@ -206,6 +278,25 @@ func randomTower() int {
 		lvl++
 	}
 	return lvl
+}
+
+// insert defers linking a new node for an absent key. The tower height is
+// drawn now, so the read entry guards exactly the levels the commit links.
+func (st *skipState) insert(key int64, val uint64, preds, succs *[maxLevel]*snode) {
+	top := randomTower()
+	st.reads = append(st.reads, skipRead{kind: skipLevels, topLevel: top, preds: *preds, succs: *succs})
+	st.writes = append(st.writes, skipWrite{kind: skipInsert, key: key, val: val, topLevel: top, preds: *preds})
+}
+
+// remove records the read guarding every level of present node curr and
+// returns the write entry that unlinks it.
+func (st *skipState) remove(curr *snode, preds, succs *[maxLevel]*snode) skipWrite {
+	st.reads = append(st.reads, skipRead{
+		kind: skipLevels, curr: curr, topLevel: curr.topLevel, preds: *preds, succs: *succs,
+	})
+	return skipWrite{
+		kind: skipDelete, key: curr.key, topLevel: curr.topLevel, victim: curr, preds: *preds,
+	}
 }
 
 // Add inserts key within tx, returning false if already present.
@@ -218,13 +309,11 @@ func (s *SkipSet) Remove(tx *Tx, key int64) bool { return s.op(tx, key, opRemove
 func (s *SkipSet) Contains(tx *Tx, key int64) bool { return s.op(tx, key, opContains) }
 
 func (s *SkipSet) op(tx *Tx, key int64, kind opKind) bool {
-	checkKey(key)
-	st := s.state(tx)
-	tx.tr.Op(traceKey(key))
+	st := s.begin(tx, key)
 
 	// Step 1: local write-set check with elimination (as in ListSet).
 	if i := st.findWrite(key); i >= 0 {
-		isAdd := st.writes[i].isAdd
+		isAdd := st.writes[i].kind == skipInsert
 		switch {
 		case isAdd && kind == opAdd:
 			return false
@@ -241,66 +330,24 @@ func (s *SkipSet) op(tx *Tx, key int64, kind opKind) bool {
 		}
 	}
 
-	// Step 2: unmonitored probabilistic traversal.
+	// Steps 2 and 3: unmonitored traversal, then post-validation.
 	var preds, succs [maxLevel]*snode
-	found := s.find(key, &preds, &succs)
-
-	// A found node still being linked by another commit: wait, as in the
-	// lazy skip list.
-	if found != -1 {
-		var b spin.Backoff
-		for !succs[found].fullyLinked.Load() {
-			b.Wait()
-		}
-	}
-
-	// Step 3: post-validate the whole transaction.
-	tx.PostValidate()
+	curr := s.locate(tx, key, &preds, &succs)
 
 	// Step 4: outcome and semantic entries.
-	var curr *snode
-	present := false
-	if found != -1 {
-		curr = succs[found]
-		present = !curr.marked.Load()
-	}
-	presentKind, absentKind := skipPresentOnly, skipBottomOnly
-	presentTop := 0
-	if s.fullValidation {
-		presentKind, absentKind = skipFull, skipFull
-		if curr != nil {
-			presentTop = curr.topLevel
-		}
-	}
-	switch kind {
-	case opContains:
-		if present {
-			st.reads = append(st.reads, skipRead{kind: presentKind, curr: curr, topLevel: presentTop, preds: preds, succs: succs})
-		} else {
-			st.reads = append(st.reads, skipRead{kind: absentKind, preds: preds, succs: succs})
-		}
-		return present
-	case opAdd:
-		if present {
-			st.reads = append(st.reads, skipRead{kind: presentKind, curr: curr, topLevel: presentTop, preds: preds, succs: succs})
-			return false
-		}
-		top := randomTower()
-		st.reads = append(st.reads, skipRead{kind: skipFull, topLevel: top, preds: preds, succs: succs})
-		st.writes = append(st.writes, skipWrite{key: key, isAdd: true, topLevel: top, preds: preds})
+	switch {
+	case curr != nil && kind == opRemove:
+		st.writes = append(st.writes, st.remove(curr, &preds, &succs))
 		return true
-	default: // opRemove
-		if !present {
-			st.reads = append(st.reads, skipRead{kind: absentKind, preds: preds, succs: succs})
-			return false
-		}
-		st.reads = append(st.reads, skipRead{
-			kind: skipFull, curr: curr, topLevel: curr.topLevel, preds: preds, succs: succs,
-		})
-		st.writes = append(st.writes, skipWrite{
-			key: key, isAdd: false, topLevel: curr.topLevel, victim: curr, preds: preds,
-		})
+	case curr != nil:
+		s.readPresent(st, curr, &preds, &succs)
+		return kind == opContains
+	case kind == opAdd:
+		st.insert(key, 0, &preds, &succs)
 		return true
+	default:
+		st.readAbsent(&preds, &succs)
+		return false
 	}
 }
 
@@ -330,42 +377,33 @@ func (st *skipState) owns(n *snode) bool {
 
 // involved appends the nodes whose locks guard entry e.
 func (e *skipRead) involved(buf []*snode) []*snode {
-	switch e.kind {
-	case skipPresentOnly:
+	if e.kind == skipPresent {
 		return append(buf, e.curr)
-	case skipBottomOnly:
-		return append(buf, e.preds[0], e.succs[0])
-	default:
-		for l := 0; l <= e.topLevel; l++ {
-			buf = append(buf, e.preds[l], e.succs[l])
-		}
-		return buf
 	}
+	for l := 0; l <= e.topLevel; l++ {
+		buf = append(buf, e.preds[l], e.succs[l])
+	}
+	return buf
 }
 
 // check re-evaluates the entry's semantic condition using the paper's
 // level-aware rules.
 func (e *skipRead) check() bool {
-	switch e.kind {
-	case skipPresentOnly:
-		return !e.curr.marked.Load()
-	case skipBottomOnly:
-		return !e.preds[0].marked.Load() && !e.succs[0].marked.Load() &&
-			e.preds[0].next[0].Load() == e.succs[0]
-	default:
-		for l := 0; l <= e.topLevel; l++ {
-			if e.preds[l].marked.Load() || e.succs[l].marked.Load() ||
-				e.preds[l].next[l].Load() != e.succs[l] {
-				return false
-			}
-		}
-		return true
+	if e.kind == skipPresent {
+		return !e.curr.marked.Load() && e.curr.val.Load() == e.val
 	}
+	for l := 0; l <= e.topLevel; l++ {
+		if e.preds[l].marked.Load() || e.succs[l].marked.Load() ||
+			e.preds[l].next[l].Load() != e.succs[l] {
+			return false
+		}
+	}
+	return true
 }
 
 // ValidateWithLocks implements the three-phase validation of Algorithm 2
 // over skip-list entries.
-func (s *SkipSet) ValidateWithLocks(tx *Tx) bool {
+func (s *skipList) ValidateWithLocks(tx *Tx) bool {
 	st := s.peekState(tx)
 	if st == nil || len(st.reads) == 0 {
 		return true
@@ -407,7 +445,7 @@ func (s *SkipSet) ValidateWithLocks(tx *Tx) bool {
 }
 
 // ValidateWithoutLocks re-checks only the semantic conditions.
-func (s *SkipSet) ValidateWithoutLocks(tx *Tx) bool {
+func (s *skipList) ValidateWithoutLocks(tx *Tx) bool {
 	st := s.peekState(tx)
 	if st == nil {
 		return true
@@ -432,8 +470,9 @@ func (e *skipRead) traceNode() *snode {
 }
 
 // PreCommit locks, in allocation order, the distinct predecessor towers of
-// every write (all levels), plus the victim for removes.
-func (s *SkipSet) PreCommit(tx *Tx) {
+// every insert and delete (all levels), the victims of deletes, and the
+// target nodes of updates.
+func (s *skipList) PreCommit(tx *Tx) {
 	st := s.peekState(tx)
 	if st == nil || len(st.writes) == 0 {
 		return
@@ -441,10 +480,12 @@ func (s *SkipSet) PreCommit(tx *Tx) {
 	st.toLock = st.toLock[:0]
 	for i := range st.writes {
 		w := &st.writes[i]
-		for l := 0; l <= w.topLevel; l++ {
-			st.addToLock(w.preds[l])
+		if w.kind != skipUpdate {
+			for l := 0; l <= w.topLevel; l++ {
+				st.addToLock(w.preds[l])
+			}
 		}
-		if !w.isAdd {
+		if w.kind != skipInsert {
 			st.addToLock(w.victim)
 		}
 	}
@@ -462,8 +503,9 @@ func (s *SkipSet) PreCommit(tx *Tx) {
 
 // OnCommit publishes the write set in descending key order, re-traversing
 // each level from the saved predecessor so that this transaction's earlier
-// publications are observed (each level independently, as the paper notes).
-func (s *SkipSet) OnCommit(tx *Tx) {
+// publications are observed (each level independently, as the paper notes);
+// updates store their value in place.
+func (s *skipList) OnCommit(tx *Tx) {
 	st := s.peekState(tx)
 	if st == nil || len(st.writes) == 0 {
 		return
@@ -471,8 +513,12 @@ func (s *SkipSet) OnCommit(tx *Tx) {
 	sortSkipWritesByKeyDesc(st.writes)
 	for i := range st.writes {
 		w := &st.writes[i]
-		if w.isAdd {
+		switch w.kind {
+		case skipUpdate:
+			w.victim.val.Store(w.val)
+		case skipInsert:
 			n := newSNode(w.key, w.topLevel)
+			n.val.Store(w.val)
 			n.lock.TryLock() // created locked until the commit finishes
 			// Link bottom-up: once a reader can reach n at some level, all
 			// lower next pointers are already set.
@@ -483,7 +529,7 @@ func (s *SkipSet) OnCommit(tx *Tx) {
 			}
 			n.fullyLinked.Store(true)
 			st.locked = append(st.locked, n)
-		} else {
+		default: // skipDelete
 			w.victim.marked.Store(true)
 			for l := w.topLevel; l >= 0; l-- {
 				pred, _ := retraverse(w.preds[l], w.key, l)
@@ -508,7 +554,7 @@ func retraverse(pred *snode, key int64, level int) (*snode, *snode) {
 }
 
 // PostCommit releases all semantic locks, bumping versions.
-func (s *SkipSet) PostCommit(tx *Tx) {
+func (s *skipList) PostCommit(tx *Tx) {
 	st := s.peekState(tx)
 	if st == nil {
 		return
@@ -521,7 +567,7 @@ func (s *SkipSet) PostCommit(tx *Tx) {
 }
 
 // OnAbort releases locks without publishing, restoring versions.
-func (s *SkipSet) OnAbort(tx *Tx) {
+func (s *skipList) OnAbort(tx *Tx) {
 	st := s.peekState(tx)
 	if st == nil {
 		return
@@ -532,50 +578,44 @@ func (s *SkipSet) OnAbort(tx *Tx) {
 	st.locked = st.locked[:0]
 }
 
-// Dirty reports whether the transaction has pending writes on this set.
-func (s *SkipSet) Dirty(tx *Tx) bool {
+// Dirty reports whether the transaction has pending writes on this list.
+func (s *skipList) Dirty(tx *Tx) bool {
 	st := s.peekState(tx)
 	return st != nil && len(st.writes) > 0
 }
 
-// Min returns the smallest present key in the shared structure (used by the
-// skip-list priority queue's traversal step; consistency is established by
-// the caller's semantic entries).
-func (s *SkipSet) Min() (int64, bool) {
+// walk calls visit on each present node in ascending key order until visit
+// returns false. Not linearizable (tests and reporting). The traversal pins
+// an epoch guard so concurrent removals cannot recycle towers out from
+// under it.
+func (s *skipList) walk(visit func(*snode) bool) {
+	g := epoch.Default.Enter()
+	defer g.Exit()
 	for curr := s.head.next[0].Load(); curr.key != math.MaxInt64; curr = curr.next[0].Load() {
-		if curr.fullyLinked.Load() && !curr.marked.Load() {
-			return curr.key, true
+		if curr.fullyLinked.Load() && !curr.marked.Load() && !visit(curr) {
+			return
 		}
 	}
-	return 0, false
 }
 
 // Len counts the present elements (not linearizable; tests and reporting).
-// The traversal pins an epoch guard so concurrent removals cannot recycle
-// nodes out from under it.
-func (s *SkipSet) Len() int {
-	g := epoch.Default.Enter()
-	defer g.Exit()
+func (s *skipList) Len() int {
 	n := 0
-	for curr := s.head.next[0].Load(); curr.key != math.MaxInt64; curr = curr.next[0].Load() {
-		if curr.fullyLinked.Load() && !curr.marked.Load() {
-			n++
-		}
-	}
+	s.walk(func(*snode) bool { n++; return true })
 	return n
 }
 
-// Keys returns the present keys in ascending order (tests only). Pinned
-// like Len.
+// Min returns the smallest present key in the shared structure, outside
+// any transaction.
+func (s *SkipSet) Min() (key int64, ok bool) {
+	s.walk(func(n *snode) bool { key, ok = n.key, true; return false })
+	return key, ok
+}
+
+// Keys returns the present keys in ascending order (tests and snapshots).
 func (s *SkipSet) Keys() []int64 {
-	g := epoch.Default.Enter()
-	defer g.Exit()
 	var out []int64
-	for curr := s.head.next[0].Load(); curr.key != math.MaxInt64; curr = curr.next[0].Load() {
-		if curr.fullyLinked.Load() && !curr.marked.Load() {
-			out = append(out, curr.key)
-		}
-	}
+	s.walk(func(n *snode) bool { out = append(out, n.key); return true })
 	return out
 }
 

@@ -367,34 +367,23 @@ var traceSrc = trace.S("OTB")
 // Atomic runs fn as a standalone OTB transaction, retrying on abort until
 // it commits. Stats may be nil.
 func Atomic(stats *abort.Stats, fn func(*Tx)) {
-	AtomicCtrCtx(nil, stats, nil, fn)
+	AtomicCtx(nil, stats, fn)
 }
 
 // AtomicCtx is Atomic observing ctx: cancellation or deadline expiry is
 // checked at every retry-loop top and inside contention-management waits;
 // an abandoned transaction rolls back with abort.Canceled and the context's
 // error is returned (nil after a successful commit).
-func AtomicCtx(ctx context.Context, stats *abort.Stats, fn func(*Tx)) error {
-	return AtomicCtrCtx(ctx, stats, nil, fn)
-}
-
-// AtomicCtr is Atomic with contention counters attached to the transaction.
-func AtomicCtr(stats *abort.Stats, ctr *spin.Counters, fn func(*Tx)) {
-	AtomicCtrCtx(nil, stats, ctr, fn)
-}
-
-// AtomicCtrCtx is the full standalone entry point: context plus counters.
+//
 // The transaction descriptor returns to its pool even when fn (or an armed
 // failpoint) panics — by then the rollback path has already released every
 // semantic lock and discarded the logs, so the descriptor is clean.
-func AtomicCtrCtx(ctx context.Context, stats *abort.Stats, ctr *spin.Counters, fn func(*Tx)) error {
+func AtomicCtx(ctx context.Context, stats *abort.Stats, fn func(*Tx)) error {
 	r := txPool.Get().(*standaloneRunner)
 	tx := r.tx
-	tx.ctr = ctr
 	r.fn = fn
 	defer func() {
 		tx.Reset()
-		tx.ctr = nil
 		r.fn = nil
 		txPool.Put(r)
 	}()

@@ -34,14 +34,14 @@ type Store interface {
 // synchronized with traffic).
 type OTBStore struct {
 	structs []otbStruct
+	kinds   []structKind // kinds[i] is the abstract type of structs[i]
 }
 
-// otbStruct dispatches ops onto one OTB structure kind. supports is checked
+// otbStruct dispatches ops onto one OTB structure kind. validateOps runs
 // before the transaction starts, so apply never fails mid-transaction. dump
 // emits ops that rebuild the structure's current state (quiescent callers
 // only — snapshots run with the commit path held).
 type otbStruct interface {
-	supports(c OpCode) bool
 	apply(tx *otb.Tx, op Op) OpResult
 	dump(st uint32, emit func(Op))
 }
@@ -62,20 +62,17 @@ func (s *OTBStore) NumStructs() int { return len(s.structs) }
 
 // AddSet registers a set (ListSet and SkipSet both qualify) and returns its
 // wire index.
-func (s *OTBStore) AddSet(set otbSetOps) uint32 {
-	s.structs = append(s.structs, otbSet{set})
-	return uint32(len(s.structs) - 1)
-}
+func (s *OTBStore) AddSet(set otbSetOps) uint32 { return s.add(kindSet, otbSet{set}) }
 
 // AddMap registers an OTB ordered map and returns its wire index.
-func (s *OTBStore) AddMap(m *otb.Map) uint32 {
-	s.structs = append(s.structs, otbMap{m})
-	return uint32(len(s.structs) - 1)
-}
+func (s *OTBStore) AddMap(m *otb.Map) uint32 { return s.add(kindMap, otbMap{m}) }
 
 // AddPQ registers a skip-list priority queue and returns its wire index.
-func (s *OTBStore) AddPQ(q *otb.SkipPQ) uint32 {
-	s.structs = append(s.structs, otbPQ{q})
+func (s *OTBStore) AddPQ(q *otb.SkipPQ) uint32 { return s.add(kindPQ, otbPQ{q}) }
+
+func (s *OTBStore) add(k structKind, st otbStruct) uint32 {
+	s.structs = append(s.structs, st)
+	s.kinds = append(s.kinds, k)
 	return uint32(len(s.structs) - 1)
 }
 
@@ -88,10 +85,6 @@ type otbSetOps interface {
 }
 
 type otbSet struct{ s otbSetOps }
-
-func (w otbSet) supports(c OpCode) bool {
-	return c == OpAdd || c == OpRemove || c == OpContains
-}
 
 func (w otbSet) apply(tx *otb.Tx, op Op) OpResult {
 	switch op.Code {
@@ -111,10 +104,6 @@ func (w otbSet) dump(st uint32, emit func(Op)) {
 }
 
 type otbMap struct{ m *otb.Map }
-
-func (w otbMap) supports(c OpCode) bool {
-	return c == OpPut || c == OpGet || c == OpDelete || c == OpContains
-}
 
 func (w otbMap) apply(tx *otb.Tx, op Op) OpResult {
 	switch op.Code {
@@ -137,10 +126,6 @@ func (w otbMap) dump(st uint32, emit func(Op)) {
 }
 
 type otbPQ struct{ q *otb.SkipPQ }
-
-func (w otbPQ) supports(c OpCode) bool {
-	return c == OpAdd || c == OpMin || c == OpRemoveMin
-}
 
 func (w otbPQ) apply(tx *otb.Tx, op Op) OpResult {
 	switch op.Code {
@@ -171,16 +156,45 @@ func (s *OTBStore) DumpOps(emit func(Op)) {
 	}
 }
 
+// structKind is the abstract type held by one registry slot.
+type structKind uint8
+
+const (
+	kindSet structKind = iota
+	kindMap
+	kindPQ
+)
+
+// opAllowed is the op-support table every Store consults: opAllowed[k][c]
+// reports whether op code c is legal on a structure of kind k.
+var opAllowed = [...][numOpCodes]bool{
+	kindSet: {OpAdd: true, OpRemove: true, OpContains: true},
+	kindMap: {OpPut: true, OpGet: true, OpDelete: true, OpContains: true},
+	kindPQ:  {OpAdd: true, OpMin: true, OpRemoveMin: true},
+}
+
+// setAndMap is the fixed registry of the MVOTB and STM stores: a set at
+// index 0 and a map at index 1.
+var setAndMap = []structKind{kindSet, kindMap}
+
 // validateOps rejects malformed batches before any transactional work —
-// codes in range and structure indexes inside the registry — so a failing
-// batch provably applied nothing.
-func validateOps(nstructs int, ops []Op) error {
+// codes in range, structure indexes inside the registry, and every code
+// legal on the kind of structure it addresses — so a failing batch provably
+// applied nothing.
+func validateOps(kinds []structKind, ops []Op) error {
+	// Two passes: an out-of-range code or index anywhere in the batch is
+	// reported ahead of a legal code on the wrong kind of structure.
 	for i, op := range ops {
 		if op.Code >= numOpCodes {
 			return fmt.Errorf("%w: op %d has unknown code %d", ErrBadOp, i, uint8(op.Code))
 		}
-		if int(op.Struct) >= nstructs {
-			return fmt.Errorf("%w: op %d addresses structure %d of %d", ErrBadOp, i, op.Struct, nstructs)
+		if int(op.Struct) >= len(kinds) {
+			return fmt.Errorf("%w: op %d addresses structure %d of %d", ErrBadOp, i, op.Struct, len(kinds))
+		}
+	}
+	for i, op := range ops {
+		if !opAllowed[kinds[op.Struct]][op.Code] {
+			return fmt.Errorf("%w: op %d: %s on structure %d", ErrBadOp, i, op.Code, op.Struct)
 		}
 	}
 	return nil
@@ -189,13 +203,8 @@ func validateOps(nstructs int, ops []Op) error {
 // Exec implements Store: all ops run in one OTB transaction, so the batch
 // commits or aborts as a unit.
 func (s *OTBStore) Exec(ctx context.Context, ops []Op, res []OpResult) error {
-	if err := validateOps(len(s.structs), ops); err != nil {
+	if err := validateOps(s.kinds, ops); err != nil {
 		return err
-	}
-	for i, op := range ops {
-		if !s.structs[op.Struct].supports(op.Code) {
-			return fmt.Errorf("%w: op %d: %s on structure %d", ErrBadOp, i, op.Code, op.Struct)
-		}
 	}
 	return otb.AtomicCtx(ctx, nil, func(tx *otb.Tx) {
 		for i, op := range ops {
@@ -229,19 +238,12 @@ func NewSTMStore(alg stm.AlgorithmCtx, capacity int) *STMStore {
 }
 
 // NumStructs implements Store.
-func (s *STMStore) NumStructs() int { return 2 }
+func (s *STMStore) NumStructs() int { return len(setAndMap) }
 
 // Exec implements Store.
 func (s *STMStore) Exec(ctx context.Context, ops []Op, res []OpResult) error {
-	if err := validateOps(2, ops); err != nil {
+	if err := validateOps(setAndMap, ops); err != nil {
 		return err
-	}
-	for i, op := range ops {
-		setOp := op.Code == OpAdd || op.Code == OpRemove || op.Code == OpContains
-		mapOp := op.Code == OpPut || op.Code == OpGet || op.Code == OpDelete || op.Code == OpContains
-		if (op.Struct == 0 && !setOp) || (op.Struct == 1 && !mapOp) {
-			return fmt.Errorf("%w: op %d: %s on structure %d", ErrBadOp, i, op.Code, op.Struct)
-		}
 	}
 	return s.alg.AtomicCtx(ctx, func(tx stm.Tx) {
 		for i, op := range ops {

@@ -2,7 +2,6 @@ package txnet
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/mvotb"
 )
@@ -29,7 +28,7 @@ func NewMVOTBStore() *MVOTBStore {
 func (s *MVOTBStore) Stop() { s.rt.Stop() }
 
 // NumStructs implements Store.
-func (s *MVOTBStore) NumStructs() int { return 2 }
+func (s *MVOTBStore) NumStructs() int { return len(setAndMap) }
 
 // readOnlyBatch reports whether every op resolves through the snapshot
 // path.
@@ -44,15 +43,8 @@ func readOnlyBatch(ops []Op) bool {
 
 // Exec implements Store.
 func (s *MVOTBStore) Exec(ctx context.Context, ops []Op, res []OpResult) error {
-	if err := validateOps(2, ops); err != nil {
+	if err := validateOps(setAndMap, ops); err != nil {
 		return err
-	}
-	for i, op := range ops {
-		setOp := op.Code == OpAdd || op.Code == OpRemove || op.Code == OpContains
-		mapOp := op.Code == OpPut || op.Code == OpGet || op.Code == OpDelete || op.Code == OpContains
-		if (op.Struct == 0 && !setOp) || (op.Struct == 1 && !mapOp) {
-			return fmt.Errorf("%w: op %d: %s on structure %d", ErrBadOp, i, op.Code, op.Struct)
-		}
 	}
 	if readOnlyBatch(ops) {
 		return s.rt.ReadOnlyCtx(ctx, func(x *mvotb.STx) {

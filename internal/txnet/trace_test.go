@@ -92,6 +92,11 @@ func TestTraceEndToEnd(t *testing.T) {
 	if !res[0].OK || !res[1].OK {
 		t.Fatalf("results: %+v", res)
 	}
+	// The server stamps ack and closes its span after the response is on
+	// the wire, so the client can get here first. A clean drain waits for
+	// the handler, and the snapshot then holds the whole server span.
+	c.Close()
+	shutdown(t, s)
 
 	evs := trace.Default.Snapshot()
 	var span uint64
