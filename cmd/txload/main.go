@@ -160,6 +160,14 @@ func main() {
 					deadlines.Add(1)
 				case errors.Is(err, txnet.ErrAborted):
 					aborted.Add(1)
+				case errors.Is(err, context.DeadlineExceeded):
+					// Refused client-side, nothing sent: the window closed
+					// (stopCtx's deadline passes a moment before its Err()
+					// turns non-nil) or, with -deadline, the request's own
+					// budget ran out first.
+					if end, _ := stopCtx.Deadline(); time.Now().Before(end) {
+						deadlines.Add(1)
+					}
 				case stopCtx.Err() != nil:
 					// window closed mid-request; not a failure
 				default:

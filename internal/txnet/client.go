@@ -35,8 +35,10 @@ type ClientOptions struct {
 	// DialTimeout bounds each connection attempt (default 2s).
 	DialTimeout time.Duration
 	// RequestTimeout bounds each request round-trip when the context has
-	// no earlier deadline, so a stalled server is detected and the request
-	// retried over a fresh connection (default 30s).
+	// no deadline, so a stalled server is detected and the request retried
+	// over a fresh connection. The socket deadline is re-armed lazily (see
+	// roundTrip), so detection takes between RequestTimeout and twice that
+	// (default 30s).
 	RequestTimeout time.Duration
 	// RetryBase and RetryMax bound the jittered exponential reconnect
 	// backoff (defaults 1ms and 250ms).
@@ -91,9 +93,12 @@ type Client struct {
 	session uint64
 	seq     uint64
 	rng     *rand.Rand
-	buf     []byte
+	buf     []byte    // request frame under construction
+	rbuf    []byte    // response frame; nothing parsed out of it aliases it
+	armed   time.Time // I/O deadline set on conn (zero = none)
 	closed  bool
 	tr      *trace.Local
+	wrap    func(net.Conn) net.Conn // test seam, see dial
 
 	stats struct {
 		reconnects, resends, overloads atomic.Uint64
@@ -103,11 +108,17 @@ type Client struct {
 // Dial connects to a txstore server and opens a fresh session. opts may be
 // nil for defaults.
 func Dial(addr string, opts *ClientOptions) (*Client, error) {
+	return dial(addr, opts, nil)
+}
+
+// dial is Dial with a seam for tests: a non-nil wrap is applied to every
+// connection the client opens, so a test can count its writes.
+func dial(addr string, opts *ClientOptions, wrap func(net.Conn) net.Conn) (*Client, error) {
 	o := ClientOptions{}
 	if opts != nil {
 		o = *opts
 	}
-	c := &Client{addr: addr, o: o.withDefaults(), tr: clientSrc.Local()}
+	c := &Client{addr: addr, o: o.withDefaults(), tr: clientSrc.Local(), wrap: wrap}
 	c.rng = rand.New(rand.NewSource(c.o.Seed))
 	if err := c.connectLocked(context.Background()); err != nil {
 		return nil, err
@@ -145,8 +156,8 @@ func (c *Client) Close() error {
 	if c.conn != nil && c.session != 0 {
 		c.buf = appendBye(c.buf[:0], c.session)
 		_ = c.conn.SetDeadline(time.Now().Add(time.Second))
-		if err := writeFrame(c.conn, c.buf); err == nil {
-			_, _ = readFrame(c.br, nil) // wait for the ack, ignore its content
+		if _, err := c.conn.Write(c.buf); err == nil {
+			_, _ = readFrame(c.br, c.rbuf) // wait for the ack, ignore its content
 		}
 	}
 	return c.dropLocked()
@@ -157,7 +168,7 @@ func (c *Client) dropLocked() error {
 		return nil
 	}
 	err := c.conn.Close()
-	c.conn, c.br = nil, nil
+	c.conn, c.br, c.armed = nil, nil, time.Time{}
 	return err
 }
 
@@ -169,18 +180,22 @@ func (c *Client) connectLocked(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	if c.wrap != nil {
+		conn = c.wrap(conn)
+	}
 	br := bufio.NewReader(conn)
 	c.buf = appendHello(c.buf[:0], c.session)
 	_ = conn.SetDeadline(time.Now().Add(c.o.DialTimeout))
-	if err := writeFrame(conn, c.buf); err != nil {
+	if _, err := conn.Write(c.buf); err != nil {
 		conn.Close()
 		return err
 	}
-	frame, err := readFrame(br, nil)
+	frame, err := readFrame(br, c.rbuf)
 	if err != nil {
 		conn.Close()
 		return err
 	}
+	c.rbuf = frame
 	_ = conn.SetDeadline(time.Time{})
 	r, err := parseResponse(frame)
 	if err != nil {
@@ -221,8 +236,8 @@ func (c *Client) backoff(ctx context.Context, n int) error {
 }
 
 // Stages is the per-request latency breakdown filled by DoStages: one
-// duration per trace.Stage — client-side queue (encode + socket write) and
-// net (round trip minus server time), plus the server-reported dispatch,
+// duration per trace.Stage — client-side queue (encode + one socket write)
+// and net (round trip minus server time), plus the server-reported dispatch,
 // admission, execute, WAL-append, fsync and ack stages — and the whole
 // call's duration. Stages the request did not pass through stay zero.
 type Stages struct {
@@ -290,6 +305,10 @@ func (c *Client) DoStages(ctx context.Context, ops []Op, st *Stages) ([]OpResult
 		}
 		r, queueNS, netNS, err := c.roundTrip(ctx, seq, ops, traceID, flags)
 		if err != nil {
+			if errors.Is(err, errCtxPast) {
+				// The caller's context ended; the connection is healthy.
+				return nil, context.DeadlineExceeded
+			}
 			// Connection-level failure mid-request: the server may or may
 			// not have committed. Reconnect and resend the same seq; the
 			// session cache disambiguates. The resend keeps the original
@@ -375,35 +394,43 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
 }
 
+// errCtxPast is roundTrip refusing to send: the wall clock has passed ctx's
+// deadline, which happens a moment before ctx's timer makes Err() non-nil.
+var errCtxPast = errors.New("txnet: context deadline already past")
+
 // roundTrip sends one txn frame and reads its response, returning the
 // client-side stage timings: queueNS (encode + socket write) and netNS (the
-// wait for the response frame, which the caller narrows to wire time by
-// subtracting the server-reported stages). Timing is skipped — both return
+// wait for the response frame and its decoding, which the caller narrows to
+// wire time by subtracting the server-reported stages). Timing is skipped — both return
 // zero — when neither the trace span nor a stage breakdown wants it. Call
 // with mu held.
+//
+// A stalled server is detected by the socket's I/O deadline. Re-arming it
+// costs a timer operation, so without a context deadline it is re-armed only
+// when nearer than RequestTimeout, to twice that: detection takes between
+// RequestTimeout and 2·RequestTimeout. A context deadline is armed exactly.
 func (c *Client) roundTrip(ctx context.Context, seq uint64, ops []Op,
 	traceID uint64, flags byte) (r response, queueNS, netNS int64, err error) {
 	var deadline time.Duration
-	ioDeadline := time.Now().Add(c.o.RequestTimeout)
+	t0 := time.Now()
+	floor := t0.Add(c.o.RequestTimeout)
 	if d, ok := ctx.Deadline(); ok {
-		deadline = time.Until(d)
-		if deadline <= 0 {
-			return response{}, 0, 0, context.DeadlineExceeded
+		if deadline = d.Sub(t0); deadline <= 0 {
+			return response{}, 0, 0, errCtxPast
 		}
-		if d.Before(ioDeadline) {
+		if c.armed = floor; d.Before(floor) {
 			// Give the server's deadline response a moment to arrive before
 			// the socket gives up.
-			ioDeadline = d.Add(100 * time.Millisecond)
+			c.armed = d.Add(100 * time.Millisecond)
 		}
+		_ = c.conn.SetDeadline(c.armed)
+	} else if c.armed.Before(floor) {
+		c.armed = floor.Add(c.o.RequestTimeout)
+		_ = c.conn.SetDeadline(c.armed)
 	}
 	timed := traceID != 0 || flags&flagStages != 0
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
 	c.buf = appendTxn(c.buf[:0], c.session, seq, deadline, traceID, traceID, flags, ops)
-	_ = c.conn.SetDeadline(ioDeadline)
-	if err := writeFrame(c.conn, c.buf); err != nil {
+	if _, err := c.conn.Write(c.buf); err != nil {
 		return response{}, 0, 0, err
 	}
 	var sent time.Time
@@ -411,17 +438,17 @@ func (c *Client) roundTrip(ctx context.Context, seq uint64, ops []Op,
 		sent = time.Now()
 		queueNS = sent.Sub(t0).Nanoseconds()
 	}
-	frame, err := readFrame(c.br, nil)
+	frame, err := readFrame(c.br, c.rbuf)
+	if err != nil {
+		return response{}, 0, 0, err
+	}
+	c.rbuf = frame
+	r, err = parseResponse(frame)
 	if err != nil {
 		return response{}, 0, 0, err
 	}
 	if timed {
 		netNS = time.Since(sent).Nanoseconds()
-	}
-	_ = c.conn.SetDeadline(time.Time{})
-	r, err = parseResponse(frame)
-	if err != nil {
-		return response{}, 0, 0, err
 	}
 	if r.status != StatusHello && r.seq != seq {
 		return response{}, 0, 0, fmt.Errorf("txnet: response for seq %d, want %d", r.seq, seq)

@@ -206,9 +206,9 @@ func dialCrash(addr string) (*wconn, error) {
 	return &wconn{c: c, br: bufio.NewReader(c)}, nil
 }
 
-func (w *wconn) rt(payload []byte) (response, error) {
+func (w *wconn) rt(frame []byte) (response, error) {
 	_ = w.c.SetDeadline(time.Now().Add(3 * time.Second))
-	if err := writeFrame(w.c, payload); err != nil {
+	if _, err := w.c.Write(frame); err != nil {
 		return response{}, err
 	}
 	frame, err := readFrame(w.br, nil)

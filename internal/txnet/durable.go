@@ -180,8 +180,9 @@ func parseOp(p []byte) Op {
 
 // commitTxn is execTxn's commit path in durable mode: execute, log, ack —
 // in that order, with the ack written to the wire only after SyncTo
-// honours the fsync policy. Called with sess.mu held. Store errors return
-// for the caller's status classification; log errors never return.
+// honours the fsync policy. Called with sess.mu held and resp empty (the
+// connection's response buffer). Store errors return for the caller's status
+// classification; log errors never return.
 func (d *Durable) commitTxn(ctx context.Context, sess *session, req txnReq, results []OpResult, resp []byte, o *reqObs) ([]byte, error) {
 	if !mutating(req.ops) {
 		// Read-only: nothing to log. Execute outside d.mu (reads keep
@@ -194,8 +195,8 @@ func (d *Durable) commitTxn(ctx context.Context, sess *session, req txnReq, resu
 		}
 		resp = appendOKResp(resp, req.seq, results, o.wireStages(req))
 		d.mu.Lock()
-		sess.lastSeq = req.seq
-		sess.lastResp = append(sess.lastResp[:0], resp...)
+		sess.lastSeq.Store(req.seq)
+		sess.lastResp = append(sess.lastResp[:0], resp[frameHdr:]...)
 		d.mu.Unlock()
 		return resp, nil
 	}
@@ -223,10 +224,9 @@ func (d *Durable) commitTxn(ctx context.Context, sess *session, req txnReq, resu
 		d.fatal(err)
 	}
 	o.stamp(trace.StageWALAppend)
-	okStart := len(resp)
 	resp = appendOKResp(resp, req.seq, results, o.wireStages(req))
-	sess.lastSeq = req.seq
-	sess.lastResp = append(sess.lastResp[:0], resp...)
+	sess.lastSeq.Store(req.seq)
+	sess.lastResp = append(sess.lastResp[:0], resp[frameHdr:]...)
 	d.commitsSinceSnap++
 	if d.snapEvery > 0 && d.commitsSinceSnap >= d.snapEvery {
 		d.commitsSinceSnap = 0
@@ -244,7 +244,7 @@ func (d *Durable) commitTxn(ctx context.Context, sess *session, req txnReq, resu
 		// Re-encode so the wire block includes the fsync wait. The cached
 		// replay keeps the pre-fsync block (the results are identical and
 		// both parse the same).
-		resp = appendOKResp(resp[:okStart], req.seq, results, ws)
+		resp = appendOKResp(resp[:0], req.seq, results, ws)
 	}
 	return resp, nil
 }
@@ -291,7 +291,7 @@ func (d *Durable) snapshotPayloadLocked() []byte {
 	d.sess.each(func(s *session) {
 		nsess++
 		b = binary.BigEndian.AppendUint64(b, s.id)
-		b = binary.BigEndian.AppendUint64(b, s.lastSeq)
+		b = binary.BigEndian.AppendUint64(b, s.lastSeq.Load())
 		b = binary.BigEndian.AppendUint32(b, uint32(len(s.lastResp)))
 		b = append(b, s.lastResp...)
 	})
@@ -368,9 +368,10 @@ func (d *Durable) replayRecord(r wal.Record, results *[]OpResult) error {
 			return fmt.Errorf("re-executing: %w", err)
 		}
 		sess := d.sess.restore(id)
-		if seq >= sess.lastSeq {
-			sess.lastSeq = seq
-			sess.lastResp = appendOKResp(sess.lastResp[:0], seq, res, nil)
+		if seq >= sess.lastSeq.Load() {
+			sess.lastSeq.Store(seq)
+			d.buf = appendOKResp(d.buf[:0], seq, res, nil)
+			sess.lastResp = append(sess.lastResp[:0], d.buf[frameHdr:]...)
 		}
 		d.rec.CommitsReplayed++
 		return nil
@@ -400,7 +401,7 @@ func (d *Durable) applySnapshot(p []byte) error {
 			return fmt.Errorf("truncated session %d response", i)
 		}
 		s := d.sess.restore(id)
-		s.lastSeq = lastSeq
+		s.lastSeq.Store(lastSeq)
 		if n > 0 {
 			s.lastResp = append([]byte(nil), p[:n]...)
 		}

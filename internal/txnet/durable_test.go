@@ -289,7 +289,7 @@ func TestSnapshotPayloadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := dur.sess.open()
-	sess.lastSeq = 9
+	sess.lastSeq.Store(9)
 	sess.lastResp = []byte{1, 2, 3}
 
 	payload := dur.snapshotPayloadLocked()
@@ -299,7 +299,7 @@ func TestSnapshotPayloadRoundTrip(t *testing.T) {
 		t.Fatalf("applySnapshot: %v", err)
 	}
 	s2, ok := dur2.sess.lookup(sess.id)
-	if !ok || s2.lastSeq != 9 || !bytes.Equal(s2.lastResp, []byte{1, 2, 3}) {
+	if !ok || s2.lastSeq.Load() != 9 || !bytes.Equal(s2.lastResp, []byte{1, 2, 3}) {
 		t.Fatalf("session round-trip: %+v ok=%v", s2, ok)
 	}
 	chk := []Op{

@@ -11,7 +11,10 @@ import (
 
 // Wire format: every message is one frame — a 4-byte big-endian payload
 // length followed by the payload. The first payload byte is the message type
-// (requests) or status (responses); all integers are big-endian.
+// (requests) or status (responses); all integers are big-endian. Every
+// encoder below builds header and payload in one buffer, so a frame leaves in
+// exactly one Write: with TCP_NODELAY (Go's default) each write is a system
+// call and a segment of its own, and a header written apart doubles both.
 //
 // Requests:
 //
@@ -181,25 +184,38 @@ type response struct {
 	hasStages bool
 }
 
-// writeFrame writes one length-prefixed frame. The caller flushes.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// frameHdr is the size of a frame's length prefix.
+const frameHdr = 4
+
+// beginFrame starts a frame at the end of b: the reserved length slot, whose
+// offset it returns, then the payload's first byte (message type or status).
+func beginFrame(b []byte, kind byte) ([]byte, int) {
+	return append(b, 0, 0, 0, 0, kind), len(b)
+}
+
+// finishFrame back-fills the length slot of the frame begun at b[at:]. Every
+// append* encoder runs from beginFrame to here and returns a whole frame.
+func finishFrame(b []byte, at int) []byte {
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-frameHdr))
+	return b
+}
+
+// appendFrame frames an already-encoded payload (a cached verdict).
+func appendFrame(b, payload []byte) []byte {
+	at := len(b)
+	return finishFrame(append(append(b, 0, 0, 0, 0), payload...), at)
 }
 
 // readFrame reads one frame into buf (grown as needed) and returns the
 // payload slice. It rejects frames beyond MaxFrame without reading them.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read into buf too: a local array would escape through
+	// the io.Reader and cost an allocation per frame.
+	buf = append(buf[:0], 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("txnet: frame of %d bytes exceeds limit %d", n, MaxFrame)
 	}
@@ -215,19 +231,19 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 
 // appendHello encodes a hello request.
 func appendHello(b []byte, sessionID uint64) []byte {
-	b = append(b, msgHello)
-	return binary.BigEndian.AppendUint64(b, sessionID)
+	b, at := beginFrame(b, msgHello)
+	return finishFrame(binary.BigEndian.AppendUint64(b, sessionID), at)
 }
 
 // appendBye encodes a goodbye request.
 func appendBye(b []byte, sessionID uint64) []byte {
-	b = append(b, msgBye)
-	return binary.BigEndian.AppendUint64(b, sessionID)
+	b, at := beginFrame(b, msgBye)
+	return finishFrame(binary.BigEndian.AppendUint64(b, sessionID), at)
 }
 
 // appendByeResp encodes a goodbye acknowledgement.
 func appendByeResp(b []byte) []byte {
-	return append(b, byte(StatusBye))
+	return finishFrame(beginFrame(b, byte(StatusBye)))
 }
 
 // appendTxn encodes a transaction request. deadline is clamped to the u32
@@ -235,7 +251,7 @@ func appendByeResp(b []byte) []byte {
 // context (all zero for unsampled requests).
 func appendTxn(b []byte, session, seq uint64, deadline time.Duration,
 	traceID, parent uint64, flags byte, ops []Op) []byte {
-	b = append(b, msgTxn)
+	b, at := beginFrame(b, msgTxn)
 	b = binary.BigEndian.AppendUint64(b, session)
 	b = binary.BigEndian.AppendUint64(b, seq)
 	b = binary.BigEndian.AppendUint32(b, clampMillis(deadline))
@@ -249,7 +265,7 @@ func appendTxn(b []byte, session, seq uint64, deadline time.Duration,
 		b = binary.BigEndian.AppendUint64(b, uint64(op.Key))
 		b = binary.BigEndian.AppendUint64(b, op.Val)
 	}
-	return b
+	return finishFrame(b, at)
 }
 
 // clampMillis converts a duration to wire milliseconds, rounding up so a
@@ -307,16 +323,16 @@ func parseTxn(p []byte, ops []Op) (txnReq, []Op, error) {
 
 // appendHelloResp encodes a hello response.
 func appendHelloResp(b []byte, sessionID, lastSeq uint64) []byte {
-	b = append(b, byte(StatusHello))
+	b, at := beginFrame(b, byte(StatusHello))
 	b = binary.BigEndian.AppendUint64(b, sessionID)
-	return binary.BigEndian.AppendUint64(b, lastSeq)
+	return finishFrame(binary.BigEndian.AppendUint64(b, lastSeq), at)
 }
 
 // appendOKResp encodes a committed transaction's response. stages, when
 // non-nil, is the server-side stage breakdown (nanoseconds indexed by
 // trace.Stage); zero stages are elided from the wire block.
 func appendOKResp(b []byte, seq uint64, results []OpResult, stages *[trace.NumStages]int64) []byte {
-	b = append(b, byte(StatusOK))
+	b, at := beginFrame(b, byte(StatusOK))
 	b = binary.BigEndian.AppendUint64(b, seq)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(results)))
 	for _, r := range results {
@@ -344,13 +360,13 @@ func appendOKResp(b []byte, seq uint64, results []OpResult, stages *[trace.NumSt
 			}
 		}
 	}
-	return b
+	return finishFrame(b, at)
 }
 
 // appendErrResp encodes a non-OK response. retryAfter is encoded for
 // StatusOverloaded, msg for StatusAborted and StatusBadRequest.
 func appendErrResp(b []byte, st Status, seq uint64, retryAfter time.Duration, msg string) []byte {
-	b = append(b, byte(st))
+	b, at := beginFrame(b, byte(st))
 	b = binary.BigEndian.AppendUint64(b, seq)
 	switch st {
 	case StatusOverloaded:
@@ -362,7 +378,7 @@ func appendErrResp(b []byte, st Status, seq uint64, retryAfter time.Duration, ms
 		b = binary.BigEndian.AppendUint16(b, uint16(len(msg)))
 		b = append(b, msg...)
 	}
-	return b
+	return finishFrame(b, at)
 }
 
 // parseResponse decodes any response payload.

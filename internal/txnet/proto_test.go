@@ -2,18 +2,31 @@ package txnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("hello frame")
-	if err := writeFrame(&buf, payload); err != nil {
-		t.Fatalf("writeFrame: %v", err)
+// payloadOf checks a frame's length slot against its size and strips it, so
+// every encoder test also tests finishFrame.
+func payloadOf(t testing.TB, frame []byte) []byte {
+	t.Helper()
+	if len(frame) < frameHdr || int(binary.BigEndian.Uint32(frame)) != len(frame)-frameHdr {
+		t.Fatalf("frame of %d bytes has a wrong length slot: % x", len(frame), frame)
 	}
-	got, err := readFrame(&buf, nil)
+	return frame[frameHdr:]
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	payload := []byte("hello frame")
+	// Framing appends: the frame must come out right behind a prefix too.
+	framed := appendFrame([]byte("xx"), payload)
+	if !bytes.Equal(payloadOf(t, framed[2:]), payload) {
+		t.Fatalf("appendFrame: % x", framed)
+	}
+	buf := bytes.NewBuffer(framed[2:])
+	got, err := readFrame(buf, nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
@@ -36,7 +49,7 @@ func TestTxnRoundTrip(t *testing.T) {
 		{Code: OpPut, Struct: 1, Key: 7, Val: 1<<63 + 9},
 		{Code: OpRemoveMin, Struct: 2},
 	}
-	b := appendTxn(nil, 17, 99, 1500*time.Millisecond, 0xabcdef0123456789, 0x42, flagResend|flagStages, ops)
+	b := payloadOf(t, appendTxn(nil, 17, 99, 1500*time.Millisecond, 0xabcdef0123456789, 0x42, flagResend|flagStages, ops))
 	req, _, err := parseTxn(b, nil)
 	if err != nil {
 		t.Fatalf("parseTxn: %v", err)
@@ -65,7 +78,7 @@ func TestTxnRoundTrip(t *testing.T) {
 
 func TestTxnReusesOpsBuffer(t *testing.T) {
 	scratch := make([]Op, 0, 8)
-	b := appendTxn(nil, 1, 1, 0, 0, 0, 0, []Op{{Code: OpContains, Key: 5}})
+	b := payloadOf(t, appendTxn(nil, 1, 1, 0, 0, 0, 0, []Op{{Code: OpContains, Key: 5}}))
 	_, ops, err := parseTxn(b, scratch)
 	if err != nil {
 		t.Fatalf("parseTxn: %v", err)
@@ -76,7 +89,7 @@ func TestTxnReusesOpsBuffer(t *testing.T) {
 }
 
 func TestTxnMalformed(t *testing.T) {
-	good := appendTxn(nil, 1, 1, 0, 0, 0, 0, []Op{{Code: OpAdd, Key: 1}})
+	good := payloadOf(t, appendTxn(nil, 1, 1, 0, 0, 0, 0, []Op{{Code: OpAdd, Key: 1}}))
 	cases := map[string][]byte{
 		"empty":      {},
 		"wrong type": append([]byte{msgHello}, good[1:]...),
@@ -91,11 +104,11 @@ func TestTxnMalformed(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	b := appendHello(nil, 1234)
+	b := payloadOf(t, appendHello(nil, 1234))
 	if b[0] != msgHello || be64(b[1:]) != 1234 {
 		t.Fatalf("hello request encoding: % x", b)
 	}
-	r, err := parseResponse(appendHelloResp(nil, 55, 9))
+	r, err := parseResponse(payloadOf(t, appendHelloResp(nil, 55, 9)))
 	if err != nil {
 		t.Fatalf("parse hello resp: %v", err)
 	}
@@ -106,7 +119,7 @@ func TestHelloRoundTrip(t *testing.T) {
 
 func TestResponseRoundTrip(t *testing.T) {
 	results := []OpResult{{Out: 7, OK: true}, {Out: 0, OK: false}}
-	r, err := parseResponse(appendOKResp(nil, 42, results, nil))
+	r, err := parseResponse(payloadOf(t, appendOKResp(nil, 42, results, nil)))
 	if err != nil {
 		t.Fatalf("parse ok: %v", err)
 	}
@@ -117,7 +130,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		t.Fatalf("results: %+v", r.results)
 	}
 
-	r, err = parseResponse(appendErrResp(nil, StatusOverloaded, 3, 7*time.Millisecond, ""))
+	r, err = parseResponse(payloadOf(t, appendErrResp(nil, StatusOverloaded, 3, 7*time.Millisecond, "")))
 	if err != nil {
 		t.Fatalf("parse overloaded: %v", err)
 	}
@@ -125,7 +138,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		t.Fatalf("overloaded resp: %+v", r)
 	}
 
-	r, err = parseResponse(appendErrResp(nil, StatusAborted, 4, 0, "conflict on key 9"))
+	r, err = parseResponse(payloadOf(t, appendErrResp(nil, StatusAborted, 4, 0, "conflict on key 9")))
 	if err != nil {
 		t.Fatalf("parse aborted: %v", err)
 	}
@@ -134,7 +147,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 
 	for _, st := range []Status{StatusDeadline, StatusShutdown} {
-		r, err = parseResponse(appendErrResp(nil, st, 5, 0, ""))
+		r, err = parseResponse(payloadOf(t, appendErrResp(nil, st, 5, 0, "")))
 		if err != nil {
 			t.Fatalf("parse %s: %v", st, err)
 		}
@@ -145,13 +158,13 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestResponseMalformed(t *testing.T) {
-	ok := appendOKResp(nil, 1, []OpResult{{OK: true}}, nil)
+	ok := payloadOf(t, appendOKResp(nil, 1, []OpResult{{OK: true}}, nil))
 	cases := map[string][]byte{
 		"empty":          {},
 		"short ok":       ok[:5],
 		"ok extra":       append(append([]byte{}, ok...), 1),
 		"unknown status": {200, 0, 0, 0, 0, 0, 0, 0, 1},
-		"deadline body":  append(appendErrResp(nil, StatusDeadline, 1, 0, ""), 9),
+		"deadline body":  append(payloadOf(t, appendErrResp(nil, StatusDeadline, 1, 0, "")), 9),
 	}
 	for name, p := range cases {
 		if _, err := parseResponse(p); err == nil {

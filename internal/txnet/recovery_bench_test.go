@@ -85,8 +85,8 @@ func TestRecoveryTiming(t *testing.T) {
 				t.Fatalf("log-only recovery replayed %d commits, want %d", rec.CommitsReplayed, commits)
 			}
 			sess, ok := d.sess.lookup(sessID)
-			if !ok || sess.lastSeq != commits {
-				t.Fatalf("recovered session: ok=%v lastSeq=%d, want %d", ok, sess.lastSeq, commits)
+			if !ok || sess.lastSeq.Load() != commits {
+				t.Fatalf("recovered session: ok=%v lastSeq=%d, want %d", ok, sess.lastSeq.Load(), commits)
 			}
 			if rec.Elapsed <= 0 {
 				t.Fatalf("recovery elapsed %v, want > 0", rec.Elapsed)

@@ -33,7 +33,7 @@ var (
 	// read path, modeling a slow or hostile client; panic drops the conn).
 	fpReadStall = failpoint.New("txnet.read.stall")
 	// fpWritePartial fires after the first half of a response has been
-	// flushed to the wire — a panic here leaves the client with a
+	// written to the wire — a panic here leaves the client with a
 	// truncated frame, exercising its resynchronization via reconnect.
 	fpWritePartial = failpoint.New("txnet.write.partial")
 	// fpServerStall fires between admission and execution (delay widens
@@ -62,7 +62,7 @@ type Options struct {
 	Durable *Durable
 	// SlowThreshold, when positive, logs a structured line with the full
 	// per-stage breakdown for every request whose total service time
-	// (receipt to response flushed) reaches it.
+	// (receipt to response written) reaches it.
 	SlowThreshold time.Duration
 	// SlowWriter receives slow-request lines (default os.Stderr).
 	SlowWriter io.Writer
@@ -335,13 +335,8 @@ func (s *Server) handleConn(c net.Conn) {
 		panic(p)
 	}()
 	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
-	tl := serverSrc.Local()
-	var (
-		buf  []byte
-		ops  []Op
-		resp []byte
-	)
+	cs := connState{w: c, tl: serverSrc.Local()}
+	var buf []byte
 	for {
 		fpReadStall.Hit()
 		frame, err := readFrame(br, buf)
@@ -349,8 +344,7 @@ func (s *Server) handleConn(c net.Conn) {
 			return
 		}
 		buf = frame
-		ops, err = s.handleFrame(bw, tl, frame, ops, &resp)
-		if err != nil {
+		if err = s.handleFrame(&cs, frame); err != nil {
 			if errors.Is(err, errConnDropped) {
 				s.stats.droppedConns.Add(1)
 			}
@@ -359,28 +353,38 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 }
 
+// connState is one connection's write side and the scratch its requests
+// reuse: decoded ops, their results and the response frame.
+type connState struct {
+	w       io.Writer
+	tl      *trace.Local
+	ops     []Op
+	results []OpResult
+	resp    []byte
+}
+
 // handleFrame dispatches one request and writes its response. It recovers
 // injected failpoint panics into errConnDropped.
-func (s *Server) handleFrame(bw *bufio.Writer, tl *trace.Local, frame []byte, ops []Op, resp *[]byte) (opsOut []Op, err error) {
+func (s *Server) handleFrame(cs *connState, frame []byte) (err error) {
 	defer func() {
 		p := recover()
 		if p == nil {
 			return
 		}
 		if _, injected := p.(*failpoint.PanicValue); injected {
-			opsOut, err = ops, errConnDropped
+			err = errConnDropped
 			return
 		}
 		panic(p)
 	}()
 	if len(frame) == 0 {
-		return ops, fmt.Errorf("txnet: empty frame")
+		return fmt.Errorf("txnet: empty frame")
 	}
 	fpConnDrop.Hit()
 	switch frame[0] {
 	case msgHello:
 		if len(frame) != 9 {
-			return ops, fmt.Errorf("txnet: malformed hello")
+			return fmt.Errorf("txnet: malformed hello")
 		}
 		var sess *session
 		if id := be64(frame[1:]); id == 0 {
@@ -394,16 +398,16 @@ func (s *Server) handleFrame(bw *bufio.Writer, tl *trace.Local, frame []byte, op
 			var ok bool
 			if sess, ok = s.sess.lookup(id); !ok {
 				sessStats.resumeExpired.Add(1)
-				*resp = appendErrResp((*resp)[:0], StatusBadRequest, 0, 0, "unknown session")
-				return ops, s.writeResp(bw, *resp)
+				cs.resp = appendErrResp(cs.resp[:0], StatusBadRequest, 0, 0, "unknown session")
+				return s.writeResp(cs.w, cs.resp)
 			}
 			sessStats.resumed.Add(1)
 		}
-		*resp = appendHelloResp((*resp)[:0], sess.id, sess.lastSeq)
-		return ops, s.writeResp(bw, *resp)
+		cs.resp = appendHelloResp(cs.resp[:0], sess.id, sess.lastSeq.Load())
+		return s.writeResp(cs.w, cs.resp)
 	case msgBye:
 		if len(frame) != 9 {
-			return ops, fmt.Errorf("txnet: malformed bye")
+			return fmt.Errorf("txnet: malformed bye")
 		}
 		if id := be64(frame[1:]); id != 0 && s.sess.remove(id) {
 			sessStats.closed.Add(1)
@@ -411,37 +415,37 @@ func (s *Server) handleFrame(bw *bufio.Writer, tl *trace.Local, frame []byte, op
 				s.dur.logSessionClose(id)
 			}
 		}
-		*resp = appendByeResp((*resp)[:0])
-		return ops, s.writeResp(bw, *resp)
+		cs.resp = appendByeResp(cs.resp[:0])
+		return s.writeResp(cs.w, cs.resp)
 	case msgTxn:
-		req, ops, perr := parseTxn(frame, ops)
+		req, ops, perr := parseTxn(frame, cs.ops)
+		cs.ops = ops
 		if perr != nil {
 			s.stats.badReq.Add(1)
-			*resp = appendErrResp((*resp)[:0], StatusBadRequest, 0, 0, perr.Error())
-			if werr := s.writeResp(bw, *resp); werr != nil {
-				return ops, werr
-			}
-			return ops, nil
+			cs.resp = appendErrResp(cs.resp[:0], StatusBadRequest, 0, 0, perr.Error())
+			return s.writeResp(cs.w, cs.resp)
 		}
 		s.stats.requests.Add(1)
 		var obs reqObs
-		s.beginObs(&obs, tl, &req)
+		s.beginObs(&obs, cs.tl, &req)
 		// An injected panic between here and finish leaves the span open;
 		// abandon (a no-op after finish) closes it on that path.
 		defer obs.abandon()
-		*resp = s.execTxn(req, (*resp)[:0], &obs)
-		werr := s.writeResp(bw, *resp)
-		obs.finish(s, &req, Status((*resp)[0]), werr == nil)
-		return ops, werr
+		cs.resp = s.execTxn(req, cs, &obs)
+		werr := s.writeResp(cs.w, cs.resp)
+		obs.finish(s, &req, Status(cs.resp[frameHdr]), werr == nil)
+		return werr
 	default:
-		return ops, fmt.Errorf("txnet: unknown message type %d", frame[0])
+		return fmt.Errorf("txnet: unknown message type %d", frame[0])
 	}
 }
 
 // execTxn runs one transaction request through the session, admission and
-// store layers, returning the encoded response. o records where the
-// request's time went (a disarmed o makes every stamp one branch).
-func (s *Server) execTxn(req txnReq, resp []byte, o *reqObs) []byte {
+// store layers, returning the response frame (built in cs.resp's storage).
+// o records where the request's time went (a disarmed o makes every stamp
+// one branch).
+func (s *Server) execTxn(req txnReq, cs *connState, o *reqObs) []byte {
+	resp := cs.resp[:0]
 	sess, ok := s.sess.lookup(req.session)
 	if !ok {
 		s.stats.badReq.Add(1)
@@ -450,19 +454,19 @@ func (s *Server) execTxn(req txnReq, resp []byte, o *reqObs) []byte {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	o.stamp(trace.StageDispatch)
-	switch {
-	case req.seq == sess.lastSeq && sess.lastResp != nil:
+	switch last := sess.lastSeq.Load(); {
+	case req.seq == last && sess.lastResp != nil:
 		// Retry of the committed transaction: replay the cached verdict.
 		s.stats.replays.Add(1)
 		o.replay = true
-		return append(resp, sess.lastResp...)
+		return appendFrame(resp, sess.lastResp)
 	case req.seq == 0:
 		s.stats.badReq.Add(1)
 		return appendErrResp(resp, StatusBadRequest, req.seq, 0, "seq must be positive")
-	case req.seq < sess.lastSeq:
+	case req.seq < last:
 		s.stats.badReq.Add(1)
 		return appendErrResp(resp, StatusBadRequest, req.seq, 0,
-			fmt.Sprintf("stale seq %d (session at %d)", req.seq, sess.lastSeq))
+			fmt.Sprintf("stale seq %d (session at %d)", req.seq, last))
 	}
 
 	// Admission: enter the in-flight set only if the server is not
@@ -498,7 +502,10 @@ func (s *Server) execTxn(req txnReq, resp []byte, o *reqObs) []byte {
 		ctx, cancel = context.WithTimeout(ctx, req.deadline)
 		defer cancel()
 	}
-	results := make([]OpResult, len(req.ops))
+	if cap(cs.results) < len(req.ops) {
+		cs.results = make([]OpResult, len(req.ops))
+	}
+	results := cs.results[:len(req.ops)]
 	var err error
 	if s.dur != nil {
 		// Durable commit path: execute, log, ack — commitTxn returns only
@@ -516,8 +523,8 @@ func (s *Server) execTxn(req txnReq, resp []byte, o *reqObs) []byte {
 			resp = appendOKResp(resp, req.seq, results, o.wireStages(req))
 			// Commit and cache move together under the session lock: from here
 			// on, a retry of req.seq replays this exact response.
-			sess.lastSeq = req.seq
-			sess.lastResp = append(sess.lastResp[:0], resp...)
+			sess.lastSeq.Store(req.seq)
+			sess.lastResp = append(sess.lastResp[:0], resp[frameHdr:]...)
 			return resp
 		}
 	}
@@ -537,38 +544,22 @@ func (s *Server) execTxn(req txnReq, resp []byte, o *reqObs) []byte {
 	}
 }
 
-// writeResp frames and flushes one response. With txnet.write.partial armed
-// the header (promising the full length) and first half of the payload are
-// flushed to the wire before the failpoint fires, so an injected panic
-// leaves the client holding a truncated frame — the nastiest network fault:
-// bytes arrived, then silence.
-func (s *Server) writeResp(bw *bufio.Writer, payload []byte) error {
-	if fpWritePartial.Armed() && len(payload) > 1 {
-		var hdr [4]byte
-		hdr[0] = byte(len(payload) >> 24)
-		hdr[1] = byte(len(payload) >> 16)
-		hdr[2] = byte(len(payload) >> 8)
-		hdr[3] = byte(len(payload))
-		half := len(payload) / 2
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(payload[:half]); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
+// writeResp writes one response frame straight to the connection, in one
+// Write. With txnet.write.partial armed the header (promising the full
+// length) and first half of the payload go out before the failpoint fires, so
+// an injected panic leaves the client holding a truncated frame — the
+// nastiest network fault: bytes arrived, then silence.
+func (s *Server) writeResp(w io.Writer, frame []byte) error {
+	if fpWritePartial.Armed() && len(frame) > frameHdr+1 {
+		cut := frameHdr + (len(frame)-frameHdr)/2
+		if _, err := w.Write(frame[:cut]); err != nil {
 			return err
 		}
 		fpWritePartial.Hit()
-		if _, err := bw.Write(payload[half:]); err != nil {
-			return err
-		}
-		return bw.Flush()
+		frame = frame[cut:]
 	}
-	if err := writeFrame(bw, payload); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := w.Write(frame)
+	return err
 }
 
 // reqObs carries one request's observability state: the open trace span,

@@ -42,9 +42,9 @@ func (r *rawConn) hello(id uint64) response {
 	return resp
 }
 
-func (r *rawConn) send(payload []byte) response {
+func (r *rawConn) send(frame []byte) response {
 	r.t.Helper()
-	if err := writeFrame(r.c, payload); err != nil {
+	if _, err := r.c.Write(frame); err != nil {
 		r.t.Fatalf("write: %v", err)
 	}
 	frame, err := readFrame(r.br, nil)

@@ -25,9 +25,10 @@ type session struct {
 	// executing a retry-superseded request and the retry itself cannot
 	// interleave: the retry observes either the cached response or a
 	// not-yet-committed lastSeq, never a half-applied transaction.
-	mu       sync.Mutex
-	lastSeq  uint64
-	lastResp []byte // encoded StatusOK response for lastSeq
+	mu sync.Mutex
+	// lastSeq is written under mu, and read without it by a resuming hello.
+	lastSeq  atomic.Uint64
+	lastResp []byte // StatusOK response payload (no length prefix) for lastSeq
 	lastUsed atomic.Int64
 }
 
