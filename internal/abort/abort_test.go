@@ -1,31 +1,51 @@
-package abort
+package abort_test
 
 import (
 	"context"
 	"errors"
 	"testing"
+
+	. "repro/internal/abort"
+	"repro/internal/cm"
 )
+
+// fnTx is a cm.Tx built from closures: the retry protocol around Signal is
+// tested here, next to the vocabulary, through the one loop that runs it.
+type fnTx struct {
+	begin, run func()
+	rollback   func(Reason)
+}
+
+func (f fnTx) Begin()            { f.begin() }
+func (f fnTx) Run()              { f.run() }
+func (f fnTx) Commit()           {}
+func (f fnTx) Rollback(r Reason) { f.rollback(r) }
+
+func run(stats *Stats, t fnTx) error {
+	h := cm.NewCore("abort-test").NewHandle()
+	return h.Run(context.Background(), stats, t)
+}
 
 func TestRunRetriesUntilSuccess(t *testing.T) {
 	var stats Stats
 	attempts := 0
 	begins := 0
 	rollbacks := 0
-	RunPolicyCtx(context.Background(), &stats, nil,
-		func() { begins++ },
-		func() {
+	run(&stats, fnTx{
+		begin: func() { begins++ },
+		run: func() {
 			attempts++
 			if attempts < 3 {
 				Retry(Conflict)
 			}
 		},
-		func(r Reason) {
+		rollback: func(r Reason) {
 			if r != Conflict {
 				t.Errorf("reason = %v, want Conflict", r)
 			}
 			rollbacks++
 		},
-	)
+	})
 	if attempts != 3 || begins != 3 || rollbacks != 2 {
 		t.Fatalf("attempts=%d begins=%d rollbacks=%d; want 3,3,2", attempts, begins, rollbacks)
 	}
@@ -45,12 +65,12 @@ func TestForeignPanicsPropagate(t *testing.T) {
 			t.Error("foreign panic must roll back (release locks) before propagating")
 		}
 	}()
-	RunPolicyCtx(context.Background(), nil, nil, func() {}, func() { panic(boom) }, func(r Reason) {
+	run(nil, fnTx{begin: func() {}, run: func() { panic(boom) }, rollback: func(r Reason) {
 		if r != Panicked {
 			t.Errorf("rollback reason = %v, want Panicked", r)
 		}
 		rolledBack = true
-	})
+	}})
 }
 
 func TestReasonStrings(t *testing.T) {
@@ -70,7 +90,7 @@ func TestReasonStrings(t *testing.T) {
 
 func TestNilStats(t *testing.T) {
 	ran := false
-	RunPolicyCtx(context.Background(), nil, nil, func() {}, func() { ran = true }, func(Reason) {})
+	run(nil, fnTx{begin: func() {}, run: func() { ran = true }, rollback: func(Reason) {}})
 	if !ran {
 		t.Fatal("attempt did not run")
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/chaos/failpoint"
 	"repro/internal/cm"
 	"repro/internal/spin"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -147,8 +146,6 @@ type Tx struct {
 	held []heldLock
 	undo []undoEntry
 	ctr  *spin.Counters
-	mgr  *cm.Manager // resolved contention manager for this execution
-	tel  *telemetry.Local
 	tr   *trace.Local
 	// lockKey is the attribution key for the lock currently being acquired,
 	// noted by the semantic layer before each Acquire* call (0 = unknown).
@@ -162,36 +159,28 @@ func (tx *Tx) noteLockKey(k uint64) {
 	tx.tr.NoteKey(k)
 }
 
-// meter collects pessimistic-boosting statistics; exhausted lock-
-// acquisition spins show up under the timeout reason, locks observed busy
-// at acquisition under lock-busy.
-var meter = telemetry.M("PessimisticBoosted")
-
-// cmgr is the contention manager boosted transactions run under; nil means
-// the shared cm.Default manager. The policy also sets the abstract-lock
-// acquisition timeout (Policy.LockAttempts), replacing the former package
-// constant.
-var cmgr atomic.Pointer[cm.Manager]
-
-func init() {
-	meter.SetPolicySource(func() string { return cm.Or(cmgr.Load()).Policy().Name() })
-}
+// core is the lifecycle core of boosted transactions. On its meter,
+// exhausted lock-acquisition spins show up under the timeout reason, locks
+// observed busy at acquisition under lock-busy. The manager's policy also
+// sets the abstract-lock acquisition timeout (Policy.LockAttempts).
+var core = cm.NewCore("PessimisticBoosted")
 
 // SetManager installs the contention manager (nil restores the shared
 // default). Safe during live traffic.
-func SetManager(m *cm.Manager) { cmgr.Store(m) }
+func SetManager(m *cm.Manager) { core.SetManager(m) }
 
-// txPool recycles transaction descriptors (with their shard-bound telemetry
+// txPool recycles transaction descriptors (with their shard-bound recording
 // handles) across Atomic calls.
-var traceSrc = trace.S("PessimisticBoosted")
-
 var txPool = sync.Pool{New: func() any {
-	return &boostRunner{tx: &Tx{tel: meter.Local(), tr: traceSrc.Local()}}
+	r := &boostRunner{h: core.NewHandle(), tx: &Tx{}}
+	r.tx.tr = r.h.Trace()
+	return r
 }}
 
-// boostRunner drives one boosted transaction through the retry loop via
-// abort.TxRunner methods, keeping the hot path free of closure allocations.
+// boostRunner is the pooled descriptor of one boosted transaction; it
+// implements cm.Tx.
 type boostRunner struct {
+	h  cm.Handle
 	tx *Tx
 	fn func(*Tx)
 }
@@ -200,21 +189,13 @@ func (r *boostRunner) Begin() {
 	r.tx.held = r.tx.held[:0]
 	clearUndo(r.tx.undo)
 	r.tx.undo = r.tx.undo[:0]
-	r.tx.tr.AttemptStart()
 }
 
-func (r *boostRunner) Attempt() {
-	r.fn(r.tx)
-	r.tx.tr.CommitBegin()
-	r.tx.commit()
-	r.tx.tr.CommitEnd()
-}
+func (r *boostRunner) Run() { r.fn(r.tx) }
 
-func (r *boostRunner) Rollback(reason abort.Reason) {
-	r.tx.rollback()
-	r.tx.tr.Abort(reason)
-	r.tx.tel.Abort(reason)
-}
+func (r *boostRunner) Commit() { r.tx.commit() }
+
+func (r *boostRunner) Rollback(abort.Reason) { r.tx.rollback() }
 
 // Atomic runs fn as a boosted transaction, retrying on abort. Stats and
 // counters may be nil.
@@ -223,36 +204,21 @@ func Atomic(stats *abort.Stats, ctr *spin.Counters, fn func(*Tx)) {
 }
 
 // AtomicCtx is Atomic observing ctx: cancellation is checked at retry-loop
-// tops and in contention-management waits; an abandoned transaction replays
-// its undo log, releases its abstract locks, and returns the context's
-// error. The descriptor returns to its pool even when fn (or an armed
-// failpoint) panics — the rollback path has already restored the structure
-// by then.
+// tops and in contention-management waits; an abandoned transaction has
+// replayed its undo log and released its abstract locks, and the context's
+// error is returned. The descriptor returns to its pool even when fn (or an
+// armed failpoint) panics — the rollback path has already restored the
+// structure by then.
 func AtomicCtx(ctx context.Context, stats *abort.Stats, ctr *spin.Counters, fn func(*Tx)) error {
 	r := txPool.Get().(*boostRunner)
-	tx := r.tx
-	tx.ctr = ctr
-	tx.mgr = cm.Or(cmgr.Load())
+	r.tx.ctr = ctr
 	r.fn = fn
 	defer func() {
-		tx.ctr = nil
-		tx.mgr = nil
+		r.tx.ctr = nil
 		r.fn = nil
 		txPool.Put(r)
 	}()
-	start := tx.tel.Start()
-	tx.tr.TxStart()
-	defer tx.tr.TxEnd()
-	escalated, err := abort.RunPolicyTxCtx(ctx, stats, tx.mgr, r)
-	if escalated {
-		tx.tr.Escalated()
-		tx.tel.Escalated()
-	}
-	if err != nil {
-		return err
-	}
-	tx.tel.Commit(start)
-	return nil
+	return r.h.Run(ctx, stats, r)
 }
 
 // OnAbort registers an inverse operation to replay if the transaction
@@ -317,7 +283,7 @@ func (tx *Tx) spinAcquireWrite(l *RWLock, try func(*RWLock) bool) {
 // original boosting implementation), then aborts with the timeout reason —
 // its own telemetry line, distinct from locks found busy at commit.
 func (tx *Tx) spinAcquire(l *RWLock, try func(*RWLock) bool) {
-	attempts := tx.lockAttempts()
+	attempts := core.Manager().Policy().LockAttempts()
 	var b spin.Backoff
 	for i := 0; i < attempts; i++ {
 		if try(l) {
@@ -329,17 +295,6 @@ func (tx *Tx) spinAcquire(l *RWLock, try func(*RWLock) bool) {
 	}
 	tx.tr.LockBusy(tx.lockKey)
 	abort.Retry(abort.Timeout)
-}
-
-// lockAttempts resolves the abstract-lock acquisition bound from the
-// transaction's contention-management policy (falling back to the package
-// manager for hand-built transactions that bypass Atomic).
-func (tx *Tx) lockAttempts() int {
-	m := tx.mgr
-	if m == nil {
-		m = cm.Or(cmgr.Load())
-	}
-	return m.Policy().LockAttempts()
 }
 
 func (tx *Tx) holds(l *RWLock) bool {

@@ -44,7 +44,7 @@ func TestTimeoutReleasesPartialLocksInReverse(t *testing.T) {
 	releaseHook = func(l *RWLock, _ lockMode) { released = append(released, l) }
 	defer func() { releaseHook = nil }()
 
-	tx := &Tx{tel: meter.Local()}
+	tx := &Tx{}
 	timedOut := false
 	func() {
 		defer func() {
@@ -82,7 +82,7 @@ func TestTimeoutReleasesPartialLocksInReverse(t *testing.T) {
 
 	// With the blocker gone, a fresh transaction takes all three locks.
 	lC.releaseWrite()
-	tx2 := &Tx{tel: meter.Local()}
+	tx2 := &Tx{}
 	tx2.AcquireWrite(lA)
 	tx2.AcquireWrite(lB)
 	tx2.AcquireWrite(lC)

@@ -24,9 +24,12 @@
 // The fast path is one relaxed atomic load per optimistic attempt (the
 // serial-gate check); everything else runs only after an abort.
 //
-// A *Manager implements abort.Manager and is threaded through
-// abort.RunPolicyCtx; runtimes default to the shared Default manager and
-// accept a custom one through their SetManager methods.
+// The package also owns the transaction lifecycle itself (run.go): a runtime
+// embeds a Core, its pooled descriptors hold a Handle and implement Tx, and
+// Handle.Run is the one retry loop — serial-gate pause, context checks,
+// rollback and re-panic, pacing, escalation and every lifecycle stamp.
+// Runtimes default to the shared Default manager and accept a custom one
+// through Core.SetManager.
 package cm
 
 import (
@@ -66,10 +69,11 @@ var serialGate struct {
 // serial gate (exported for tests and monitoring).
 func SerialActive() bool { return serialGate.active.Load() != 0 }
 
-// Manager pairs a Policy with a retry budget and the serial-mode gate; it
-// implements abort.Manager. Managers are shared: one Manager typically
-// serves every transaction of a runtime instance. The zero value is not
-// usable; call New.
+// Manager pairs a Policy with a retry budget and the serial-mode gate.
+// Managers are shared by many goroutines — one typically serves every
+// transaction of a runtime instance — so all methods are safe for concurrent
+// use; per-transaction pacing state (the consecutive-abort count) is carried
+// by the retry loop and passed in. The zero value is not usable; call New.
 type Manager struct {
 	policy      atomic.Pointer[Policy]
 	budget      atomic.Int64
@@ -111,38 +115,30 @@ func (m *Manager) SetBudget(n int) { m.budget.Store(int64(n)) }
 // serial mode.
 func (m *Manager) Escalations() uint64 { return m.escalations.Load() }
 
-// Pause implements abort.Manager: it blocks while an escalated transaction
-// runs serially. The fast path — no escalation anywhere — is a single
-// relaxed load and a predictable branch.
-func (m *Manager) Pause() {
-	if serialGate.active.Load() == 0 {
-		return
-	}
-	var b spin.Backoff
-	for serialGate.active.Load() != 0 {
-		b.Wait()
-	}
-}
-
-// PauseCtx implements abort.CtxPauser: Pause that gives up with the
-// context's error when ctx is cancelled while parked at the serial gate, so
-// an abandoned transaction does not wait out an escalated one.
+// PauseCtx blocks while an escalated transaction runs serially; it is called
+// before every optimistic attempt, so the fast path — no escalation anywhere
+// — is a single relaxed load and a predictable branch. It gives up with the
+// context's error when ctx (nil never cancels) is cancelled while parked at
+// the gate, so an abandoned transaction does not wait out an escalated one.
 func (m *Manager) PauseCtx(ctx context.Context) error {
 	if serialGate.active.Load() == 0 {
 		return nil
 	}
 	var b spin.Backoff
 	for serialGate.active.Load() != 0 {
-		if err := ctx.Err(); err != nil {
-			return err
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
 		b.Wait()
 	}
 	return nil
 }
 
-// OnAbort implements abort.Manager: it paces the retry per the current
-// policy and reports whether the budget is exhausted.
+// OnAbort is called after the n-th consecutive aborted attempt (n >= 1) of
+// one transaction: it paces the retry per the current policy and reports
+// whether the budget is exhausted and the transaction must escalate.
 func (m *Manager) OnAbort(n int, r abort.Reason) (escalate bool) {
 	if budget := m.budget.Load(); budget > 0 && int64(n) >= budget {
 		return true
@@ -151,8 +147,9 @@ func (m *Manager) OnAbort(n int, r abort.Reason) (escalate bool) {
 	return false
 }
 
-// Escalate implements abort.Manager: it acquires the process-wide serial
-// gate. At most one escalated transaction runs at a time; later escalations
+// Escalate acquires the process-wide serial gate: it blocks until this
+// transaction is the only escalated one, then stops new optimistic attempts
+// from starting (they block in PauseCtx) until Release. Later escalations
 // queue on the gate's mutex.
 func (m *Manager) Escalate() {
 	serialGate.mu.Lock()
@@ -160,17 +157,12 @@ func (m *Manager) Escalate() {
 	m.escalations.Add(1)
 }
 
-// Release implements abort.Manager: it reopens the gate after the
-// escalated transaction commits.
+// Release reopens the gate when the escalated transaction leaves the retry
+// loop (commit, cancellation or foreign panic).
 func (m *Manager) Release() {
 	serialGate.active.Store(0)
 	serialGate.mu.Unlock()
 }
-
-var (
-	_ abort.Manager   = (*Manager)(nil)
-	_ abort.CtxPauser = (*Manager)(nil)
-)
 
 // defaultMgr is the process-wide manager runtimes fall back to when no
 // explicit one is configured. Its policy and budget are retuned in place by
@@ -182,8 +174,7 @@ var defaultMgr = New(Backoff, DefaultBudget)
 // DefaultBudget, unless reconfigured via Configure).
 func Default() *Manager { return defaultMgr }
 
-// Or returns m, or the shared default manager when m is nil — the one-line
-// resolution every runtime uses at transaction start.
+// Or returns m, or the shared default manager when m is nil.
 func Or(m *Manager) *Manager {
 	if m != nil {
 		return m

@@ -69,7 +69,7 @@ func TestManagerPolicySwap(t *testing.T) {
 	}
 }
 
-// TestSerialGate checks the escalation protocol: Pause blocks while the
+// TestSerialGate checks the escalation protocol: PauseCtx blocks while the
 // gate is held and resumes when released, and escalations serialize.
 func TestSerialGate(t *testing.T) {
 	m := New(Backoff, DefaultBudget)
@@ -81,11 +81,11 @@ func TestSerialGate(t *testing.T) {
 	released := make(chan struct{})
 	paused := make(chan struct{})
 	go func() {
-		m.Pause() // must block until Release
+		m.PauseCtx(nil) // must block until Release
 		select {
 		case <-released:
 		default:
-			t.Error("Pause returned while the serial gate was held")
+			t.Error("PauseCtx returned while the serial gate was held")
 		}
 		close(paused)
 	}()
@@ -96,7 +96,7 @@ func TestSerialGate(t *testing.T) {
 	select {
 	case <-paused:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Pause did not resume after Release")
+		t.Fatal("PauseCtx did not resume after Release")
 	}
 	if SerialActive() {
 		t.Fatal("gate still active after Release")
@@ -132,36 +132,37 @@ func TestEscalationsSerialize(t *testing.T) {
 	}
 }
 
-// TestRunPolicyEscalates drives abort.RunPolicyCtx with a manager whose budget
+// TestRunPolicyEscalates drives the runner with a manager whose budget
 // forces escalation, checking the full loop: budget aborts, then the serial
 // retry commits.
 func TestRunPolicyEscalates(t *testing.T) {
 	const budget = 5
 	m := New(Aggressive, budget)
+	c := NewCore("cm-test")
+	c.SetManager(m)
 	attempts := 0
 	var stats abort.Stats
-	escalated, _ := abort.RunPolicyCtx(context.Background(), &stats, m,
-		func() {},
-		func() {
-			attempts++
-			if attempts <= budget {
-				abort.Retry(abort.Conflict)
-			}
-			// The escalated attempt must run with the gate held.
-			if !SerialActive() {
-				t.Error("escalated attempt ran without the serial gate")
-			}
-		},
-		func(abort.Reason) {},
-	)
-	if !escalated {
-		t.Fatal("RunPolicyCtx did not report escalation")
+	runFn(c, context.Background(), &stats, fnTx{run: func() {
+		attempts++
+		if attempts <= budget {
+			abort.Retry(abort.Conflict)
+		}
+		// The escalated attempt must run with the gate held.
+		if !SerialActive() {
+			t.Error("escalated attempt ran without the serial gate")
+		}
+	}})
+	if m.Escalations() != 1 {
+		t.Fatalf("Escalations = %d, want 1", m.Escalations())
 	}
 	if attempts != budget+1 {
 		t.Fatalf("attempts = %d, want %d", attempts, budget+1)
 	}
 	if stats.Commits != 1 || stats.Aborts != budget {
 		t.Fatalf("stats = %+v, want 1 commit / %d aborts", stats, budget)
+	}
+	if c.Commits() != 1 || c.Aborts() != budget {
+		t.Fatalf("core counters = %d commits / %d aborts, want 1 / %d", c.Commits(), c.Aborts(), budget)
 	}
 	if SerialActive() {
 		t.Fatal("serial gate left closed after commit")
@@ -172,20 +173,15 @@ func TestRunPolicyEscalates(t *testing.T) {
 // commits within its budget never touches the gate.
 func TestRunPolicyNoEscalationUnderBudget(t *testing.T) {
 	m := New(Backoff, 10)
+	c := NewCore("cm-test")
+	c.SetManager(m)
 	attempts := 0
-	escalated, _ := abort.RunPolicyCtx(context.Background(), nil, m,
-		func() {},
-		func() {
-			attempts++
-			if attempts < 3 {
-				abort.Retry(abort.Conflict)
-			}
-		},
-		func(abort.Reason) {},
-	)
-	if escalated {
-		t.Fatal("escalated although the budget was not exhausted")
-	}
+	runFn(c, context.Background(), nil, fnTx{run: func() {
+		attempts++
+		if attempts < 3 {
+			abort.Retry(abort.Conflict)
+		}
+	}})
 	if m.Escalations() != 0 {
 		t.Fatalf("Escalations = %d, want 0", m.Escalations())
 	}

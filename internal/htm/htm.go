@@ -23,8 +23,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/spin"
 	"repro/internal/stm"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Failpoints on the hybrid commit paths.
@@ -93,8 +91,14 @@ type TM struct {
 	writeCap int
 	retries  int
 	ctr      spin.Counters
-	cmgr     *cm.Manager
-	stats    struct {
+	// Core.SetManager: the hardware retry loop is a client of the same
+	// machinery — attempts pause while any transaction runs in serial mode,
+	// the policy paces retries, and a software fallback that exhausts its own
+	// retry budget escalates like every other runtime. Commits and Aborts
+	// count both paths: every hardware abort and every fallback abort is one
+	// aborted attempt.
+	*cm.Core
+	stats struct {
 		hwCommits atomic.Uint64
 		swCommits atomic.Uint64
 		hwAborts  [3]atomic.Uint64 // by AbortCode
@@ -105,6 +109,7 @@ type TM struct {
 // New creates a hybrid TM.
 func New(opts Options) *TM {
 	t := &TM{
+		Core:     cm.NewCore("HybridHTM"),
 		readCap:  opts.ReadCap,
 		writeCap: opts.WriteCap,
 		retries:  opts.Retries,
@@ -118,20 +123,9 @@ func New(opts Options) *TM {
 	if t.retries == 0 {
 		t.retries = 3
 	}
-	mtr := telemetry.M("HybridHTM")
-	mtr.SetPolicySource(func() string { return cm.Or(t.cmgr).Policy().Name() })
-	src := trace.S("HybridHTM")
-	t.pool.New = func() any { return &htx{tm: t, tel: mtr.Local(), tr: src.Local()} }
+	t.pool.New = func() any { return &htx{tm: t, h: t.NewHandle()} }
 	return t
 }
-
-// SetManager installs the contention manager transactions run under (nil
-// means the shared cm.Default manager). It must be set before any
-// transaction runs. The hardware retry loop is a client of the same
-// machinery: attempts pause while any transaction runs in serial mode, the
-// policy paces retries, and a software fallback that exhausts its own retry
-// budget escalates like every other runtime.
-func (t *TM) SetManager(m *cm.Manager) { t.cmgr = m }
 
 // Name implements stm.Algorithm.
 func (t *TM) Name() string { return "HybridHTM" }
@@ -153,26 +147,17 @@ func (t *TM) SWCommits() uint64 { return t.stats.swCommits.Load() }
 func (t *TM) HWAborts(code AbortCode) uint64 { return t.stats.hwAborts[code].Load() }
 
 // htx is a transaction descriptor shared by the hardware and software
-// paths (the software path simply ignores the capacity bounds).
+// paths (the software path simply ignores the capacity bounds). It
+// implements cm.Tx for the software fallback.
 type htx struct {
 	tm         *TM
+	h          cm.Handle
 	hardware   bool
 	holdsClock bool // software path holds the clock (commit in progress)
 	snapshot   uint64
 	reads      []stm.ReadEntry
 	writes     stm.WriteSet
-	tel        *telemetry.Local
-	tr         *trace.Local
-}
-
-// rollback releases the clock if the software path died holding it (an
-// armed failpoint between lock and publish); nothing was published, so the
-// pre-lock timestamp is restored.
-func (x *htx) rollback() {
-	if x.holdsClock {
-		x.holdsClock = false
-		x.tm.clock.UnlockUnchanged()
-	}
+	fn         func(stm.Tx)
 }
 
 // Atomic implements stm.Algorithm: up to retries hardware attempts, then
@@ -183,73 +168,81 @@ func (t *TM) Atomic(fn func(stm.Tx)) { t.AtomicCtx(nil, fn) }
 // Cancellation is checked before each hardware attempt and inside the
 // software fallback's retry loop; the descriptor returns to its pool even
 // when fn (or an armed failpoint) panics.
+//
+// The hardware prelude is the one lifecycle shape that is not cm.Handle.Run's
+// loop — an attempt is not Begin/Run/Commit but one emulated hardware
+// transaction with its own abort codes, a bounded retry count and no
+// escalation — so this is the only place outside the runner that opens the
+// span and stamps aborts and the commit itself, with the same Handle pieces
+// Run is made of; the span is then handed to Retry for the fallback.
 func (t *TM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
 	x := t.pool.Get().(*htx)
+	x.fn = fn
 	defer func() {
+		x.fn = nil
 		x.reads = x.reads[:0]
 		x.writes.Reset()
 		t.pool.Put(x)
 	}()
-	start := x.tel.Start()
-	x.tr.TxStart()
-	defer x.tr.TxEnd()
-	m := cm.Or(t.cmgr)
-	for attempt := 0; attempt < t.retries; attempt++ {
-		if ctx != nil && ctx.Err() != nil {
-			x.tr.Abort(abort.Canceled)
-			x.tel.Abort(abort.Canceled)
-			return ctx.Err()
-		}
+	sp := x.h.Start()
+	defer x.h.End()
+	for attempt := 1; attempt <= t.retries; attempt++ {
 		// Serial-mode subscription: like the fallback-lock subscription,
 		// hardware attempts stand aside while any transaction runs serially.
-		if ctx != nil {
-			if err := m.PauseCtx(ctx); err != nil {
-				x.tr.Abort(abort.Canceled)
-				x.tel.Abort(abort.Canceled)
-				return err
-			}
-		} else {
-			m.Pause()
+		if err := x.h.Gate(ctx); err != nil {
+			return err
 		}
-		x.tr.HWAttempt(attempt + 1)
-		code, ok := t.tryHardware(x, fn)
+		x.h.Trace().HWAttempt(attempt)
+		code, ok := t.tryHardware(x)
 		if ok {
 			t.stats.hwCommits.Add(1)
-			x.tel.Commit(start)
+			x.h.Commit(sp)
 			return nil
 		}
 		t.stats.hwAborts[code].Add(1)
 		// Hardware aborts are conflicts from telemetry's viewpoint: the
 		// lock-subscription case is a busy fallback lock.
 		if code == LockSubscription {
-			x.tr.Abort(abort.LockBusy)
-			x.tel.Abort(abort.LockBusy)
+			x.h.Abort(abort.LockBusy)
 		} else {
-			x.tr.Abort(abort.Conflict)
-			x.tel.Abort(abort.Conflict)
+			x.h.Abort(abort.Conflict)
 		}
 		if code == Capacity {
 			break // a bigger footprint will not fit next time either
 		}
-		m.Policy().Wait(attempt+1, abort.Conflict)
+		t.Manager().Policy().Wait(attempt, abort.Conflict)
 	}
-	x.tr.Fallback()
-	x.tel.Fallback()
-	escalated, err := t.software(ctx, x, fn, m)
-	if escalated {
-		x.tr.Escalated()
-		x.tel.Escalated()
+	x.h.Fallback()
+	x.hardware = false
+	err := x.h.Retry(ctx, nil, x, sp)
+	if err == nil {
+		t.stats.swCommits.Add(1)
 	}
-	if err != nil {
-		return err
+	return err
+}
+
+// Begin implements cm.Tx: start one software attempt.
+func (x *htx) Begin() {
+	x.reads = x.reads[:0]
+	x.writes.Reset()
+	x.snapshot = x.tm.clock.WaitUnlocked(&x.tm.ctr)
+}
+
+// Run implements cm.Tx.
+func (x *htx) Run() { x.fn(x) }
+
+// Rollback implements cm.Tx: release the clock if the software path died
+// holding it (an armed failpoint between lock and publish); nothing was
+// published, so the pre-lock timestamp is restored.
+func (x *htx) Rollback(abort.Reason) {
+	if x.holdsClock {
+		x.holdsClock = false
+		x.tm.clock.UnlockUnchanged()
 	}
-	t.stats.swCommits.Add(1)
-	x.tel.Commit(start)
-	return nil
 }
 
 // tryHardware runs one emulated hardware attempt.
-func (t *TM) tryHardware(x *htx, fn func(stm.Tx)) (code AbortCode, ok bool) {
+func (t *TM) tryHardware(x *htx) (code AbortCode, ok bool) {
 	x.hardware = true
 	x.reads = x.reads[:0]
 	x.writes.Reset()
@@ -275,9 +268,12 @@ func (t *TM) tryHardware(x *htx, fn func(stm.Tx)) (code AbortCode, ok bool) {
 			code, ok = Conflict, false
 			return
 		}
+		// A foreign panic: the hardware attempt buffered everything, so
+		// there is nothing to roll back, only the abort to record.
+		x.h.Abort(abort.Panicked)
 		panic(p)
 	}()
-	fn(x)
+	x.fn(x)
 	fpHWCommit.Hit()
 	// Commit arbitration: a brief exclusive window standing in for the
 	// cache-coherence commit point.
@@ -293,33 +289,6 @@ func (t *TM) tryHardware(x *htx, fn func(stm.Tx)) (code AbortCode, ok bool) {
 	x.writes.Publish()
 	t.clock.Unlock()
 	return 0, true
-}
-
-// software runs the NOrec-style fallback to completion, reporting whether
-// it had to escalate to serial mode.
-func (t *TM) software(ctx context.Context, x *htx, fn func(stm.Tx), m *cm.Manager) (bool, error) {
-	x.hardware = false
-	return abort.RunPolicyCtx(ctx, nil, m,
-		func() {
-			x.reads = x.reads[:0]
-			x.writes.Reset()
-			x.snapshot = t.clock.WaitUnlocked(&t.ctr)
-			x.tr.AttemptStart()
-		},
-		func() {
-			fn(x)
-			x.tr.CommitBegin()
-			x.swCommit()
-			x.tr.CommitEnd()
-		},
-		func(r abort.Reason) {
-			x.rollback()
-			x.tr.Abort(r)
-			if r == abort.Canceled || r == abort.Panicked {
-				x.tel.Abort(r)
-			}
-		},
-	)
 }
 
 // Read implements stm.Tx for both paths.
@@ -371,7 +340,7 @@ func (x *htx) validate() uint64 {
 		}
 		for i := range x.reads {
 			if x.reads[i].Cell.Load() != x.reads[i].Val {
-				x.tr.ValidateFail(x.reads[i].Cell.ID())
+				x.h.Trace().ValidateFail(x.reads[i].Cell.ID())
 				abort.Retry(abort.Conflict)
 			}
 		}
@@ -381,8 +350,9 @@ func (x *htx) validate() uint64 {
 	}
 }
 
-// swCommit publishes the software write set under the shared clock.
-func (x *htx) swCommit() {
+// Commit implements cm.Tx: publish the software write set under the shared
+// clock.
+func (x *htx) Commit() {
 	if x.writes.Len() == 0 {
 		return
 	}

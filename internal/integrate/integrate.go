@@ -36,8 +36,6 @@ import (
 	"repro/internal/otb"
 	"repro/internal/spin"
 	"repro/internal/stm"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // norecClockTraceKey tags flight-recorder lock events for OTB-NOrec's
@@ -98,26 +96,16 @@ type OTBNOrec struct {
 	// the optimization saves.
 	semanticLocks bool
 	ctr           spin.Counters
-	cmgr          *cm.Manager
-	stats         struct {
-		commits atomic.Uint64
-		aborts  atomic.Uint64
-	}
+	*cm.Core
 	pool sync.Pool
 }
 
 // NewOTBNOrec creates an OTB-NOrec instance.
 func NewOTBNOrec() *OTBNOrec {
-	s := &OTBNOrec{}
-	telemetry.M(s.Name()).SetPolicySource(func() string { return cm.Or(s.cmgr).Policy().Name() })
+	s := &OTBNOrec{Core: cm.NewCore("OTB-NOrec")}
 	s.pool.New = func() any { return newNorecCtx(s) }
 	return s
 }
-
-// SetManager installs the contention manager transactions run under (nil
-// means the shared cm.Default manager). It must be set before any
-// transaction runs.
-func (s *OTBNOrec) SetManager(m *cm.Manager) { s.cmgr = m }
 
 // NewOTBNOrecSemanticLocks creates an instance with the lock-granularity
 // optimization ablated (semantic locks are acquired even though the global
@@ -137,33 +125,24 @@ func (s *OTBNOrec) Counters() *spin.Counters { return &s.ctr }
 // Stop implements Algorithm (no background goroutines).
 func (s *OTBNOrec) Stop() {}
 
-// Commits and Aborts report lifetime transaction outcomes.
-func (s *OTBNOrec) Commits() uint64 { return s.stats.commits.Load() }
-
-// Aborts reports the number of aborted attempts.
-func (s *OTBNOrec) Aborts() uint64 { return s.stats.aborts.Load() }
-
-// norecCtx is one OTB-NOrec transaction descriptor. It implements
-// abort.TxRunner so the retry loop drives it without per-transaction
-// closures.
+// norecCtx is one OTB-NOrec transaction descriptor; it implements cm.Tx.
 type norecCtx struct {
 	s          *OTBNOrec
+	h          cm.Handle
 	snapshot   uint64
 	holdsClock bool
 	reads      []stm.ReadEntry
 	writes     stm.WriteSet
 	fn         func(*Ctx)
 	ctx        Ctx
-	tel        *telemetry.Local
-	tr         *trace.Local
 }
 
 func newNorecCtx(s *OTBNOrec) *norecCtx {
-	t := &norecCtx{s: s, tel: telemetry.M(s.Name()).Local(), tr: trace.S(s.Name()).Local()}
+	t := &norecCtx{s: s, h: s.NewHandle()}
 	sem := otb.NewTx(&s.ctr)
 	// The semantic layer traces into the integrated context's descriptor
 	// track, so OTB operations and memory events share one span.
-	sem.SetTraceLocal(t.tr)
+	sem.SetTraceLocal(t.h.Trace())
 	// onOperationValidate: identical to onReadAccess — wait for a stable
 	// global timestamp while co-validating memory and semantics.
 	sem.SetValidator(func(*otb.Tx) {
@@ -191,27 +170,13 @@ func (s *OTBNOrec) AtomicCtx(ctx context.Context, fn func(*Ctx)) error {
 		t.writes.Reset()
 		s.pool.Put(t)
 	}()
-	start := t.tel.Start()
-	t.tr.TxStart()
-	defer t.tr.TxEnd()
-	escalated, err := abort.RunPolicyTxCtx(ctx, nil, cm.Or(s.cmgr), t)
-	if escalated {
-		t.tr.Escalated()
-		t.tel.Escalated()
-	}
-	if err != nil {
-		return err
-	}
-	s.stats.commits.Add(1)
-	t.tel.Commit(start)
-	return nil
+	return t.h.Run(ctx, nil, t)
 }
 
-// Begin implements abort.TxRunner: start one attempt. The semantic
-// transaction pins an epoch guard so the OTB nodes it traverses cannot be
-// recycled mid-attempt.
+// Begin implements cm.Tx: start one attempt. The semantic transaction pins
+// an epoch guard so the OTB nodes it traverses cannot be recycled
+// mid-attempt.
 func (t *norecCtx) Begin() {
-	t.tr.AttemptStart()
 	t.reads = t.reads[:0]
 	t.writes.Reset()
 	t.ctx.sem.Reset()
@@ -219,29 +184,24 @@ func (t *norecCtx) Begin() {
 	t.snapshot = t.s.clock.WaitUnlocked(&t.s.ctr)
 }
 
-// Attempt implements abort.TxRunner: run the body and commit.
-func (t *norecCtx) Attempt() {
-	t.fn(&t.ctx)
-	cs := t.tel.Start()
-	t.tr.CommitBegin()
+// Run implements cm.Tx.
+func (t *norecCtx) Run() { t.fn(&t.ctx) }
+
+// Commit implements cm.Tx.
+func (t *norecCtx) Commit() {
 	t.commit()
-	t.tr.CommitEnd()
 	t.ctx.sem.Unpin()
-	t.tel.CommitPhase(cs)
 }
 
-// Rollback implements abort.TxRunner: undo a failed attempt.
-func (t *norecCtx) Rollback(r abort.Reason) {
+// Rollback implements cm.Tx: undo a failed attempt.
+func (t *norecCtx) Rollback(abort.Reason) {
 	t.ctx.sem.Rollback()
 	t.ctx.sem.Unpin()
 	if t.holdsClock {
 		t.s.clock.Unlock()
 		t.holdsClock = false
-		t.tr.Unlock(norecClockTraceKey)
+		t.h.Trace().Unlock(norecClockTraceKey)
 	}
-	t.s.stats.aborts.Add(1)
-	t.tr.Abort(r)
-	t.tel.Abort(r)
 }
 
 // Read implements stm.Tx with NOrec's post-read loop over the combined
@@ -276,7 +236,7 @@ func (t *norecCtx) validateAll() uint64 {
 		}
 		for i := range t.reads {
 			if t.reads[i].Cell.Load() != t.reads[i].Val {
-				t.tr.ValidateFail(t.reads[i].Cell.ID())
+				t.h.Trace().ValidateFail(t.reads[i].Cell.ID())
 				abort.Retry(abort.Conflict)
 			}
 		}
@@ -284,7 +244,7 @@ func (t *norecCtx) validateAll() uint64 {
 			abort.Retry(abort.Conflict)
 		}
 		if ts == t.s.clock.Load() {
-			t.tr.Validated()
+			t.h.Trace().Validated()
 			return ts
 		}
 	}
@@ -302,7 +262,7 @@ func (t *norecCtx) commit() {
 		t.snapshot = t.validateAll()
 	}
 	t.holdsClock = true
-	t.tr.Lock(norecClockTraceKey)
+	t.h.Trace().Lock(norecClockTraceKey)
 	// A semantic operation logs its entry after its post-validation, so the
 	// entries of the last operation may predate the snapshot the lock was
 	// taken at. Nothing can commit now; check them before publishing.
@@ -323,7 +283,7 @@ func (t *norecCtx) commit() {
 	t.ctx.sem.PostCommitAll()
 	t.s.clock.Unlock()
 	t.holdsClock = false
-	t.tr.Unlock(norecClockTraceKey)
+	t.h.Trace().Unlock(norecClockTraceKey)
 }
 
 // ---------------------------------------------------------------------------
@@ -345,26 +305,16 @@ type OTBTL2 struct {
 	clock atomic.Uint64
 	orecs []orec
 	ctr   spin.Counters
-	cmgr  *cm.Manager
-	stats struct {
-		commits atomic.Uint64
-		aborts  atomic.Uint64
-	}
+	*cm.Core
 	pool sync.Pool
 }
 
 // NewOTBTL2 creates an OTB-TL2 instance.
 func NewOTBTL2() *OTBTL2 {
-	s := &OTBTL2{orecs: make([]orec, 1<<orecBits)}
-	telemetry.M(s.Name()).SetPolicySource(func() string { return cm.Or(s.cmgr).Policy().Name() })
+	s := &OTBTL2{orecs: make([]orec, 1<<orecBits), Core: cm.NewCore("OTB-TL2")}
 	s.pool.New = func() any { return newTL2Ctx(s) }
 	return s
 }
-
-// SetManager installs the contention manager transactions run under (nil
-// means the shared cm.Default manager). It must be set before any
-// transaction runs.
-func (s *OTBTL2) SetManager(m *cm.Manager) { s.cmgr = m }
 
 // Name implements Algorithm.
 func (s *OTBTL2) Name() string { return "OTB-TL2" }
@@ -375,22 +325,15 @@ func (s *OTBTL2) Counters() *spin.Counters { return &s.ctr }
 // Stop implements Algorithm (no background goroutines).
 func (s *OTBTL2) Stop() {}
 
-// Commits and Aborts report lifetime transaction outcomes.
-func (s *OTBTL2) Commits() uint64 { return s.stats.commits.Load() }
-
-// Aborts reports the number of aborted attempts.
-func (s *OTBTL2) Aborts() uint64 { return s.stats.aborts.Load() }
-
 func orecIdx(c *mem.Cell) int {
 	h := c.ID() * 0x9e3779b97f4a7c15
 	return int(h >> (64 - orecBits))
 }
 
-// tl2Ctx is one OTB-TL2 transaction descriptor. It implements
-// abort.TxRunner so the retry loop drives it without per-transaction
-// closures.
+// tl2Ctx is one OTB-TL2 transaction descriptor; it implements cm.Tx.
 type tl2Ctx struct {
 	s      *OTBTL2
+	h      cm.Handle
 	rv     uint64
 	reads  []*orec
 	writes stm.WriteSet
@@ -398,8 +341,6 @@ type tl2Ctx struct {
 	seen   []tl2Locked // lockWriteSet scratch: distinct orecs, sorted by idx
 	fn     func(*Ctx)
 	ctx    Ctx
-	tel    *telemetry.Local
-	tr     *trace.Local
 }
 
 type tl2Locked struct {
@@ -409,9 +350,9 @@ type tl2Locked struct {
 }
 
 func newTL2Ctx(s *OTBTL2) *tl2Ctx {
-	t := &tl2Ctx{s: s, tel: telemetry.M(s.Name()).Local(), tr: trace.S(s.Name()).Local()}
+	t := &tl2Ctx{s: s, h: s.NewHandle()}
 	sem := otb.NewTx(&s.ctr)
-	sem.SetTraceLocal(t.tr)
+	sem.SetTraceLocal(t.h.Trace())
 	// onOperationValidate: semantic validation with lock sampling only; TL2
 	// memory reads are self-validating and need no re-check here.
 	sem.SetValidator(func(sem *otb.Tx) {
@@ -438,52 +379,33 @@ func (s *OTBTL2) AtomicCtx(ctx context.Context, fn func(*Ctx)) error {
 		t.reset()
 		s.pool.Put(t)
 	}()
-	start := t.tel.Start()
-	t.tr.TxStart()
-	defer t.tr.TxEnd()
-	escalated, err := abort.RunPolicyTxCtx(ctx, nil, cm.Or(s.cmgr), t)
-	if escalated {
-		t.tr.Escalated()
-		t.tel.Escalated()
-	}
-	if err != nil {
-		return err
-	}
-	s.stats.commits.Add(1)
-	t.tel.Commit(start)
-	return nil
+	return t.h.Run(ctx, nil, t)
 }
 
-// Begin implements abort.TxRunner: start one attempt. The semantic
-// transaction pins an epoch guard so the OTB nodes it traverses cannot be
-// recycled mid-attempt.
+// Begin implements cm.Tx: start one attempt. The semantic transaction pins
+// an epoch guard so the OTB nodes it traverses cannot be recycled
+// mid-attempt.
 func (t *tl2Ctx) Begin() {
-	t.tr.AttemptStart()
 	t.reset()
 	t.ctx.sem.Reset()
 	t.ctx.sem.Pin()
 	t.rv = t.s.clock.Load()
 }
 
-// Attempt implements abort.TxRunner: run the body and commit.
-func (t *tl2Ctx) Attempt() {
-	t.fn(&t.ctx)
-	cs := t.tel.Start()
-	t.tr.CommitBegin()
+// Run implements cm.Tx.
+func (t *tl2Ctx) Run() { t.fn(&t.ctx) }
+
+// Commit implements cm.Tx.
+func (t *tl2Ctx) Commit() {
 	t.commit()
-	t.tr.CommitEnd()
 	t.ctx.sem.Unpin()
-	t.tel.CommitPhase(cs)
 }
 
-// Rollback implements abort.TxRunner: undo a failed attempt.
-func (t *tl2Ctx) Rollback(r abort.Reason) {
+// Rollback implements cm.Tx: undo a failed attempt.
+func (t *tl2Ctx) Rollback(abort.Reason) {
 	t.releaseLocked()
 	t.ctx.sem.Rollback()
 	t.ctx.sem.Unpin()
-	t.s.stats.aborts.Add(1)
-	t.tr.Abort(r)
-	t.tel.Abort(r)
 }
 
 func (t *tl2Ctx) reset() {
@@ -504,7 +426,7 @@ func (t *tl2Ctx) Read(c *mem.Cell) uint64 {
 	val := c.Load()
 	v2 := o.v.Load()
 	if v1 != v2 || orecLocked(v1) || orecVersion(v1) > t.rv {
-		t.tr.ValidateFail(c.ID())
+		t.h.Trace().ValidateFail(c.ID())
 		abort.Retry(abort.Conflict)
 	}
 	if !t.ctx.sem.ValidateAllWithLocks() {
@@ -537,12 +459,12 @@ func (t *tl2Ctx) commit() {
 	if !sem.ValidateAllWithLocks() {
 		abort.Retry(abort.Conflict)
 	}
-	t.tr.Validated()
+	t.h.Trace().Validated()
 	t.writes.Publish()
 	sem.OnCommitAll()
 	for _, l := range t.locked {
 		l.o.v.Store(wv << 1)
-		t.tr.Unlock(tl2OrecTraceKey(l.idx))
+		t.h.Trace().Unlock(tl2OrecTraceKey(l.idx))
 	}
 	t.locked = t.locked[:0]
 	sem.PostCommitAll()
@@ -572,10 +494,10 @@ func (t *tl2Ctx) lockWriteSet() {
 		v := l.o.v.Load()
 		if orecLocked(v) || orecVersion(v) > t.rv || !l.o.v.CompareAndSwap(v, v|1) {
 			t.s.ctr.IncCAS()
-			t.tr.LockBusy(tl2OrecTraceKey(l.idx))
+			t.h.Trace().LockBusy(tl2OrecTraceKey(l.idx))
 			abort.Retry(abort.LockBusy)
 		}
-		t.tr.Lock(tl2OrecTraceKey(l.idx))
+		t.h.Trace().Lock(tl2OrecTraceKey(l.idx))
 		t.locked = append(t.locked, tl2Locked{o: l.o, idx: l.idx, old: v})
 	}
 }
@@ -586,13 +508,13 @@ func (t *tl2Ctx) validateReads() {
 		if orecLocked(v) {
 			old, mine := t.ownedOld(o)
 			if !mine || orecVersion(old) > t.rv {
-				t.tr.ValidateFail(0) // orec identity only; no cell to name
+				t.h.Trace().ValidateFail(0) // orec identity only; no cell to name
 				abort.Retry(abort.Conflict)
 			}
 			continue
 		}
 		if orecVersion(v) > t.rv {
-			t.tr.ValidateFail(0)
+			t.h.Trace().ValidateFail(0)
 			abort.Retry(abort.Conflict)
 		}
 	}
@@ -610,7 +532,7 @@ func (t *tl2Ctx) ownedOld(o *orec) (uint64, bool) {
 func (t *tl2Ctx) releaseLocked() {
 	for _, l := range t.locked {
 		l.o.v.Store(l.old)
-		t.tr.Unlock(tl2OrecTraceKey(l.idx))
+		t.h.Trace().Unlock(tl2OrecTraceKey(l.idx))
 	}
 	t.locked = t.locked[:0]
 }

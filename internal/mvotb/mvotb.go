@@ -43,7 +43,6 @@ import (
 	"repro/internal/mem/epoch"
 	"repro/internal/spin"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Failpoints on the version-install and GC paths; disarmed they are one
@@ -60,17 +59,6 @@ var (
 	// lifetime).
 	fpGCSweep = failpoint.New("mvotb.gc.sweep")
 )
-
-// meter/roMeter split updater and read-only statistics so a read-mostly run
-// can prove the snapshot path aborts zero times (the MVOTB-RO abort column
-// is structurally zero: the path has no validation and no locks).
-var (
-	meter   = telemetry.M("MVOTB")
-	roMeter = telemetry.M("MVOTB-RO")
-)
-
-// traceSrc is the flight-recorder source shared by both paths.
-var traceSrc = trace.S("MVOTB")
 
 // DefaultGCInterval is the background sweep period when Options.GCInterval
 // is zero.
@@ -98,7 +86,13 @@ type snapSlot struct {
 type Runtime struct {
 	clock spin.ShardedClock
 	mem   *epoch.Manager
-	cmgr  atomic.Pointer[cm.Manager]
+	// Updaters record under the embedded "MVOTB" core (whose SetManager
+	// governs them; read-only transactions never contend, so no manager
+	// applies), snapshot readers under ro, "MVOTB-RO" — split so a
+	// read-mostly run can prove the snapshot path aborts zero times (its
+	// abort column is structurally zero: no validation and no locks).
+	*cm.Core
+	ro *cm.Core
 
 	// snapMu guards slot registration and the sweeper's scan; the snapshot
 	// hot path touches it only on its (rare) confirm-loop fallback.
@@ -123,6 +117,8 @@ type Runtime struct {
 // done (tests leak-check the GC goroutine).
 func New(opts Options) *Runtime {
 	rt := &Runtime{
+		Core:       cm.NewCore("MVOTB"),
+		ro:         cm.NewCore("MVOTB-RO"),
 		mem:        epoch.NewManager(),
 		gcEvery:    opts.GCInterval,
 		quit:       make(chan struct{}),
@@ -133,11 +129,12 @@ func New(opts Options) *Runtime {
 		rt.gcEvery = DefaultGCInterval
 	}
 	rt.updPool.New = func() any {
-		tx := &Tx{rt: rt, tel: meter.Local(), tr: traceSrc.Local(), hint: spin.NextShardHint()}
-		return &updRunner{tx: tx}
+		r := &updRunner{h: rt.NewHandle(), tx: &Tx{rt: rt}}
+		r.tx.tr, r.tx.hint = r.h.Trace(), r.h.Hint()
+		return r
 	}
 	rt.roPool.New = func() any {
-		x := &STx{rt: rt, slot: &snapSlot{}, tel: roMeter.Local(), tr: traceSrc.Local()}
+		x := &STx{rt: rt, slot: &snapSlot{}, h: rt.ro.NewHandle()}
 		rt.snapMu.Lock()
 		rt.snapSlots = append(rt.snapSlots, x.slot)
 		rt.snapMu.Unlock()
@@ -146,15 +143,6 @@ func New(opts Options) *Runtime {
 	go rt.gcLoop()
 	return rt
 }
-
-func init() {
-	meter.SetPolicySource(func() string { return cm.Or(nil).Policy().Name() })
-}
-
-// SetManager installs the contention manager updater transactions run under
-// (nil restores the shared default). Read-only transactions never contend,
-// so no manager applies to them.
-func (rt *Runtime) SetManager(m *cm.Manager) { rt.cmgr.Store(m) }
 
 // Stop halts the background sweeper and waits for it to exit. Idempotent.
 func (rt *Runtime) Stop() {
@@ -180,8 +168,7 @@ type STx struct {
 	snap uint64
 	slot *snapSlot
 	eg   *epoch.Guard
-	tel  *telemetry.Local
-	tr   *trace.Local
+	h    cm.Handle
 }
 
 // Snapshot returns the transaction's pinned timestamp (tests and tracing).
@@ -230,52 +217,46 @@ func (rt *Runtime) ReadOnlyCtx(ctx context.Context, fn func(*STx)) error {
 		}
 	}
 	x := rt.roPool.Get().(*STx)
-	start := x.tel.Start()
-	x.tr.TxStart()
+	sp := x.h.Start()
 	x.eg = rt.mem.Enter()
 	x.pinSnapshot()
 	defer func() {
 		x.slot.ts.Store(0)
 		x.eg.Exit()
 		x.eg = nil
-		x.tr.TxEnd()
+		x.h.End()
 		rt.roPool.Put(x)
 	}()
 	fn(x)
-	x.tel.Commit(start)
+	x.h.Commit(sp)
 	return nil
 }
 
 // --- updater transactions ---
 
-// updRunner drives one updater transaction through abort.RunPolicyTxCtx via
-// TxRunner methods, so the hot path allocates no closures.
+// updRunner is the pooled descriptor of one updater transaction; it
+// implements cm.Tx.
 type updRunner struct {
+	h  cm.Handle
 	tx *Tx
 	fn func(*Tx)
 }
 
 func (r *updRunner) Begin() {
 	r.tx.reset()
-	r.tx.tr.AttemptStart()
 	r.tx.eg = r.tx.rt.mem.Enter()
 }
 
-func (r *updRunner) Attempt() {
-	r.fn(r.tx)
-	cs := r.tx.tel.Start()
-	r.tx.tr.CommitBegin()
+func (r *updRunner) Run() { r.fn(r.tx) }
+
+func (r *updRunner) Commit() {
 	r.tx.commit()
-	r.tx.tr.CommitEnd()
-	r.tx.tel.CommitPhase(cs)
 	r.tx.unpin()
 }
 
-func (r *updRunner) Rollback(reason abort.Reason) {
+func (r *updRunner) Rollback(abort.Reason) {
 	r.tx.rollback()
 	r.tx.unpin()
-	r.tx.tel.Abort(reason)
-	r.tx.tr.Abort(reason)
 }
 
 // Atomic runs fn as an updater transaction, retrying on abort until commit.
@@ -285,30 +266,17 @@ func (rt *Runtime) Atomic(fn func(*Tx)) {
 
 // AtomicCtx is Atomic observing ctx: cancellation or deadline expiry is
 // checked at every retry-loop top and inside contention-management waits; an
-// abandoned transaction rolls back with abort.Canceled and the context's
+// abandoned transaction is recorded as abort.Canceled and the context's
 // error is returned (nil after a successful commit).
 func (rt *Runtime) AtomicCtx(ctx context.Context, fn func(*Tx)) error {
 	r := rt.updPool.Get().(*updRunner)
-	tx := r.tx
 	r.fn = fn
 	defer func() {
-		tx.reset()
+		r.tx.reset()
 		r.fn = nil
 		rt.updPool.Put(r)
 	}()
-	start := tx.tel.Start()
-	tx.tr.TxStart()
-	defer tx.tr.TxEnd()
-	escalated, err := abort.RunPolicyTxCtx(ctx, nil, cm.Or(rt.cmgr.Load()), r)
-	if escalated {
-		tx.tel.Escalated()
-		tx.tr.Escalated()
-	}
-	if err != nil {
-		return err
-	}
-	tx.tel.Commit(start)
-	return nil
+	return r.h.Run(ctx, nil, r)
 }
 
 // --- background version GC ---

@@ -145,7 +145,7 @@ func visible(head *version, snap uint64) *version {
 // walk can reach: the reader published its snapshot before loading it and
 // its epoch pin covers the traversal.
 func (t *table) snapRead(x *STx, key int64) (uint64, bool) {
-	x.tr.Op(traceKey(key))
+	x.h.Trace().Op(traceKey(key))
 	b := t.bucket(key)
 	var bo spin.Backoff
 	for spin.IsLocked(b.lock.Sample()) {

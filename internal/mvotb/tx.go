@@ -4,7 +4,6 @@ import (
 	"repro/internal/abort"
 	"repro/internal/mem/epoch"
 	"repro/internal/spin"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -58,7 +57,6 @@ type Tx struct {
 	locked   []*bucket // buckets locked by this transaction
 	lockSnap []uint64  // scratch: sampled lock versions during validation
 	eg       *epoch.Guard
-	tel      *telemetry.Local
 	tr       *trace.Local
 	hint     uint32 // clock shard hint
 }

@@ -28,14 +28,12 @@ package otb
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/abort"
 	"repro/internal/chaos/failpoint"
 	"repro/internal/cm"
 	"repro/internal/mem/epoch"
 	"repro/internal/spin"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -91,9 +89,8 @@ type Tx struct {
 	attached []Datastructure
 	state    map[Datastructure]any
 	ctr      *spin.Counters
-	eg       *epoch.Guard     // epoch pin covering the current attempt; may be nil
-	tel      *telemetry.Local // standalone (Atomic) recording handle; may be nil
-	tr       *trace.Local     // flight-recorder handle; may be nil
+	eg       *epoch.Guard // epoch pin covering the current attempt; may be nil
+	tr       *trace.Local // flight-recorder handle; may be nil
 
 	// validator, when non-nil, replaces the default post-validation
 	// strategy (ValidateWithLocks on every attached structure). The
@@ -304,65 +301,49 @@ func (tx *Tx) Rollback() {
 	tx.Reset()
 }
 
-// meter collects standalone-OTB statistics; integration contexts record to
-// their own meters instead.
-var meter = telemetry.M("OTB")
-
-// cmgr is the contention manager for standalone (Atomic) transactions; nil
-// means the shared cm.Default manager.
-var cmgr atomic.Pointer[cm.Manager]
-
-func init() {
-	meter.SetPolicySource(func() string { return cm.Or(cmgr.Load()).Policy().Name() })
-}
+// core is the lifecycle core of standalone (Atomic) transactions: the "OTB"
+// meter and flight-recorder source, and the contention manager. Integration
+// contexts run under their own cores and record into them via
+// SetTraceLocal.
+var core = cm.NewCore("OTB")
 
 // SetManager installs the contention manager standalone transactions run
 // under (nil restores the shared default). Safe during live traffic.
-func SetManager(m *cm.Manager) { cmgr.Store(m) }
+func SetManager(m *cm.Manager) { core.SetManager(m) }
 
-// standaloneRunner drives one standalone transaction through the retry loop
-// via abort.TxRunner methods, so the hot path allocates no closures.
+// standaloneRunner is the pooled descriptor of one standalone transaction;
+// it implements cm.Tx over the exported Tx protocol.
 type standaloneRunner struct {
+	h  cm.Handle
 	tx *Tx
 	fn func(*Tx)
 }
 
 func (r *standaloneRunner) Begin() {
 	r.tx.Reset()
-	r.tx.tr.AttemptStart()
 	r.tx.Pin()
 }
 
-func (r *standaloneRunner) Attempt() {
-	r.fn(r.tx)
-	cs := r.tx.tel.Start()
-	r.tx.tr.CommitBegin()
+func (r *standaloneRunner) Run() { r.fn(r.tx) }
+
+func (r *standaloneRunner) Commit() {
 	r.tx.Commit()
-	r.tx.tr.CommitEnd()
-	r.tx.tel.CommitPhase(cs)
 	r.tx.Unpin()
 }
 
-func (r *standaloneRunner) Rollback(reason abort.Reason) {
+func (r *standaloneRunner) Rollback(abort.Reason) {
 	r.tx.Rollback()
 	r.tx.Unpin()
-	r.tx.tel.Abort(reason)
-	r.tx.tr.Abort(reason)
 }
 
 // txPool recycles standalone transaction descriptors (and their state maps)
-// across Atomic calls. Each descriptor carries a shard-bound telemetry
+// across Atomic calls. Each descriptor carries a shard-bound recording
 // handle; the pool keeps descriptors per-P, so recording stays uncontended.
 var txPool = sync.Pool{New: func() any {
-	tx := NewTx(nil)
-	tx.tel = meter.Local()
-	tx.tr = traceSrc.Local()
-	return &standaloneRunner{tx: tx}
+	r := &standaloneRunner{h: core.NewHandle(), tx: NewTx(nil)}
+	r.tx.tr = r.h.Trace()
+	return r
 }}
-
-// traceSrc is the standalone-OTB flight-recorder source; integration
-// contexts record under their own names via SetTraceLocal.
-var traceSrc = trace.S("OTB")
 
 // Atomic runs fn as a standalone OTB transaction, retrying on abort until
 // it commits. Stats may be nil.
@@ -372,7 +353,7 @@ func Atomic(stats *abort.Stats, fn func(*Tx)) {
 
 // AtomicCtx is Atomic observing ctx: cancellation or deadline expiry is
 // checked at every retry-loop top and inside contention-management waits;
-// an abandoned transaction rolls back with abort.Canceled and the context's
+// an abandoned transaction is recorded as abort.Canceled and the context's
 // error is returned (nil after a successful commit).
 //
 // The transaction descriptor returns to its pool even when fn (or an armed
@@ -380,24 +361,11 @@ func Atomic(stats *abort.Stats, fn func(*Tx)) {
 // semantic lock and discarded the logs, so the descriptor is clean.
 func AtomicCtx(ctx context.Context, stats *abort.Stats, fn func(*Tx)) error {
 	r := txPool.Get().(*standaloneRunner)
-	tx := r.tx
 	r.fn = fn
 	defer func() {
-		tx.Reset()
+		r.tx.Reset()
 		r.fn = nil
 		txPool.Put(r)
 	}()
-	start := tx.tel.Start()
-	tx.tr.TxStart()
-	defer tx.tr.TxEnd()
-	escalated, err := abort.RunPolicyTxCtx(ctx, stats, cm.Or(cmgr.Load()), r)
-	if escalated {
-		tx.tel.Escalated()
-		tx.tr.Escalated()
-	}
-	if err != nil {
-		return err
-	}
-	tx.tel.Commit(start)
-	return nil
+	return r.h.Run(ctx, stats, r)
 }

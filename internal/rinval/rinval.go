@@ -31,8 +31,6 @@ import (
 	"repro/internal/spin"
 	"repro/internal/stm"
 	"repro/internal/stm/invalstm"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Failpoints on the RInval commit paths.
@@ -89,8 +87,10 @@ type STM struct {
 	reqs    []request
 	clients chan *client
 	ctr     spin.Counters
-	prof    *stm.Profile
-	cmgr    *cm.Manager
+	// Core.SetManager: the commit and invalidation servers are never gated,
+	// so an escalated client's requests are still served while other clients
+	// pause.
+	*cm.Core
 
 	// Commit/invalidation server rendezvous (V2, V3). The committer's slot
 	// and write filter are copied here before the window opens, because V3
@@ -101,13 +101,8 @@ type STM struct {
 	invalSlot int
 	invalWF   bloom.Filter
 
-	stats struct {
-		commits atomic.Uint64
-		aborts  atomic.Uint64
-	}
-	stop     atomic.Bool
-	wg       sync.WaitGroup
-	traceSrc *trace.Source
+	stop atomic.Bool
+	wg   sync.WaitGroup
 }
 
 // New creates an RInval instance of the given version with the default
@@ -124,11 +119,9 @@ func NewWithClients(version Version, n int) *STM {
 		clients: make(chan *client, n),
 	}
 	s.invalReq.Store(-1)
-	mtr := telemetry.M(s.Name())
-	mtr.SetPolicySource(func() string { return cm.Or(s.cmgr).Policy().Name() })
-	s.traceSrc = trace.S(s.Name())
+	s.Core = cm.NewCore(s.Name())
 	for i := 0; i < n; i++ {
-		s.clients <- &client{s: s, tx: &txDesc{slot: i}, tel: mtr.Local(), tr: s.traceSrc.Local()}
+		s.clients <- &client{s: s, tx: &txDesc{slot: i}, h: s.NewHandle()}
 	}
 	s.wg.Add(1)
 	go s.commitServer()
@@ -151,15 +144,6 @@ func (s *STM) Name() string {
 	}
 }
 
-// SetProfile attaches a critical-path profiler (may be nil).
-func (s *STM) SetProfile(p *stm.Profile) { s.prof = p }
-
-// SetManager installs the contention manager transactions run under (nil
-// means the shared cm.Default manager). It must be set before any
-// transaction runs. The commit and invalidation servers are never gated, so
-// an escalated client's requests are still served while other clients pause.
-func (s *STM) SetManager(m *cm.Manager) { s.cmgr = m }
-
 // Counters implements stm.Algorithm.
 func (s *STM) Counters() *spin.Counters { return &s.ctr }
 
@@ -169,84 +153,63 @@ func (s *STM) Stop() {
 	s.wg.Wait()
 }
 
-// Commits and Aborts report lifetime transaction outcomes.
-func (s *STM) Commits() uint64 { return s.stats.commits.Load() }
-
-// Aborts reports the number of aborted attempts.
-func (s *STM) Aborts() uint64 { return s.stats.aborts.Load() }
-
 // client is a transaction descriptor bound to one registry slot and one
-// request slot.
+// request slot; it implements cm.Tx.
 type client struct {
-	s   *STM
-	tx  *txDesc
-	tel *telemetry.Local
-	tr  *trace.Local
+	s  *STM
+	tx *txDesc
+	fn func(stm.Tx)
+	h  cm.Handle
 }
 
 // Atomic implements stm.Algorithm.
 func (s *STM) Atomic(fn func(stm.Tx)) { s.AtomicCtx(nil, fn) }
 
-// AtomicCtx implements stm.AlgorithmCtx: Atomic observing ctx. The registry
-// slot is deactivated and the client returned to the channel even when fn
-// (or an armed failpoint) panics — a leaked Active slot makes every later
-// committer scan a ghost reader forever, and a leaked client shrinks the
-// request array for the life of the instance. No commit request is in
-// flight when a panic unwinds: the client posts at most one request per
-// attempt and blocks until its verdict.
+// AtomicCtx implements stm.AlgorithmCtx: Atomic observing ctx, including
+// while every client slot is busy. The registry slot is deactivated and the
+// client returned to the channel even when fn (or an armed failpoint) panics
+// — a leaked Active slot makes every later committer scan a ghost reader
+// forever, and a leaked client shrinks the request array for the life of
+// the instance. No commit request is in flight when a panic unwinds: the
+// client posts at most one request per attempt and blocks until its verdict.
 func (s *STM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
-	c := <-s.clients
-	total := s.prof.Now()
-	start := c.tel.Start()
-	d := &s.descs[c.tx.slot]
+	c, err := cm.Take(ctx, s.Core, s.clients)
+	if err != nil {
+		return err
+	}
+	c.fn = fn
+	d := c.desc()
 	d.Active.Store(true)
 	defer func() {
+		c.fn = nil
 		d.Starved.Store(0)
 		d.ClearFilter()
 		d.Active.Store(false)
 		s.clients <- c
 	}()
-	c.tr.TxStart()
-	defer c.tr.TxEnd()
-	escalated, err := abort.RunPolicyCtx(ctx, nil, cm.Or(s.cmgr),
-		c.begin,
-		func() {
-			fn(c)
-			cs := c.tel.Start()
-			c.tr.CommitBegin()
-			c.commit()
-			c.tr.CommitEnd()
-			c.tel.CommitPhase(cs)
-		},
-		func(r abort.Reason) {
-			if r == abort.Invalidated {
-				d.Starved.Add(1)
-			}
-			s.stats.aborts.Add(1)
-			c.tr.Abort(r)
-			c.tel.Abort(r)
-		},
-	)
-	if escalated {
-		c.tr.Escalated()
-		c.tel.Escalated()
-	}
-	if err != nil {
-		return err
-	}
-	s.stats.commits.Add(1)
-	c.tel.Commit(start)
-	s.prof.AddTotal(total, true)
-	return nil
+	return c.h.Run(ctx, nil, c)
 }
 
-func (c *client) begin() {
-	c.tr.AttemptStart()
-	d := &c.s.descs[c.tx.slot]
+func (c *client) desc() *invalstm.Desc { return &c.s.descs[c.tx.slot] }
+
+// Begin implements cm.Tx: start one attempt.
+func (c *client) Begin() {
+	d := c.desc()
 	d.ClearFilter()
 	d.Invalidated.Store(false)
 	c.tx.writes.Reset()
 	c.tx.wf.Clear()
+}
+
+// Run implements cm.Tx.
+func (c *client) Run() { c.fn(c) }
+
+// Rollback implements cm.Tx: nothing is held client-side; an invalidation
+// is noted for the contention manager's starvation rule.
+func (c *client) Rollback(r abort.Reason) {
+	if r == abort.Invalidated {
+		c.desc().Starved.Add(1)
+	}
 }
 
 // Read implements stm.Tx: publish the read filter bit, read under a stable
@@ -255,17 +218,17 @@ func (c *client) Read(cell *mem.Cell) uint64 {
 	if v, ok := c.tx.writes.Get(cell); ok {
 		return v
 	}
-	d := &c.s.descs[c.tx.slot]
+	d := c.desc()
 	publishRead(d, cell.ID())
-	start := c.s.prof.Now()
-	defer c.s.prof.AddValidation(start)
+	start := c.s.Profile().Now()
+	defer c.s.Profile().AddValidation(start)
 	var b spin.Backoff
 	for {
 		ts := c.s.clock.WaitUnlocked(&c.s.ctr)
 		v := cell.Load()
 		if c.s.clock.Load() == ts {
 			if d.Invalidated.Load() {
-				c.tr.ValidateFail(cell.ID())
+				c.h.Trace().ValidateFail(cell.ID())
 				abort.Retry(abort.Invalidated)
 			}
 			return v
@@ -291,32 +254,33 @@ func (c *client) Write(cell *mem.Cell, v uint64) {
 	c.tx.writes.Put(cell, v)
 }
 
-// commit posts the request to the commit server and waits for the verdict.
-func (c *client) commit() {
-	d := &c.s.descs[c.tx.slot]
+// Commit implements cm.Tx: post the request to the commit server and wait
+// for the verdict.
+func (c *client) Commit() {
+	d := c.desc()
 	if c.tx.writes.Len() == 0 {
 		if d.Invalidated.Load() {
-			c.tr.ValidateFail(0)
+			c.h.Trace().ValidateFail(0)
 			abort.Retry(abort.Invalidated)
 		}
 		return
 	}
 	fpCommitPre.Hit()
-	start := c.s.prof.Now()
-	defer c.s.prof.AddCommit(start)
+	start := c.s.Profile().Now()
+	defer c.s.Profile().AddCommit(start)
 	req := &c.s.reqs[c.tx.slot]
 	req.tx = c.tx
-	qs := c.tr.Now()
+	qs := c.h.Trace().Now()
 	req.state.Store(statePending)
 	var b spin.Backoff
 	for {
 		st := req.state.Load()
 		if st == stateReady {
-			c.tr.QueueWait(qs)
+			c.h.Trace().QueueWait(qs)
 			return
 		}
 		if st == stateAborted {
-			c.tr.QueueWait(qs)
+			c.h.Trace().QueueWait(qs)
 			abort.Retry(abort.Invalidated)
 		}
 		c.s.ctr.IncSpin()
@@ -327,7 +291,7 @@ func (c *client) commit() {
 // commitServer executes commit requests serially.
 func (s *STM) commitServer() {
 	defer s.wg.Done()
-	tr := s.traceSrc.Local()
+	h := s.NewHandle() // the server's own track
 	var b spin.Backoff
 	for !s.stop.Load() {
 		progressed := false
@@ -352,7 +316,7 @@ func (s *STM) commitServer() {
 				req.state.Store(stateAborted)
 				continue
 			}
-			s.dispatch(req, t, tr)
+			s.dispatch(req, t, &h)
 		}
 		if !progressed {
 			b.Wait()
@@ -367,7 +331,7 @@ func (s *STM) commitServer() {
 // opens, so nothing is held; the request is aborted — the client retries —
 // and the server keeps running. Anything else still crashes: a real bug in
 // a commit routine must stay loud.
-func (s *STM) dispatch(req *request, t *txDesc, tr *trace.Local) {
+func (s *STM) dispatch(req *request, t *txDesc, h *cm.Handle) {
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -380,10 +344,10 @@ func (s *STM) dispatch(req *request, t *txDesc, tr *trace.Local) {
 	}()
 	// A dispatched request is one span on the server's track: execute time
 	// is the server-side complement of the client's queue wait.
-	tr.TxStart()
-	defer tr.TxEnd()
-	es := tr.Now()
-	defer tr.Execute(es)
+	h.Start()
+	defer h.End()
+	es := h.Trace().Now()
+	defer h.Trace().Execute(es)
 	fpServerDrop.Hit()
 	switch s.version {
 	case V1:

@@ -26,8 +26,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/spin"
 	"repro/internal/stm"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Failpoints on the RTC commit paths.
@@ -106,15 +104,13 @@ type STM struct {
 	secondaries int
 	fair        bool
 	ctr         spin.Counters
-	cmgr        *cm.Manager
-	stats       struct {
-		commits     atomic.Uint64
-		aborts      atomic.Uint64
-		secondaries atomic.Uint64 // commits executed by secondary servers
-	}
-	stop     atomic.Bool
-	wg       sync.WaitGroup
-	traceSrc *trace.Source
+	// Core.SetManager: the servers themselves are never gated, so an
+	// escalated client's commit requests are still served while the other
+	// clients pause.
+	*cm.Core
+	secondaryCommits atomic.Uint64 // commits executed by secondary servers
+	stop             atomic.Bool
+	wg               sync.WaitGroup
 }
 
 // New creates an RTC instance with one main server and opts.Secondaries
@@ -134,15 +130,15 @@ func New(opts Options) *STM {
 		threshold:   thr,
 		secondaries: opts.Secondaries,
 		fair:        opts.FairScheduling,
+		Core:        cm.NewCore("RTC"),
 	}
 	s.mainReq.Store(-1)
-	mtr := telemetry.M("RTC")
-	mtr.SetPolicySource(func() string { return cm.Or(s.cmgr).Policy().Name() })
-	src := trace.S("RTC")
 	for i := 0; i < n; i++ {
-		s.clients <- &client{s: s, slot: i, tx: &txDesc{}, tel: mtr.Local(), tr: src.Local()}
+		// A client is bound to its request slot for life, so the slot's
+		// descriptor pointer is written once, before any server can read it.
+		s.reqs[i].tx = &txDesc{}
+		s.clients <- &client{s: s, slot: i, tx: s.reqs[i].tx, h: s.NewHandle()}
 	}
-	s.traceSrc = src
 	s.wg.Add(1)
 	go s.mainServer()
 	for k := 0; k < opts.Secondaries; k++ {
@@ -158,12 +154,6 @@ func (s *STM) Name() string { return "RTC" }
 // Counters implements stm.Algorithm.
 func (s *STM) Counters() *spin.Counters { return &s.ctr }
 
-// SetManager installs the contention manager transactions run under (nil
-// means the shared cm.Default manager). It must be set before any
-// transaction runs. The servers themselves are never gated, so an escalated
-// client's commit requests are still served while the other clients pause.
-func (s *STM) SetManager(m *cm.Manager) { s.cmgr = m }
-
 // Stop shuts down the server goroutines. In-flight transactions must have
 // drained first (callers stop their workers before the algorithm).
 func (s *STM) Stop() {
@@ -171,71 +161,45 @@ func (s *STM) Stop() {
 	s.wg.Wait()
 }
 
-// Commits and Aborts report lifetime transaction outcomes.
-func (s *STM) Commits() uint64 { return s.stats.commits.Load() }
-
-// Aborts reports the number of aborted attempts.
-func (s *STM) Aborts() uint64 { return s.stats.aborts.Load() }
-
 // SecondaryCommits reports how many commits the dependency detectors
 // executed (Figure 5.11's effectiveness measure).
-func (s *STM) SecondaryCommits() uint64 { return s.stats.secondaries.Load() }
+func (s *STM) SecondaryCommits() uint64 { return s.secondaryCommits.Load() }
 
-// client is a transaction descriptor bound to one request slot.
+// client is a transaction descriptor bound to one request slot; it
+// implements cm.Tx.
 type client struct {
 	s    *STM
 	slot int
 	tx   *txDesc
-	tel  *telemetry.Local
-	tr   *trace.Local
+	fn   func(stm.Tx)
+	h    cm.Handle
 }
 
 // Atomic implements stm.Algorithm.
 func (s *STM) Atomic(fn func(stm.Tx)) { s.AtomicCtx(nil, fn) }
 
-// AtomicCtx implements stm.AlgorithmCtx: Atomic observing ctx. The client
-// descriptor returns to the channel even when fn (or an armed failpoint)
-// panics — a leaked client would shrink the request array for the life of
-// the instance. No commit request is in flight when the panic unwinds: the
-// client posts at most one request per attempt and blocks until its verdict.
+// AtomicCtx implements stm.AlgorithmCtx: Atomic observing ctx, including
+// while every client slot is busy. The client descriptor returns to the
+// channel even when fn (or an armed failpoint) panics — a leaked client
+// would shrink the request array for the life of the instance. No commit
+// request is in flight when the panic unwinds: the client posts at most one
+// request per attempt and blocks until its verdict.
 func (s *STM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
-	c := <-s.clients
-	defer func() { s.clients <- c }()
-	c.tx.attempts = 0
-	start := c.tel.Start()
-	c.tr.TxStart()
-	defer c.tr.TxEnd()
-	escalated, err := abort.RunPolicyCtx(ctx, nil, cm.Or(s.cmgr),
-		c.begin,
-		func() {
-			fn(c)
-			cs := c.tel.Start()
-			c.tr.CommitBegin()
-			c.commit()
-			c.tr.CommitEnd()
-			c.tel.CommitPhase(cs)
-		},
-		func(r abort.Reason) {
-			c.tx.attempts++
-			s.stats.aborts.Add(1)
-			c.tr.Abort(r)
-			c.tel.Abort(r)
-		},
-	)
-	if escalated {
-		c.tr.Escalated()
-		c.tel.Escalated()
-	}
+	c, err := cm.Take(ctx, s.Core, s.clients)
 	if err != nil {
 		return err
 	}
-	s.stats.commits.Add(1)
-	c.tel.Commit(start)
-	return nil
+	c.fn = fn
+	c.tx.attempts = 0
+	defer func() {
+		c.fn = nil
+		s.clients <- c
+	}()
+	return c.h.Run(ctx, nil, c)
 }
 
-func (c *client) begin() {
-	c.tr.AttemptStart()
+// Begin implements cm.Tx: start one attempt.
+func (c *client) Begin() {
 	t := c.tx
 	t.reads = t.reads[:0]
 	t.writes.Reset()
@@ -243,6 +207,14 @@ func (c *client) begin() {
 	t.rwf.Clear()
 	t.snapshot = c.s.clock.WaitUnlocked(&c.s.ctr)
 }
+
+// Run implements cm.Tx.
+func (c *client) Run() { c.fn(c) }
+
+// Rollback implements cm.Tx: nothing is held client-side; the aborted
+// attempt only raises the transaction's priority with a fair-scheduling
+// server.
+func (c *client) Rollback(abort.Reason) { c.tx.attempts++ }
 
 // Read implements stm.Tx: NOrec-style post-read validation plus read-write
 // filter maintenance (Algorithm 8).
@@ -281,7 +253,7 @@ func (c *client) validate() uint64 {
 		}
 		for i := range c.tx.reads {
 			if c.tx.reads[i].Cell.Load() != c.tx.reads[i].Val {
-				c.tr.ValidateFail(c.tx.reads[i].Cell.ID())
+				c.h.Trace().ValidateFail(c.tx.reads[i].Cell.ID())
 				abort.Retry(abort.Conflict)
 			}
 		}
@@ -291,31 +263,30 @@ func (c *client) validate() uint64 {
 	}
 }
 
-// commit posts the request and waits for a server verdict (Algorithm 9).
-// Read-only transactions commit locally.
-func (c *client) commit() {
+// Commit implements cm.Tx: post the request and wait for a server verdict
+// (Algorithm 9). Read-only transactions commit locally.
+func (c *client) Commit() {
 	if c.tx.writes.Len() == 0 {
 		return
 	}
 	fpCommitPre.Hit()
 	if !serverValidateWouldPass(c.tx) {
 		// Cheap pre-check to spare the server a doomed request.
-		c.tr.ValidateFail(0)
+		c.h.Trace().ValidateFail(0)
 		abort.Retry(abort.Conflict)
 	}
 	req := &c.s.reqs[c.slot]
-	req.tx = c.tx
-	qs := c.tr.Now()
+	qs := c.h.Trace().Now()
 	req.state.Store(statePending)
 	var b spin.Backoff
 	for {
 		st := req.state.Load()
 		if st == stateReady {
-			c.tr.QueueWait(qs)
+			c.h.Trace().QueueWait(qs)
 			return
 		}
 		if st == stateAborted {
-			c.tr.QueueWait(qs)
+			c.h.Trace().QueueWait(qs)
 			abort.Retry(abort.Conflict)
 		}
 		c.s.ctr.IncSpin()
@@ -340,16 +311,16 @@ func serverValidateWouldPass(t *txDesc) bool {
 // sweeps the array in slot order.
 func (s *STM) mainServer() {
 	defer s.wg.Done()
-	tr := s.traceSrc.Local()
+	h := s.NewHandle() // the server's own track
 	var b spin.Backoff
 	for !s.stop.Load() {
 		progressed := false
 		if s.fair {
-			progressed = s.serveMostStarved(tr)
+			progressed = s.serveMostStarved(&h)
 		} else {
 			for i := range s.reqs {
 				if s.reqs[i].state.Load() == statePending {
-					s.serve(i, tr)
+					s.serve(i, &h)
 					progressed = true
 				}
 			}
@@ -364,7 +335,7 @@ func (s *STM) mainServer() {
 
 // serveMostStarved picks the pending request with the most aborted
 // attempts (ties to the lowest slot) and serves it.
-func (s *STM) serveMostStarved(tr *trace.Local) bool {
+func (s *STM) serveMostStarved(h *cm.Handle) bool {
 	best := -1
 	var bestAttempts uint32
 	for i := range s.reqs {
@@ -379,7 +350,7 @@ func (s *STM) serveMostStarved(tr *trace.Local) bool {
 	if best == -1 {
 		return false
 	}
-	s.serve(best, tr)
+	s.serve(best, h)
 	return true
 }
 
@@ -388,7 +359,7 @@ func (s *STM) serveMostStarved(tr *trace.Local) bool {
 // the clock is touched, so nothing is held; the request is aborted — the
 // client retries — and the server keeps running. Anything else still
 // crashes: a real bug in the commit protocol must stay loud.
-func (s *STM) serve(i int, tr *trace.Local) {
+func (s *STM) serve(i int, h *cm.Handle) {
 	req := &s.reqs[i]
 	defer func() {
 		p := recover()
@@ -402,10 +373,10 @@ func (s *STM) serve(i int, tr *trace.Local) {
 	}()
 	// A served request is one span on the server's track: execute time is
 	// the server-side complement of the client's queue wait.
-	tr.TxStart()
-	defer tr.TxEnd()
-	es := tr.Now()
-	defer tr.Execute(es)
+	h.Start()
+	defer h.End()
+	es := h.Trace().Now()
+	defer h.Trace().Execute(es)
 	fpServerDrop.Hit()
 	t := req.tx
 	if !serverValidateWouldPass(t) {
@@ -464,7 +435,7 @@ func (s *STM) commitDD(i int, req *request, t *txDesc) {
 // and executes them concurrently with the main server (Algorithm 11).
 func (s *STM) secondaryServer() {
 	defer s.wg.Done()
-	tr := s.traceSrc.Local()
+	h := s.NewHandle() // the server's own track
 	var b spin.Backoff
 	for !s.stop.Load() {
 		if !s.ddActive.Load() {
@@ -486,13 +457,13 @@ func (s *STM) secondaryServer() {
 			if req.state.Load() != statePending {
 				continue
 			}
-			tr.TxStart()
-			es := tr.Now()
+			h.Start()
+			es := h.Trace().Now()
 			served := s.trySecondaryCommit(ts, req)
 			if served {
-				tr.Execute(es)
+				h.Trace().Execute(es)
 			}
-			tr.TxEnd()
+			h.End()
 			if served {
 				progressed = true
 				break // one commit per window per detector
@@ -534,7 +505,7 @@ func (s *STM) trySecondaryCommit(ts uint64, req *request) bool {
 	t.writes.Publish()
 	s.windowWF.Union(&t.wf)
 	req.state.Store(stateReady)
-	s.stats.secondaries.Add(1)
+	s.secondaryCommits.Add(1)
 	s.serversLock.Store(false)
 	// Wait for the window to close so at most one of this detector's
 	// commits extends any given main commit.

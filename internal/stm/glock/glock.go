@@ -7,7 +7,6 @@ package glock
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/abort"
 	"repro/internal/chaos/failpoint"
@@ -15,8 +14,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/spin"
 	"repro/internal/stm"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // lockTraceKey tags flight-recorder lock events for the single global
@@ -30,35 +27,22 @@ var fpCommitPre = failpoint.New("glock.commit.pre")
 
 // STM is a global-lock instance.
 type STM struct {
-	mu    sync.Mutex
-	ctr   spin.Counters
-	cmgr  *cm.Manager
-	stats struct {
-		commits atomic.Uint64
-		aborts  atomic.Uint64
-	}
-	// tel is shared by all transactions: the global mutex already
-	// serializes them, so one shard sees no contention.
-	tel *telemetry.Local
-	// tr is shared for the same reason.
-	tr *trace.Local
+	mu  sync.Mutex
+	ctr spin.Counters
+	*cm.Core
+	// h is shared by all transactions: the global mutex already serializes
+	// them, so one telemetry shard and one recorder ring see no contention.
+	h cm.Handle
 }
 
-// New creates a global-lock instance.
+// New creates a global-lock instance. Under the global lock only explicit
+// user retries abort, so escalation triggers only for transactions that
+// retry past the budget.
 func New() *STM {
-	s := &STM{}
-	mtr := telemetry.M("CGL")
-	mtr.SetPolicySource(func() string { return cm.Or(s.cmgr).Policy().Name() })
-	s.tel = mtr.Local()
-	s.tr = trace.S("CGL").Local()
+	s := &STM{Core: cm.NewCore("CGL")}
+	s.h = s.NewHandle()
 	return s
 }
-
-// SetManager installs the contention manager transactions run under (nil
-// means the shared cm.Default manager). It must be set before any
-// transaction runs. Under the global lock only explicit user retries abort,
-// so escalation triggers only for transactions that retry past the budget.
-func (s *STM) SetManager(m *cm.Manager) { s.cmgr = m }
 
 // Name implements stm.Algorithm.
 func (s *STM) Name() string { return "CGL" }
@@ -69,19 +53,10 @@ func (s *STM) Counters() *spin.Counters { return &s.ctr }
 // Stop implements stm.Algorithm; there are no background goroutines.
 func (s *STM) Stop() {}
 
-// Commits and Aborts report lifetime transaction outcomes.
-func (s *STM) Commits() uint64 { return s.stats.commits.Load() }
-
-// Aborts reports the number of aborted attempts (explicit retries only;
-// the global lock admits no conflicts).
-func (s *STM) Aborts() uint64 { return s.stats.aborts.Load() }
-
 // tx executes reads and writes in place under the global lock, keeping an
-// undo log so explicit user retries can roll back. It implements
-// abort.TxRunner so the retry loop drives it without per-transaction
-// closures; descriptors are pooled (the global mutex serializes
-// transactions, but each caller still needs its own undo log between Get
-// and Put).
+// undo log so explicit user retries can roll back. It implements cm.Tx;
+// descriptors are pooled (the global mutex serializes transactions, but each
+// caller still needs its own undo log between Get and Put).
 type tx struct {
 	s    *STM
 	undo []stm.WriteEntry
@@ -90,26 +65,27 @@ type tx struct {
 
 var txPool = sync.Pool{New: func() any { return &tx{} }}
 
-// Begin implements abort.TxRunner: start one attempt.
+// Begin implements cm.Tx: start one attempt.
 func (t *tx) Begin() {
 	t.undo = t.undo[:0]
-	t.s.tr.AttemptStart()
+	t.s.h.Trace().Lock(lockTraceKey)
 }
 
-// Attempt implements abort.TxRunner: run the body (writes apply in place).
-func (t *tx) Attempt() {
-	t.fn(t)
+// Run implements cm.Tx: writes apply in place.
+func (t *tx) Run() { t.fn(t) }
+
+// Commit implements cm.Tx: nothing to publish.
+func (t *tx) Commit() {
 	fpCommitPre.Hit()
+	t.s.h.Trace().Unlock(lockTraceKey)
 }
 
-// Rollback implements abort.TxRunner: replay the undo log.
-func (t *tx) Rollback(r abort.Reason) {
+// Rollback implements cm.Tx: replay the undo log.
+func (t *tx) Rollback(abort.Reason) {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		t.undo[i].Cell.Store(t.undo[i].Val)
 	}
-	t.s.stats.aborts.Add(1)
-	t.s.tr.Abort(r)
-	t.s.tel.Abort(r)
+	t.s.h.Trace().Unlock(lockTraceKey)
 }
 
 // Read implements stm.Tx.
@@ -139,22 +115,7 @@ func (s *STM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
 	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	start := s.tel.Start()
-	s.tr.TxStart()
-	defer s.tr.TxEnd()
-	s.tr.Lock(lockTraceKey)
-	defer s.tr.Unlock(lockTraceKey)
-	escalated, err := abort.RunPolicyTxCtx(ctx, nil, cm.Or(s.cmgr), t)
-	if escalated {
-		s.tr.Escalated()
-		s.tel.Escalated()
-	}
-	if err != nil {
-		return err
-	}
-	s.stats.commits.Add(1)
-	s.tel.Commit(start)
-	return nil
+	return s.h.Run(ctx, nil, t)
 }
 
 var _ stm.Algorithm = (*STM)(nil)

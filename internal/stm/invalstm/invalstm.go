@@ -18,8 +18,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/spin"
 	"repro/internal/stm"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // clockTraceKey tags flight-recorder lock events for the single global
@@ -89,34 +87,16 @@ type STM struct {
 	clock spin.SeqLock
 	descs [MaxTxs]Desc
 	ctr   spin.Counters
-	prof  *stm.Profile
-	cmgr  *cm.Manager
-	stats struct {
-		commits atomic.Uint64
-		aborts  atomic.Uint64
-	}
+	*cm.Core
 	pool sync.Pool
 }
 
 // New creates an InvalSTM instance.
 func New() *STM {
-	s := &STM{}
-	mtr := telemetry.M("InvalSTM")
-	mtr.SetPolicySource(func() string { return cm.Or(s.cmgr).Policy().Name() })
-	src := trace.S("InvalSTM")
-	s.pool.New = func() any {
-		return &tx{s: s, slot: -1, tel: mtr.Local(), tr: src.Local()}
-	}
+	s := &STM{Core: cm.NewCore("InvalSTM")}
+	s.pool.New = func() any { return &tx{s: s, slot: -1, h: s.NewHandle()} }
 	return s
 }
-
-// SetProfile attaches a critical-path profiler (may be nil).
-func (s *STM) SetProfile(p *stm.Profile) { s.prof = p }
-
-// SetManager installs the contention manager transactions run under (nil
-// means the shared cm.Default manager). It must be set before any
-// transaction runs.
-func (s *STM) SetManager(m *cm.Manager) { s.cmgr = m }
 
 // Name implements stm.Algorithm.
 func (s *STM) Name() string { return "InvalSTM" }
@@ -127,35 +107,32 @@ func (s *STM) Counters() *spin.Counters { return &s.ctr }
 // Stop implements stm.Algorithm; InvalSTM has no background goroutines.
 func (s *STM) Stop() {}
 
-// Commits and Aborts report lifetime transaction outcomes.
-func (s *STM) Commits() uint64 { return s.stats.commits.Load() }
-
-// Aborts reports the number of aborted attempts.
-func (s *STM) Aborts() uint64 { return s.stats.aborts.Load() }
-
 // tx is an InvalSTM transaction descriptor.
 type tx struct {
 	s          *STM
+	h          cm.Handle
 	slot       int
 	holdsClock bool // global lock held (commit in progress)
 	writeF     bloom.Filter
 	writes     stm.WriteSet
 	fn         func(stm.Tx)
-	tel        *telemetry.Local
-	tr         *trace.Local
 }
 
 // Atomic implements stm.Algorithm.
 func (s *STM) Atomic(fn func(stm.Tx)) { s.AtomicCtx(nil, fn) }
 
-// AtomicCtx implements stm.AlgorithmCtx: Atomic observing ctx. The registry
-// slot is released and the descriptor pooled even when fn (or an armed
-// failpoint) panics — a leaked Active slot would shrink the registry for
-// the life of the process.
+// AtomicCtx implements stm.AlgorithmCtx: Atomic observing ctx, including
+// while it waits for a registry slot. The slot is released and the
+// descriptor pooled even when fn (or an armed failpoint) panics — a leaked
+// Active slot would shrink the registry for the life of the process.
 func (s *STM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
 	t := s.pool.Get().(*tx)
+	if err := t.acquireSlot(ctx); err != nil {
+		s.Canceled()
+		s.pool.Put(t)
+		return err
+	}
 	t.fn = fn
-	t.acquireSlot()
 	defer func() {
 		t.fn = nil
 		t.releaseSlot()
@@ -163,36 +140,13 @@ func (s *STM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
 		t.writes.Reset()
 		s.pool.Put(t)
 	}()
-	total := s.prof.Now()
-	start := t.tel.Start()
-	t.tr.TxStart()
-	defer t.tr.TxEnd()
-	escalated, err := abort.RunPolicyTxCtx(ctx, nil, cm.Or(s.cmgr), t)
-	if escalated {
-		t.tr.Escalated()
-		t.tel.Escalated()
-	}
-	if err != nil {
-		return err
-	}
-	s.stats.commits.Add(1)
-	t.tel.Commit(start)
-	s.prof.AddTotal(total, true)
-	return nil
+	return t.h.Run(ctx, nil, t)
 }
 
-// rollback releases the global lock if this attempt died holding it (an
-// armed failpoint between lock and publish); nothing was published, so the
-// pre-lock timestamp is restored.
-func (t *tx) rollback() {
-	if t.holdsClock {
-		t.holdsClock = false
-		t.s.clock.UnlockUnchanged()
-	}
-}
-
-// acquireSlot claims a registry slot for the transaction's lifetime.
-func (t *tx) acquireSlot() {
+// acquireSlot claims a registry slot for the transaction's lifetime. With
+// the registry full it waits for a stranger's transaction to finish, but no
+// longer than ctx allows (nil never cancels).
+func (t *tx) acquireSlot(ctx context.Context) error {
 	var b spin.Backoff
 	for {
 		for i := range t.s.descs {
@@ -201,10 +155,15 @@ func (t *tx) acquireSlot() {
 				d.Invalidated.Store(false)
 				d.ClearFilter()
 				t.slot = i
-				return
+				return nil
 			}
 		}
-		b.Wait() // registry full: wait for a slot
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		b.Wait()
 	}
 }
 
@@ -216,35 +175,30 @@ func (t *tx) releaseSlot() {
 	t.slot = -1
 }
 
-// Attempt implements abort.TxRunner: run the body and commit.
-func (t *tx) Attempt() {
-	t.fn(t)
-	cs := t.tel.Start()
-	t.tr.CommitBegin()
-	t.commit()
-	t.tr.CommitEnd()
-	t.tel.CommitPhase(cs)
-}
-
-// Rollback implements abort.TxRunner: undo a failed attempt.
-func (t *tx) Rollback(r abort.Reason) {
-	t.rollback()
-	if r == abort.Invalidated {
-		t.s.descs[t.slot].Starved.Add(1)
-	}
-	t.s.stats.aborts.Add(1)
-	t.tr.Abort(r)
-	t.tel.Abort(r)
-}
-
-// Begin implements abort.TxRunner: start one attempt.
+// Begin implements cm.Tx: start one attempt.
 func (t *tx) Begin() {
-	t.tr.AttemptStart()
 	d := &t.s.descs[t.slot]
 	d.ClearFilter()
 	d.Invalidated.Store(false)
 	t.writeF.Clear()
 	t.writes.Reset()
+}
+
+// Run implements cm.Tx.
+func (t *tx) Run() { t.fn(t) }
+
+// Rollback implements cm.Tx: release the global lock if this attempt died
+// holding it (an armed failpoint between lock and publish; nothing was
+// published, so the pre-lock timestamp is restored), and note one more
+// invalidation for the contention manager's starvation rule.
+func (t *tx) Rollback(r abort.Reason) {
+	if t.holdsClock {
+		t.holdsClock = false
+		t.s.clock.UnlockUnchanged()
+	}
+	if r == abort.Invalidated {
+		t.s.descs[t.slot].Starved.Add(1)
+	}
 }
 
 func (t *tx) desc() *Desc { return &t.s.descs[t.slot] }
@@ -265,7 +219,7 @@ func (t *tx) Read(c *mem.Cell) uint64 {
 		v := c.Load()
 		if t.s.clock.Load() == ts {
 			if d.Invalidated.Load() {
-				t.tr.ValidateFail(c.ID())
+				t.h.Trace().ValidateFail(c.ID())
 				abort.Retry(abort.Invalidated)
 			}
 			return v
@@ -292,28 +246,29 @@ func (t *tx) Write(c *mem.Cell, v uint64) {
 	t.writes.Put(c, v)
 }
 
-// commit publishes the redo log under the global lock and invalidates every
-// other in-flight transaction whose read filter intersects the write set.
-func (t *tx) commit() {
+// Commit implements cm.Tx: publish the redo log under the global lock and
+// invalidate every other in-flight transaction whose read filter intersects
+// the write set.
+func (t *tx) Commit() {
 	d := t.desc()
 	if t.writes.Len() == 0 {
 		if d.Invalidated.Load() {
-			t.tr.ValidateFail(0)
+			t.h.Trace().ValidateFail(0)
 			abort.Retry(abort.Invalidated)
 		}
 		return
 	}
-	start := t.s.prof.Now()
+	start := t.s.Profile().Now()
 	t.s.clock.Lock(&t.s.ctr)
 	t.holdsClock = true
-	t.tr.Lock(clockTraceKey)
+	t.h.Trace().Lock(clockTraceKey)
 	fpCommitLocked.Hit()
 	if d.Invalidated.Load() {
 		t.holdsClock = false
 		t.s.clock.Unlock()
-		t.tr.Unlock(clockTraceKey)
-		t.s.prof.AddCommit(start)
-		t.tr.ValidateFail(0)
+		t.h.Trace().Unlock(clockTraceKey)
+		t.s.Profile().AddCommit(start)
+		t.h.Trace().ValidateFail(0)
 		abort.Retry(abort.Invalidated)
 	}
 	// First pass (before publishing): find the victims, and let the
@@ -332,9 +287,9 @@ func (t *tx) commit() {
 		if !serial && ShouldDefer(od, i, mine, t.slot) {
 			t.holdsClock = false
 			t.s.clock.Unlock()
-			t.tr.Unlock(clockTraceKey)
-			t.s.prof.AddCommit(start)
-			t.tr.NoteKey(0)
+			t.h.Trace().Unlock(clockTraceKey)
+			t.s.Profile().AddCommit(start)
+			t.h.Trace().NoteKey(0)
 			abort.Retry(abort.Invalidated)
 		}
 		victims = append(victims, od)
@@ -345,8 +300,8 @@ func (t *tx) commit() {
 	}
 	t.s.clock.Unlock()
 	t.holdsClock = false
-	t.tr.Unlock(clockTraceKey)
-	t.s.prof.AddCommit(start)
+	t.h.Trace().Unlock(clockTraceKey)
+	t.s.Profile().AddCommit(start)
 }
 
 var _ stm.Algorithm = (*STM)(nil)

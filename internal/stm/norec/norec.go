@@ -24,8 +24,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/spin"
 	"repro/internal/stm"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Failpoints on the NOrec validation and commit paths.
@@ -48,35 +46,16 @@ type STM struct {
 	clock spin.SeqLock
 	_     [spin.CacheLineSize - 8]byte
 	ctr   spin.Counters
-	prof  *stm.Profile
-	cmgr  *cm.Manager
-	stats struct {
-		commits spin.ShardedU64
-		aborts  spin.ShardedU64
-	}
+	*cm.Core
 	pool sync.Pool
 }
 
 // New creates a NOrec instance.
 func New() *STM {
-	s := &STM{}
-	mtr := telemetry.M("NOrec")
-	mtr.SetPolicySource(func() string { return cm.Or(s.cmgr).Policy().Name() })
-	src := trace.S("NOrec")
-	s.pool.New = func() any {
-		return &tx{s: s, hint: spin.NextShardHint(), tel: mtr.Local(), tr: src.Local()}
-	}
+	s := &STM{Core: cm.NewCore("NOrec")}
+	s.pool.New = func() any { return &tx{s: s, h: s.NewHandle()} }
 	return s
 }
-
-// SetProfile attaches a critical-path profiler (may be nil). It must be set
-// before any transaction runs.
-func (s *STM) SetProfile(p *stm.Profile) { s.prof = p }
-
-// SetManager installs the contention manager transactions run under (nil
-// means the shared cm.Default manager). It must be set before any
-// transaction runs.
-func (s *STM) SetManager(m *cm.Manager) { s.cmgr = m }
 
 // Name implements stm.Algorithm.
 func (s *STM) Name() string { return "NOrec" }
@@ -87,29 +66,20 @@ func (s *STM) Counters() *spin.Counters { return &s.ctr }
 // Stop implements stm.Algorithm. NOrec has no background goroutines.
 func (s *STM) Stop() {}
 
-// Commits and Aborts report the lifetime transaction outcomes.
-func (s *STM) Commits() uint64 { return s.stats.commits.Load() }
-
-// Aborts reports the number of aborted attempts.
-func (s *STM) Aborts() uint64 { return s.stats.aborts.Load() }
-
 // Clock exposes the global sequence lock for layers that extend NOrec
 // (the OTB integration context).
 func (s *STM) Clock() *spin.SeqLock { return &s.clock }
 
-// tx is a NOrec transaction descriptor, reused across attempts. It
-// implements abort.TxRunner so the retry loop drives it without
-// per-transaction closures.
+// tx is a NOrec transaction descriptor, reused across attempts; it
+// implements cm.Tx.
 type tx struct {
 	s          *STM
+	h          cm.Handle
 	snapshot   uint64
-	hint       uint32 // stat shard affinity for this descriptor
-	holdsClock bool   // global lock held (commit in progress)
+	holdsClock bool // global lock held (commit in progress)
 	reads      []stm.ReadEntry
 	writes     stm.WriteSet
 	fn         func(stm.Tx)
-	tel        *telemetry.Local
-	tr         *trace.Local
 }
 
 // Atomic implements stm.Algorithm.
@@ -127,59 +97,29 @@ func (s *STM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
 		t.writes.Reset()
 		s.pool.Put(t)
 	}()
-	total := s.prof.Now()
-	start := t.tel.Start()
-	t.tr.TxStart()
-	defer t.tr.TxEnd()
-	escalated, err := abort.RunPolicyTxCtx(ctx, nil, cm.Or(s.cmgr), t)
-	if escalated {
-		t.tel.Escalated()
-		t.tr.Escalated()
-	}
-	if err != nil {
-		return err
-	}
-	s.stats.commits.Inc(t.hint)
-	t.tel.Commit(start)
-	s.prof.AddTotal(total, true)
-	return nil
+	return t.h.Run(ctx, nil, t)
 }
 
-// Attempt implements abort.TxRunner: run the body and commit.
-func (t *tx) Attempt() {
-	t.fn(t)
-	cs := t.tel.Start()
-	t.tr.CommitBegin()
-	t.commit()
-	t.tr.CommitEnd()
-	t.tel.CommitPhase(cs)
+// Begin implements cm.Tx: start one attempt.
+func (t *tx) Begin() {
+	t.reads = t.reads[:0]
+	t.writes.Reset()
+	t.snapshot = t.s.clock.WaitUnlocked(&t.s.ctr)
 }
 
-// Rollback implements abort.TxRunner: undo a failed attempt.
-func (t *tx) Rollback(r abort.Reason) {
-	t.rollback()
-	t.s.stats.aborts.Inc(t.hint)
-	t.tel.Abort(r)
-	t.tr.Abort(r)
-}
+// Run implements cm.Tx.
+func (t *tx) Run() { t.fn(t) }
 
-// rollback releases the global lock if this attempt died holding it (an
-// armed failpoint or foreign panic between lock and publish). Nothing was
-// published, so the pre-lock timestamp is restored — concurrent readers saw
-// only an odd (locked) clock and re-validate against unchanged memory.
-func (t *tx) rollback() {
+// Rollback implements cm.Tx: release the global lock if this attempt died
+// holding it (an armed failpoint or foreign panic between lock and publish).
+// Nothing was published, so the pre-lock timestamp is restored — concurrent
+// readers saw only an odd (locked) clock and re-validate against unchanged
+// memory.
+func (t *tx) Rollback(abort.Reason) {
 	if t.holdsClock {
 		t.holdsClock = false
 		t.s.clock.UnlockUnchanged()
 	}
-}
-
-// Begin implements abort.TxRunner: start one attempt.
-func (t *tx) Begin() {
-	t.tr.AttemptStart()
-	t.reads = t.reads[:0]
-	t.writes.Reset()
-	t.snapshot = t.s.clock.WaitUnlocked(&t.s.ctr)
 }
 
 // Read implements stm.Tx with NOrec's post-read validation loop.
@@ -205,8 +145,8 @@ func (t *tx) Write(c *mem.Cell, v uint64) {
 // observes a quiescent (even, unchanged) timestamp. It returns the
 // validated timestamp, or aborts the transaction on a value mismatch.
 func (t *tx) validate() uint64 {
-	start := t.s.prof.Now()
-	defer t.s.prof.AddValidation(start)
+	start := t.s.Profile().Now()
+	defer t.s.Profile().AddValidation(start)
 	fpValidateMid.Hit()
 	var b spin.Backoff
 	for {
@@ -218,39 +158,39 @@ func (t *tx) validate() uint64 {
 		}
 		for i := range t.reads {
 			if t.reads[i].Cell.Load() != t.reads[i].Val {
-				t.tr.ValidateFail(t.reads[i].Cell.ID())
+				t.h.Trace().ValidateFail(t.reads[i].Cell.ID())
 				abort.Retry(abort.Conflict)
 			}
 		}
 		if ts == t.s.clock.Load() {
-			t.tr.Validated()
+			t.h.Trace().Validated()
 			return ts
 		}
 	}
 }
 
-// commit publishes the redo log under the global lock. Read-only
-// transactions return immediately: their incremental validation already
-// serialized them at the last validated snapshot.
-func (t *tx) commit() {
+// Commit implements cm.Tx: publish the redo log under the global lock.
+// Read-only transactions return immediately: their incremental validation
+// already serialized them at the last validated snapshot.
+func (t *tx) Commit() {
 	if t.writes.Len() == 0 {
 		return
 	}
 	// The commit timer is paused around validate so validation time is not
 	// double-charged (validate charges itself to the validation bucket).
-	start := t.s.prof.Now()
+	start := t.s.Profile().Now()
 	for !t.s.clock.TryLock(t.snapshot) {
 		t.s.ctr.IncCAS()
-		t.s.prof.AddCommit(start)
+		t.s.Profile().AddCommit(start)
 		t.snapshot = t.validate()
-		start = t.s.prof.Now()
+		start = t.s.Profile().Now()
 	}
 	t.holdsClock = true
 	fpCommitLocked.Hit()
 	t.writes.Publish()
 	t.s.clock.Unlock()
 	t.holdsClock = false
-	t.s.prof.AddCommit(start)
+	t.s.Profile().AddCommit(start)
 }
 
 var _ stm.Algorithm = (*STM)(nil)

@@ -21,8 +21,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/spin"
 	"repro/internal/stm"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // fpCommitLocked fires with the writer lock held, before the ring slot is
@@ -46,32 +44,16 @@ type STM struct {
 	clock spin.SeqLock
 	ring  [ringSize]slot
 	ctr   spin.Counters
-	prof  *stm.Profile
-	cmgr  *cm.Manager
-	stats struct {
-		commits atomic.Uint64
-		aborts  atomic.Uint64
-	}
+	*cm.Core
 	pool sync.Pool
 }
 
 // New creates a RingSW instance.
 func New() *STM {
-	s := &STM{}
-	mtr := telemetry.M("RingSW")
-	mtr.SetPolicySource(func() string { return cm.Or(s.cmgr).Policy().Name() })
-	src := trace.S("RingSW")
-	s.pool.New = func() any { return &tx{s: s, tel: mtr.Local(), tr: src.Local()} }
+	s := &STM{Core: cm.NewCore("RingSW")}
+	s.pool.New = func() any { return &tx{s: s, h: s.NewHandle()} }
 	return s
 }
-
-// SetProfile attaches a critical-path profiler (may be nil).
-func (s *STM) SetProfile(p *stm.Profile) { s.prof = p }
-
-// SetManager installs the contention manager transactions run under (nil
-// means the shared cm.Default manager). It must be set before any
-// transaction runs.
-func (s *STM) SetManager(m *cm.Manager) { s.cmgr = m }
 
 // Name implements stm.Algorithm.
 func (s *STM) Name() string { return "RingSW" }
@@ -82,23 +64,16 @@ func (s *STM) Counters() *spin.Counters { return &s.ctr }
 // Stop implements stm.Algorithm; RingSW has no background goroutines.
 func (s *STM) Stop() {}
 
-// Commits and Aborts report lifetime transaction outcomes.
-func (s *STM) Commits() uint64 { return s.stats.commits.Load() }
-
-// Aborts reports the number of aborted attempts.
-func (s *STM) Aborts() uint64 { return s.stats.aborts.Load() }
-
 // tx is a RingSW transaction descriptor.
 type tx struct {
 	s          *STM
+	h          cm.Handle
 	snapshot   uint64
 	holdsClock bool // writer lock held (commit in progress)
 	readF      bloom.Filter
 	writeF     bloom.Filter
 	writes     stm.WriteSet
 	fn         func(stm.Tx)
-	tel        *telemetry.Local
-	tr         *trace.Local
 }
 
 // Atomic implements stm.Algorithm.
@@ -117,59 +92,28 @@ func (s *STM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
 		t.writes.Reset()
 		s.pool.Put(t)
 	}()
-	total := s.prof.Now()
-	start := t.tel.Start()
-	t.tr.TxStart()
-	defer t.tr.TxEnd()
-	escalated, err := abort.RunPolicyTxCtx(ctx, nil, cm.Or(s.cmgr), t)
-	if escalated {
-		t.tel.Escalated()
-		t.tr.Escalated()
-	}
-	if err != nil {
-		return err
-	}
-	s.stats.commits.Add(1)
-	t.tel.Commit(start)
-	s.prof.AddTotal(total, true)
-	return nil
+	return t.h.Run(ctx, nil, t)
 }
 
-// rollback releases the writer lock if this attempt died holding it. The
-// ring slot was not yet touched and nothing was published, so restoring the
-// pre-lock timestamp leaves readers' view unchanged.
-func (t *tx) rollback() {
-	if t.holdsClock {
-		t.holdsClock = false
-		t.s.clock.UnlockUnchanged()
-	}
-}
-
-// Attempt implements abort.TxRunner: run the body and commit.
-func (t *tx) Attempt() {
-	t.fn(t)
-	cs := t.tel.Start()
-	t.tr.CommitBegin()
-	t.commit()
-	t.tr.CommitEnd()
-	t.tel.CommitPhase(cs)
-}
-
-// Rollback implements abort.TxRunner: undo a failed attempt.
-func (t *tx) Rollback(r abort.Reason) {
-	t.rollback()
-	t.s.stats.aborts.Add(1)
-	t.tel.Abort(r)
-	t.tr.Abort(r)
-}
-
-// Begin implements abort.TxRunner: start one attempt.
+// Begin implements cm.Tx: start one attempt.
 func (t *tx) Begin() {
-	t.tr.AttemptStart()
 	t.readF.Clear()
 	t.writeF.Clear()
 	t.writes.Reset()
 	t.snapshot = t.s.clock.WaitUnlocked(&t.s.ctr)
+}
+
+// Run implements cm.Tx.
+func (t *tx) Run() { t.fn(t) }
+
+// Rollback implements cm.Tx: release the writer lock if this attempt died
+// holding it. The ring slot was not yet touched and nothing was published,
+// so restoring the pre-lock timestamp leaves readers' view unchanged.
+func (t *tx) Rollback(abort.Reason) {
+	if t.holdsClock {
+		t.holdsClock = false
+		t.s.clock.UnlockUnchanged()
+	}
 }
 
 // Read implements stm.Tx: record the key in the read filter, read the value,
@@ -198,8 +142,8 @@ func (t *tx) Write(c *mem.Cell, v uint64) {
 // the snapshot, aborting on a hit or on ring overflow, then advances the
 // snapshot to a quiescent timestamp.
 func (t *tx) validateRing() {
-	start := t.s.prof.Now()
-	defer t.s.prof.AddValidation(start)
+	start := t.s.Profile().Now()
+	defer t.s.Profile().AddValidation(start)
 	for {
 		ts := t.s.clock.WaitUnlocked(&t.s.ctr)
 		if ts == t.snapshot {
@@ -216,7 +160,7 @@ func (t *tx) validateRing() {
 			if t.intersectsSlot(sl) {
 				// Bloom intersection cannot name the cell; the ring slot's
 				// commit timestamp is the closest attribution available.
-				t.tr.ValidateFail(0)
+				t.h.Trace().ValidateFail(0)
 				abort.Retry(abort.Conflict)
 			}
 			if sl.ts.Load() != e {
@@ -225,7 +169,7 @@ func (t *tx) validateRing() {
 		}
 		if t.s.clock.Load() == ts {
 			t.snapshot = ts
-			t.tr.Validated()
+			t.h.Trace().Validated()
 			return
 		}
 	}
@@ -242,18 +186,19 @@ func (t *tx) intersectsSlot(sl *slot) bool {
 	return false
 }
 
-// commit acquires the writer lock (re-validating on contention), appends the
-// write filter to the ring, publishes the redo log, and releases the lock.
-func (t *tx) commit() {
+// Commit implements cm.Tx: acquire the writer lock (re-validating on
+// contention), append the write filter to the ring, publish the redo log,
+// and release the lock.
+func (t *tx) Commit() {
 	if t.writes.Len() == 0 {
 		return
 	}
-	start := t.s.prof.Now()
+	start := t.s.Profile().Now()
 	for !t.s.clock.TryLock(t.snapshot) {
 		t.s.ctr.IncCAS()
-		t.s.prof.AddCommit(start)
+		t.s.Profile().AddCommit(start)
 		t.validateRing()
-		start = t.s.prof.Now()
+		start = t.s.Profile().Now()
 	}
 	t.holdsClock = true
 	fpCommitLocked.Hit()
@@ -267,7 +212,7 @@ func (t *tx) commit() {
 	t.writes.Publish()
 	t.s.clock.Unlock()
 	t.holdsClock = false
-	t.s.prof.AddCommit(start)
+	t.s.Profile().AddCommit(start)
 }
 
 var _ stm.Algorithm = (*STM)(nil)

@@ -30,8 +30,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/spin"
 	"repro/internal/stm"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // fpCommitLocked fires with the write-set orecs locked, before anything is
@@ -63,12 +61,7 @@ type STM struct {
 	sharded *spin.ShardedClock           // nil: use the global clock
 	orecs   []orec
 	ctr     spin.Counters
-	prof    *stm.Profile
-	cmgr    *cm.Manager
-	stats   struct {
-		commits spin.ShardedU64
-		aborts  spin.ShardedU64
-	}
+	*cm.Core
 	pool sync.Pool
 }
 
@@ -82,23 +75,10 @@ func New() *STM { return newSTM("TL2", nil) }
 func NewSharded() *STM { return newSTM("TL2S", new(spin.ShardedClock)) }
 
 func newSTM(name string, sc *spin.ShardedClock) *STM {
-	s := &STM{name: name, sharded: sc, orecs: make([]orec, orecCount)}
-	mtr := telemetry.M(name)
-	mtr.SetPolicySource(func() string { return cm.Or(s.cmgr).Policy().Name() })
-	src := trace.S(name)
-	s.pool.New = func() any {
-		return &tx{s: s, hint: spin.NextShardHint(), tel: mtr.Local(), tr: src.Local()}
-	}
+	s := &STM{name: name, sharded: sc, orecs: make([]orec, orecCount), Core: cm.NewCore(name)}
+	s.pool.New = func() any { return &tx{s: s, h: s.NewHandle()} }
 	return s
 }
-
-// SetProfile attaches a critical-path profiler (may be nil).
-func (s *STM) SetProfile(p *stm.Profile) { s.prof = p }
-
-// SetManager installs the contention manager transactions run under (nil
-// means the shared cm.Default manager). It must be set before any
-// transaction runs.
-func (s *STM) SetManager(m *cm.Manager) { s.cmgr = m }
 
 // Name implements stm.Algorithm.
 func (s *STM) Name() string { return s.name }
@@ -108,12 +88,6 @@ func (s *STM) Counters() *spin.Counters { return &s.ctr }
 
 // Stop implements stm.Algorithm; TL2 has no background goroutines.
 func (s *STM) Stop() {}
-
-// Commits and Aborts report lifetime transaction outcomes.
-func (s *STM) Commits() uint64 { return s.stats.commits.Load() }
-
-// Aborts reports the number of aborted attempts.
-func (s *STM) Aborts() uint64 { return s.stats.aborts.Load() }
 
 // clockLoad samples the version clock (either flavor).
 func (s *STM) clockLoad() uint64 {
@@ -147,21 +121,18 @@ func (s *STM) orecFor(c *mem.Cell) *orec {
 // high tag bit keeps stripe keys disjoint from cell ids in conflict tables.
 func orecTraceKey(idx int) uint64 { return uint64(idx) | 1<<62 }
 
-// tx is a TL2 transaction descriptor. It implements abort.TxRunner so the
-// retry loop drives it without per-transaction closures, and carries scratch
-// slices (reads, locked, seen) that amortize to zero steady-state
+// tx is a TL2 transaction descriptor. It implements cm.Tx and carries
+// scratch slices (reads, locked, seen) that amortize to zero steady-state
 // allocation.
 type tx struct {
 	s      *STM
+	h      cm.Handle
 	rv     uint64
-	hint   uint32 // clock/stat shard affinity for this descriptor
 	reads  []*orec
 	writes stm.WriteSet
 	locked []lockedOrec
 	seen   []lockedOrec // lockWriteSet scratch: distinct orecs, sorted by idx
 	fn     func(stm.Tx)
-	tel    *telemetry.Local
-	tr     *trace.Local
 }
 
 type lockedOrec struct {
@@ -184,48 +155,20 @@ func (s *STM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
 		t.reset()
 		s.pool.Put(t)
 	}()
-	total := s.prof.Now()
-	start := t.tel.Start()
-	t.tr.TxStart()
-	defer t.tr.TxEnd()
-	escalated, err := abort.RunPolicyTxCtx(ctx, nil, cm.Or(s.cmgr), t)
-	if escalated {
-		t.tel.Escalated()
-		t.tr.Escalated()
-	}
-	if err != nil {
-		return err
-	}
-	s.stats.commits.Inc(t.hint)
-	t.tel.Commit(start)
-	s.prof.AddTotal(total, true)
-	return nil
+	return t.h.Run(ctx, nil, t)
 }
 
-// Begin implements abort.TxRunner: start one attempt.
+// Begin implements cm.Tx: start one attempt.
 func (t *tx) Begin() {
-	t.tr.AttemptStart()
 	t.reset()
 	t.rv = t.s.clockLoad()
 }
 
-// Attempt implements abort.TxRunner: run the body and commit.
-func (t *tx) Attempt() {
-	t.fn(t)
-	cs := t.tel.Start()
-	t.tr.CommitBegin()
-	t.commit()
-	t.tr.CommitEnd()
-	t.tel.CommitPhase(cs)
-}
+// Run implements cm.Tx.
+func (t *tx) Run() { t.fn(t) }
 
-// Rollback implements abort.TxRunner: undo a failed attempt.
-func (t *tx) Rollback(r abort.Reason) {
-	t.releaseLocked(true)
-	t.s.stats.aborts.Inc(t.hint)
-	t.tel.Abort(r)
-	t.tr.Abort(r)
-}
+// Rollback implements cm.Tx: restore the orecs a failed commit had locked.
+func (t *tx) Rollback(abort.Reason) { t.releaseLocked(true) }
 
 func (t *tx) reset() {
 	t.reads = t.reads[:0]
@@ -244,7 +187,7 @@ func (t *tx) Read(c *mem.Cell) uint64 {
 	val := c.Load()
 	v2 := o.v.Load()
 	if v1 != v2 || orecLocked(v1) || orecVersion(v1) > t.rv {
-		t.tr.ValidateFail(c.ID())
+		t.h.Trace().ValidateFail(c.ID())
 		abort.Retry(abort.Conflict)
 	}
 	t.reads = append(t.reads, o)
@@ -256,29 +199,30 @@ func (t *tx) Write(c *mem.Cell, v uint64) {
 	t.writes.Put(c, v)
 }
 
-// commit runs TL2's lock / clock / validate / publish / release sequence.
-func (t *tx) commit() {
+// Commit implements cm.Tx: TL2's lock / clock / validate / publish / release
+// sequence.
+func (t *tx) Commit() {
 	if t.writes.Len() == 0 {
 		return
 	}
-	start := t.s.prof.Now()
+	start := t.s.Profile().Now()
 	t.lockWriteSet()
 	fpCommitLocked.Hit()
-	wv := t.s.clockTick(t.hint)
-	t.s.prof.AddCommit(start)
+	wv := t.s.clockTick(t.h.Hint())
+	t.s.Profile().AddCommit(start)
 	// The classic skip — no other transaction committed between rv and wv,
 	// so the read set cannot have changed — needs the clock to totally order
 	// commits. The sharded clock does not, so TL2S always validates.
 	if t.s.sharded != nil || wv != t.rv+1 {
 		t.validateReads()
 	}
-	start = t.s.prof.Now()
+	start = t.s.Profile().Now()
 	t.writes.Publish()
 	for _, l := range t.locked {
 		l.o.v.Store(wv << 1)
 	}
 	t.locked = t.locked[:0]
-	t.s.prof.AddCommit(start)
+	t.s.Profile().AddCommit(start)
 }
 
 // lockWriteSet acquires the distinct orecs covering the write set in
@@ -311,10 +255,10 @@ func (t *tx) lockWriteSet() {
 		v := l.o.v.Load()
 		if orecLocked(v) || orecVersion(v) > t.rv || !l.o.v.CompareAndSwap(v, v|1) {
 			t.s.ctr.IncCAS()
-			t.tr.LockBusy(orecTraceKey(l.idx))
+			t.h.Trace().LockBusy(orecTraceKey(l.idx))
 			abort.Retry(abort.LockBusy)
 		}
-		t.tr.Lock(orecTraceKey(l.idx))
+		t.h.Trace().Lock(orecTraceKey(l.idx))
 		t.locked = append(t.locked, lockedOrec{o: l.o, idx: l.idx, old: v})
 	}
 }
@@ -322,8 +266,8 @@ func (t *tx) lockWriteSet() {
 // validateReads checks every read-set orec: it must be unlocked (or locked
 // by this transaction) with a version no newer than rv.
 func (t *tx) validateReads() {
-	start := t.s.prof.Now()
-	defer t.s.prof.AddValidation(start)
+	start := t.s.Profile().Now()
+	defer t.s.Profile().AddValidation(start)
 	for _, o := range t.reads {
 		v := o.v.Load()
 		if orecLocked(v) {
@@ -337,7 +281,7 @@ func (t *tx) validateReads() {
 			abort.Retry(abort.Conflict)
 		}
 	}
-	t.tr.Validated()
+	t.h.Trace().Validated()
 }
 
 // ownedOld reports whether this transaction holds o, returning the pre-lock

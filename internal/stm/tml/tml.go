@@ -8,7 +8,6 @@ package tml
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/abort"
 	"repro/internal/chaos/failpoint"
@@ -16,8 +15,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/spin"
 	"repro/internal/stm"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // fpCommitLocked fires at writer commit, with the global lock held and all
@@ -28,32 +25,16 @@ var fpCommitLocked = failpoint.New("tml.commit.locked")
 type STM struct {
 	clock spin.SeqLock
 	ctr   spin.Counters
-	prof  *stm.Profile
-	cmgr  *cm.Manager
-	stats struct {
-		commits atomic.Uint64
-		aborts  atomic.Uint64
-	}
+	*cm.Core
 	pool sync.Pool
 }
 
 // New creates a TML instance.
 func New() *STM {
-	s := &STM{}
-	mtr := telemetry.M("TML")
-	mtr.SetPolicySource(func() string { return cm.Or(s.cmgr).Policy().Name() })
-	src := trace.S("TML")
-	s.pool.New = func() any { return &tx{s: s, tel: mtr.Local(), tr: src.Local()} }
+	s := &STM{Core: cm.NewCore("TML")}
+	s.pool.New = func() any { return &tx{s: s, h: s.NewHandle()} }
 	return s
 }
-
-// SetProfile attaches a critical-path profiler (may be nil).
-func (s *STM) SetProfile(p *stm.Profile) { s.prof = p }
-
-// SetManager installs the contention manager transactions run under (nil
-// means the shared cm.Default manager). It must be set before any
-// transaction runs.
-func (s *STM) SetManager(m *cm.Manager) { s.cmgr = m }
 
 // Name implements stm.Algorithm.
 func (s *STM) Name() string { return "TML" }
@@ -64,24 +45,17 @@ func (s *STM) Counters() *spin.Counters { return &s.ctr }
 // Stop implements stm.Algorithm; TML has no background goroutines.
 func (s *STM) Stop() {}
 
-// Commits and Aborts report lifetime transaction outcomes.
-func (s *STM) Commits() uint64 { return s.stats.commits.Load() }
-
-// Aborts reports the number of aborted attempts.
-func (s *STM) Aborts() uint64 { return s.stats.aborts.Load() }
-
 // tx is a TML transaction descriptor. Writers keep an undo log so that an
 // explicit user abort can roll back the in-place writes (plain TML writers
 // are irrevocable; the undo log generalizes that without changing the
 // conflict behaviour).
 type tx struct {
 	s        *STM
+	h        cm.Handle
 	snapshot uint64
 	writer   bool
 	undo     []stm.WriteEntry
 	fn       func(stm.Tx)
-	tel      *telemetry.Local
-	tr       *trace.Local
 }
 
 // Atomic implements stm.Algorithm.
@@ -99,56 +73,25 @@ func (s *STM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
 		t.undo = t.undo[:0]
 		s.pool.Put(t)
 	}()
-	total := s.prof.Now()
-	start := t.tel.Start()
-	t.tr.TxStart()
-	defer t.tr.TxEnd()
-	escalated, err := abort.RunPolicyTxCtx(ctx, nil, cm.Or(s.cmgr), t)
-	if escalated {
-		t.tel.Escalated()
-		t.tr.Escalated()
-	}
-	if err != nil {
-		return err
-	}
-	s.stats.commits.Add(1)
-	t.tel.Commit(start)
-	s.prof.AddTotal(total, true)
-	return nil
+	return t.h.Run(ctx, nil, t)
 }
 
-// Attempt implements abort.TxRunner: run the body and commit.
-func (t *tx) Attempt() {
-	t.fn(t)
-	cs := t.tel.Start()
-	t.tr.CommitBegin()
-	t.commit()
-	t.tr.CommitEnd()
-	t.tel.CommitPhase(cs)
-}
-
-// Rollback implements abort.TxRunner: undo a failed attempt.
-func (t *tx) Rollback(r abort.Reason) {
-	t.rollback()
-	t.s.stats.aborts.Add(1)
-	t.tel.Abort(r)
-	t.tr.Abort(r)
-}
-
-// Begin implements abort.TxRunner: start one attempt.
+// Begin implements cm.Tx: start one attempt.
 func (t *tx) Begin() {
-	t.tr.AttemptStart()
 	t.writer = false
 	t.undo = t.undo[:0]
 	t.snapshot = t.s.clock.WaitUnlocked(&t.s.ctr)
 }
+
+// Run implements cm.Tx.
+func (t *tx) Run() { t.fn(t) }
 
 // Read implements stm.Tx. Readers abort if any writer committed (or is
 // active) since their snapshot; the writer reads directly.
 func (t *tx) Read(c *mem.Cell) uint64 {
 	v := c.Load()
 	if !t.writer && t.s.clock.Load() != t.snapshot {
-		t.tr.ValidateFail(c.ID())
+		t.h.Trace().ValidateFail(c.ID())
 		abort.Retry(abort.Conflict)
 	}
 	return v
@@ -160,28 +103,31 @@ func (t *tx) Write(c *mem.Cell, v uint64) {
 	if !t.writer {
 		if !t.s.clock.TryLock(t.snapshot) {
 			t.s.ctr.IncCAS()
-			t.tr.LockBusy(c.ID())
+			t.h.Trace().LockBusy(c.ID())
 			abort.Retry(abort.LockBusy)
 		}
-		t.tr.Lock(c.ID())
+		t.h.Trace().Lock(c.ID())
 		t.writer = true
 	}
 	t.undo = append(t.undo, stm.WriteEntry{Cell: c, Val: c.Load()})
 	c.Store(v)
 }
 
-func (t *tx) commit() {
+// Commit implements cm.Tx: a writer releases the global lock, publishing its
+// in-place writes.
+func (t *tx) Commit() {
 	if t.writer {
 		fpCommitLocked.Hit()
-		start := t.s.prof.Now()
+		start := t.s.Profile().Now()
 		t.s.clock.Unlock()
-		t.s.prof.AddCommit(start)
+		t.s.Profile().AddCommit(start)
 		t.writer = false
 	}
 }
 
-// rollback restores in-place writes (reverse order) and releases the lock.
-func (t *tx) rollback() {
+// Rollback implements cm.Tx: restore in-place writes (reverse order) and
+// release the lock.
+func (t *tx) Rollback(abort.Reason) {
 	if !t.writer {
 		return
 	}
