@@ -72,7 +72,7 @@ func main() {
 		failspec    = flag.String("failpoints", "", "fault-injection specs, 'name=action[@triggers];...' (see internal/chaos/failpoint)")
 		debugAddr   = flag.String("debug-addr", "", "serve the live debug endpoint (trace snapshot, pprof, expvar) on this address")
 		statsEvery  = flag.Duration("stats-every", 0, "periodically log server stats to stderr (0 = off)")
-		walDir      = flag.String("wal-dir", "", "directory for the write-ahead log; enables durable mode (-store otb only) with recovery on start")
+		walDir      = flag.String("wal-dir", "", "directory for the write-ahead log; enables durable mode (-store otb or mvotb) with recovery on start")
 		fsyncPolicy = flag.String("fsync", "always", "WAL sync policy: always (ack after fsync), interval (background fsync), never (OS decides)")
 		fsyncEvery  = flag.Duration("fsync-interval", 2*time.Millisecond, "background fsync cadence for -fsync interval")
 		snapEvery   = flag.Int("snapshot-every", txnet.DefaultSnapshotEvery, "snapshot the store+sessions after this many logged commits (<=0 disables)")
@@ -96,39 +96,15 @@ func main() {
 	}
 
 	var store txnet.Store
-	var dur *txnet.Durable
+	var durable txnet.DurableStore // the same store, when it can be dumped for snapshots
 	switch *storeKind {
 	case "otb":
-		otbStore := txnet.NewOTBStore()
-		store = otbStore
-		if *walDir != "" {
-			policy, err := wal.ParsePolicy(*fsyncPolicy)
-			if err != nil {
-				fatal(err)
-			}
-			every := *snapEvery
-			if every <= 0 {
-				every = -1
-			}
-			dur, err = txnet.OpenDurable(otbStore, txnet.DurabilityOptions{
-				Dir:           *walDir,
-				Fsync:         policy,
-				FsyncInterval: *fsyncEvery,
-				SnapshotEvery: every,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			rec := dur.Recovery()
-			fmt.Fprintf(os.Stderr,
-				"txstore: recovered %s in %v: snapshot lsn %d, %d records (%d commits) replayed, %d sessions, torn-tail=%v, snapshots-skipped=%d\n",
-				*walDir, rec.Elapsed.Round(time.Microsecond), rec.SnapshotLSN, rec.RecordsReplayed,
-				rec.CommitsReplayed, rec.SessionsRestored, rec.TornTail, rec.SnapshotsSkipped)
-		}
+		st := txnet.NewOTBStore()
+		store, durable = st, st
 	case "mvotb":
 		st := txnet.NewMVOTBStore()
 		defer st.Stop()
-		store = st
+		store, durable = st, st
 	case "stm":
 		mk, ok := stmAlgorithms[*alg]
 		if !ok {
@@ -138,8 +114,33 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -store %q (otb, mvotb or stm)", *storeKind))
 	}
-	if *walDir != "" && dur == nil {
-		fatal(fmt.Errorf("-wal-dir requires -store otb (the durable dump/replay path is OTB-only)"))
+	var dur *txnet.Durable
+	if *walDir != "" {
+		if durable == nil {
+			fatal(fmt.Errorf("-wal-dir requires -store otb or mvotb (the stm store has no state dump to snapshot)"))
+		}
+		policy, err := wal.ParsePolicy(*fsyncPolicy)
+		if err != nil {
+			fatal(err)
+		}
+		every := *snapEvery
+		if every <= 0 {
+			every = -1
+		}
+		dur, err = txnet.OpenDurable(durable, txnet.DurabilityOptions{
+			Dir:           *walDir,
+			Fsync:         policy,
+			FsyncInterval: *fsyncEvery,
+			SnapshotEvery: every,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		rec := dur.Recovery()
+		fmt.Fprintf(os.Stderr,
+			"txstore: recovered %s in %v: snapshot lsn %d, %d records (%d commits) replayed, %d sessions, torn-tail=%v, snapshots-skipped=%d\n",
+			*walDir, rec.Elapsed.Round(time.Microsecond), rec.SnapshotLSN, rec.RecordsReplayed,
+			rec.CommitsReplayed, rec.SessionsRestored, rec.TornTail, rec.SnapshotsSkipped)
 	}
 
 	if *debugAddr != "" {

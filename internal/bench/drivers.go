@@ -44,7 +44,69 @@ type SetDriver interface {
 	Stop()
 }
 
-// --- Lazy (non-transactional upper bound) ---
+// --- The drivers ---
+
+// txSet is a set whose operations run inside a transaction with handle T.
+type txSet[T any] interface {
+	Add(T, int64) bool
+	Remove(T, int64) bool
+	Contains(T, int64) bool
+}
+
+// txDriver is the one SetDriver: a set over transaction handle T, and atomic
+// — how the hosting runtime runs a body as one transaction. Every
+// implementation (boosted, OTB, pure STM, integrated, multi-version, and the
+// lazy baseline with its empty handle) is an instance.
+type txDriver[T any] struct {
+	name   string
+	atomic func(ctx context.Context, body func(T)) error
+	stop   func()
+	pool   sync.Pool // *txRun[T]
+}
+
+// txRun is a pooled transaction body: the closure is created once per pooled
+// object and captures the run, so the per-transaction path does not allocate
+// a fresh closure over the op batch.
+type txRun[T any] struct {
+	ops []SetOp
+	fn  func(T)
+}
+
+func newTxDriver[T any](name string, set txSet[T], atomic func(context.Context, func(T)) error, stop func()) *txDriver[T] {
+	d := &txDriver[T]{name: name, atomic: atomic, stop: stop}
+	d.pool.New = func() any {
+		r := &txRun[T]{}
+		r.fn = func(tx T) {
+			for _, op := range r.ops {
+				switch op.Kind {
+				case OpAdd:
+					set.Add(tx, op.Key)
+				case OpRemove:
+					set.Remove(tx, op.Key)
+				default:
+					set.Contains(tx, op.Key)
+				}
+			}
+		}
+		return r
+	}
+	return d
+}
+
+func (d *txDriver[T]) Name() string      { return d.name }
+func (d *txDriver[T]) Stop()             { d.stop() }
+func (d *txDriver[T]) RunTx(ops []SetOp) { d.RunTxCtx(nil, ops) }
+
+func (d *txDriver[T]) RunTxCtx(ctx context.Context, ops []SetOp) error {
+	r := d.pool.Get().(*txRun[T])
+	r.ops = ops
+	err := d.atomic(ctx, r.fn)
+	r.ops = nil
+	d.pool.Put(r)
+	return err
+}
+
+func noStop() {}
 
 // concSet abstracts the lazy sets.
 type concSet interface {
@@ -53,267 +115,94 @@ type concSet interface {
 	Contains(int64) bool
 }
 
-type lazyDriver struct{ set concSet }
+// lazySet is a lazy concurrent set under the empty transaction handle.
+type lazySet struct{ set concSet }
 
-// NewLazyDriver wraps a lazy concurrent set (no transactional support).
-func NewLazyDriver(set concSet) SetDriver { return &lazyDriver{set: set} }
+func (s lazySet) Add(_ struct{}, k int64) bool      { return s.set.Add(k) }
+func (s lazySet) Remove(_ struct{}, k int64) bool   { return s.set.Remove(k) }
+func (s lazySet) Contains(_ struct{}, k int64) bool { return s.set.Contains(k) }
 
-func (d *lazyDriver) Name() string { return "Lazy" }
-func (d *lazyDriver) Stop()        {}
-func (d *lazyDriver) RunTx(ops []SetOp) {
-	for _, op := range ops {
-		switch op.Kind {
-		case OpAdd:
-			d.set.Add(op.Key)
-		case OpRemove:
-			d.set.Remove(op.Key)
-		default:
-			d.set.Contains(op.Key)
+// NewLazyDriver wraps a lazy concurrent set, the non-transactional upper
+// bound: its "transaction" merely runs the batch sequentially (it has no
+// transactions, as the paper notes), so there is nothing to abandon and it
+// only refuses to start after cancellation.
+func NewLazyDriver(set concSet) SetDriver {
+	return newTxDriver("Lazy", lazySet{set}, func(ctx context.Context, body func(struct{})) error {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
-	}
+		body(struct{}{})
+		return nil
+	}, noStop)
 }
 
-// RunTxCtx has no transaction to abandon; it just refuses to start after
-// cancellation.
-func (d *lazyDriver) RunTxCtx(ctx context.Context, ops []SetOp) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	d.RunTx(ops)
-	return nil
+func boostedAtomic(ctx context.Context, body func(*boosting.Tx)) error {
+	return boosting.AtomicCtx(ctx, nil, nil, body)
 }
-
-// --- Pessimistic boosting ---
-
-type boostedDriver struct{ set *boosting.Set }
 
 // NewBoostedDriver wraps a pessimistically boosted set.
-func NewBoostedDriver(set *boosting.Set) SetDriver { return &boostedDriver{set: set} }
-
-func (d *boostedDriver) Name() string      { return "PessimisticBoosted" }
-func (d *boostedDriver) Stop()             {}
-func (d *boostedDriver) RunTx(ops []SetOp) { d.RunTxCtx(nil, ops) }
-
-// boostedRun is a pooled transaction body: the closure is created once per
-// pooled object and captures the run, so the per-transaction path does not
-// allocate a fresh closure over the op batch.
-type boostedRun struct {
-	d   *boostedDriver
-	ops []SetOp
-	fn  func(*boosting.Tx)
+func NewBoostedDriver(set *boosting.Set) SetDriver {
+	return newTxDriver("PessimisticBoosted", set, boostedAtomic, noStop)
 }
 
-var boostedRunPool = sync.Pool{New: func() any {
-	r := &boostedRun{}
-	r.fn = func(tx *boosting.Tx) {
-		for _, op := range r.ops {
-			switch op.Kind {
-			case OpAdd:
-				r.d.set.Add(tx, op.Key)
-			case OpRemove:
-				r.d.set.Remove(tx, op.Key)
-			default:
-				r.d.set.Contains(tx, op.Key)
-			}
-		}
-	}
-	return r
-}}
+// otbSet abstracts the OTB sets (and the multi-version one).
+type otbSet = txSet[*otb.Tx]
 
-func (d *boostedDriver) RunTxCtx(ctx context.Context, ops []SetOp) error {
-	r := boostedRunPool.Get().(*boostedRun)
-	r.d, r.ops = d, ops
-	err := boosting.AtomicCtx(ctx, nil, nil, r.fn)
-	r.d, r.ops = nil, nil
-	boostedRunPool.Put(r)
-	return err
+func otbAtomic(ctx context.Context, body func(*otb.Tx)) error {
+	return otb.AtomicCtx(ctx, nil, body)
 }
-
-// --- OTB ---
-
-// otbSet abstracts the two OTB sets.
-type otbSet interface {
-	Add(*otb.Tx, int64) bool
-	Remove(*otb.Tx, int64) bool
-	Contains(*otb.Tx, int64) bool
-}
-
-type otbDriver struct{ set otbSet }
 
 // NewOTBDriver wraps an optimistically boosted set.
-func NewOTBDriver(set otbSet) SetDriver { return &otbDriver{set: set} }
-
-func (d *otbDriver) Name() string      { return "OptimisticBoosted" }
-func (d *otbDriver) Stop()             {}
-func (d *otbDriver) RunTx(ops []SetOp) { d.RunTxCtx(nil, ops) }
-
-// otbRun is a pooled transaction body (see boostedRun).
-type otbRun struct {
-	d   *otbDriver
-	ops []SetOp
-	fn  func(*otb.Tx)
+func NewOTBDriver(set otbSet) SetDriver {
+	return newTxDriver("OptimisticBoosted", set, otbAtomic, noStop)
 }
-
-var otbRunPool = sync.Pool{New: func() any {
-	r := &otbRun{}
-	r.fn = func(tx *otb.Tx) {
-		for _, op := range r.ops {
-			switch op.Kind {
-			case OpAdd:
-				r.d.set.Add(tx, op.Key)
-			case OpRemove:
-				r.d.set.Remove(tx, op.Key)
-			default:
-				r.d.set.Contains(tx, op.Key)
-			}
-		}
-	}
-	return r
-}}
-
-func (d *otbDriver) RunTxCtx(ctx context.Context, ops []SetOp) error {
-	r := otbRunPool.Get().(*otbRun)
-	r.d, r.ops = d, ops
-	err := otb.AtomicCtx(ctx, nil, r.fn)
-	r.d, r.ops = nil, nil
-	otbRunPool.Put(r)
-	return err
-}
-
-// --- Pure STM structures ---
 
 // stmSet abstracts the stmds set-like structures.
-type stmSet interface {
-	Add(stm.Tx, int64) bool
-	Remove(stm.Tx, int64) bool
-	Contains(stm.Tx, int64) bool
-}
+type stmSet = txSet[stm.Tx]
 
 // rbAsSet adapts the red-black tree's Insert/Delete naming.
 type rbAsSet struct{ t *stmds.RBTree }
 
 // RBAsSet exposes an RBTree through the generic set interface.
-func RBAsSet(t *stmds.RBTree) interface {
-	Add(stm.Tx, int64) bool
-	Remove(stm.Tx, int64) bool
-	Contains(stm.Tx, int64) bool
-} {
-	return rbAsSet{t}
-}
+func RBAsSet(t *stmds.RBTree) stmSet { return rbAsSet{t} }
 
 func (a rbAsSet) Add(tx stm.Tx, k int64) bool      { return a.t.Insert(tx, k) }
 func (a rbAsSet) Remove(tx stm.Tx, k int64) bool   { return a.t.Delete(tx, k) }
 func (a rbAsSet) Contains(tx stm.Tx, k int64) bool { return a.t.Contains(tx, k) }
 
-type stmDriver struct {
-	name string
-	alg  stm.Algorithm
-	set  stmSet
-}
-
 // NewSTMDriver runs set operations as transactions of alg over a pure-STM
-// structure.
+// structure. An algorithm without a context-aware entry point only refuses
+// to start after cancellation.
 func NewSTMDriver(name string, alg stm.Algorithm, set stmSet) SetDriver {
-	return &stmDriver{name: name, alg: alg, set: set}
-}
-
-func (d *stmDriver) Name() string      { return d.name }
-func (d *stmDriver) Stop()             { d.alg.Stop() }
-func (d *stmDriver) RunTx(ops []SetOp) { d.RunTxCtx(nil, ops) }
-
-// stmRun is a pooled transaction body (see boostedRun).
-type stmRun struct {
-	d   *stmDriver
-	ops []SetOp
-	fn  func(stm.Tx)
-}
-
-var stmRunPool = sync.Pool{New: func() any {
-	r := &stmRun{}
-	r.fn = func(tx stm.Tx) {
-		for _, op := range r.ops {
-			switch op.Kind {
-			case OpAdd:
-				r.d.set.Add(tx, op.Key)
-			case OpRemove:
-				r.d.set.Remove(tx, op.Key)
-			default:
-				r.d.set.Contains(tx, op.Key)
+	atomic := func(ctx context.Context, body func(stm.Tx)) error {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 		}
+		alg.Atomic(body)
+		return nil
 	}
-	return r
-}}
-
-func (d *stmDriver) RunTxCtx(ctx context.Context, ops []SetOp) error {
-	r := stmRunPool.Get().(*stmRun)
-	r.d, r.ops = d, ops
-	defer func() {
-		r.d, r.ops = nil, nil
-		stmRunPool.Put(r)
-	}()
-	if ac, ok := d.alg.(stm.AlgorithmCtx); ok {
-		return ac.AtomicCtx(ctx, r.fn)
+	if ac, ok := alg.(stm.AlgorithmCtx); ok {
+		atomic = ac.AtomicCtx
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	d.alg.Atomic(r.fn)
-	return nil
+	return newTxDriver(name, set, atomic, alg.Stop)
 }
 
-// --- Integrated (Chapter 4) ---
+// semSet runs an OTB set under an integration context's semantic
+// transaction.
+type semSet struct{ set otbSet }
 
-type integDriver struct {
-	alg integrate.Algorithm
-	set otbSet
-}
+func (s semSet) Add(ic *integrate.Ctx, k int64) bool      { return s.set.Add(ic.Sem(), k) }
+func (s semSet) Remove(ic *integrate.Ctx, k int64) bool   { return s.set.Remove(ic.Sem(), k) }
+func (s semSet) Contains(ic *integrate.Ctx, k int64) bool { return s.set.Contains(ic.Sem(), k) }
 
 // NewIntegratedDriver runs set operations inside an OTB-NOrec / OTB-TL2
-// context.
+// context (Chapter 4).
 func NewIntegratedDriver(alg integrate.Algorithm, set otbSet) SetDriver {
-	return &integDriver{alg: alg, set: set}
-}
-
-func (d *integDriver) Name() string      { return d.alg.Name() }
-func (d *integDriver) Stop()             { d.alg.Stop() }
-func (d *integDriver) RunTx(ops []SetOp) { d.RunTxCtx(nil, ops) }
-
-// integRun is a pooled transaction body (see boostedRun).
-type integRun struct {
-	d   *integDriver
-	ops []SetOp
-	fn  func(*integrate.Ctx)
-}
-
-var integRunPool = sync.Pool{New: func() any {
-	r := &integRun{}
-	r.fn = func(ic *integrate.Ctx) {
-		for _, op := range r.ops {
-			switch op.Kind {
-			case OpAdd:
-				r.d.set.Add(ic.Sem(), op.Key)
-			case OpRemove:
-				r.d.set.Remove(ic.Sem(), op.Key)
-			default:
-				r.d.set.Contains(ic.Sem(), op.Key)
-			}
-		}
-	}
-	return r
-}}
-
-func (d *integDriver) RunTxCtx(ctx context.Context, ops []SetOp) error {
-	r := integRunPool.Get().(*integRun)
-	r.d, r.ops = d, ops
-	err := d.alg.AtomicCtx(ctx, r.fn)
-	r.d, r.ops = nil, nil
-	integRunPool.Put(r)
-	return err
+	return newTxDriver[*integrate.Ctx](alg.Name(), semSet{set}, alg.AtomicCtx, alg.Stop)
 }
 
 // SetWorkload generates the paper's set micro-benchmark mixes: WritePct

@@ -52,21 +52,19 @@ func Fig56(cfg Config) Figure {
 		size int
 	}{{"large tree (64K)", 64 * 1024}, {"small tree (64)", 64}} {
 		sp := SubPlot{Name: sub.name, YLabel: "events/tx"}
-		mk := []func() SetDriver{
-			func() SetDriver { return NewSTMDriver("NOrec", norec.New(), RBAsSet(stmds.NewRBTree(1<<21))) },
-			func() SetDriver {
-				return NewSTMDriver("RTC", rtc.New(rtc.Options{Secondaries: 1}), RBAsSet(stmds.NewRBTree(1<<21)))
-			},
+		mk := []func() (string, stm.Algorithm){
+			func() (string, stm.Algorithm) { return "NOrec", norec.New() },
+			func() (string, stm.Algorithm) { return "RTC", rtc.New(rtc.Options{Secondaries: 1}) },
 		}
 		wl := SetWorkload{InitialSize: sub.size, KeyRange: int64(sub.size) * 8, WritePct: 50, OpsPerTx: 1}
-		for _, mkD := range mk {
+		for _, mkAlg := range mk {
 			var s Series
 			for _, th := range cfg.Threads {
-				d := mkD()
-				s.Name = d.Name()
-				sd := d.(*stmDriver)
+				name, alg := mkAlg()
+				d := NewSTMDriver(name, alg, RBAsSet(stmds.NewRBTree(1<<21)))
+				s.Name = name
 				wl.Populate(d)
-				sd.alg.Counters().Reset()
+				alg.Counters().Reset()
 				tput := func() float64 {
 					gens := make([]func(*rand.Rand) []SetOp, th)
 					for i := range gens {
@@ -76,7 +74,7 @@ func Fig56(cfg Config) Figure {
 						d.RunTx(gens[id](rng))
 					})
 				}()
-				casf, spins := sd.alg.Counters().Snapshot()
+				casf, spins := alg.Counters().Snapshot()
 				txs := tput * cfg.Measure.Seconds()
 				y := 0.0
 				if txs > 0 {

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"repro/internal/boosting"
 	"repro/internal/otb"
 )
@@ -27,63 +29,41 @@ type PQDriver interface {
 	Stop()
 }
 
-// --- Pessimistic boosting ---
+// pqDriver is the one PQDriver: a queue's two operations over transaction
+// handle T, and how the hosting runtime runs a body as one transaction.
+type pqDriver[T any] struct {
+	name      string
+	atomic    func(ctx context.Context, body func(T)) error
+	add       func(T, int64)
+	removeMin func(T) (int64, bool)
+}
 
-type boostedPQDriver struct{ q *boosting.PQ }
+func (d *pqDriver[T]) Name() string { return d.name }
+func (d *pqDriver[T]) Stop()        {}
+func (d *pqDriver[T]) RunTx(ops []PQOp) {
+	d.atomic(nil, func(tx T) {
+		for _, op := range ops {
+			if op.Kind == PQAdd {
+				d.add(tx, op.Key)
+			} else {
+				d.removeMin(tx)
+			}
+		}
+	})
+}
 
 // NewBoostedPQDriver wraps a pessimistically boosted queue.
-func NewBoostedPQDriver(q *boosting.PQ) PQDriver { return &boostedPQDriver{q: q} }
-
-func (d *boostedPQDriver) Name() string { return "PessimisticBoosted" }
-func (d *boostedPQDriver) Stop()        {}
-func (d *boostedPQDriver) RunTx(ops []PQOp) {
-	boosting.Atomic(nil, nil, func(tx *boosting.Tx) {
-		for _, op := range ops {
-			if op.Kind == PQAdd {
-				d.q.Add(tx, op.Key)
-			} else {
-				d.q.RemoveMin(tx)
-			}
-		}
-	})
+func NewBoostedPQDriver(q *boosting.PQ) PQDriver {
+	return &pqDriver[*boosting.Tx]{"PessimisticBoosted", boostedAtomic, q.Add, q.RemoveMin}
 }
-
-// --- OTB ---
-
-type otbHeapPQDriver struct{ q *otb.HeapPQ }
 
 // NewOTBHeapPQDriver wraps the semi-optimistic heap queue.
-func NewOTBHeapPQDriver(q *otb.HeapPQ) PQDriver { return &otbHeapPQDriver{q: q} }
-
-func (d *otbHeapPQDriver) Name() string { return "OptimisticBoosted" }
-func (d *otbHeapPQDriver) Stop()        {}
-func (d *otbHeapPQDriver) RunTx(ops []PQOp) {
-	otb.Atomic(nil, func(tx *otb.Tx) {
-		for _, op := range ops {
-			if op.Kind == PQAdd {
-				d.q.Add(tx, op.Key)
-			} else {
-				d.q.RemoveMin(tx)
-			}
-		}
-	})
+func NewOTBHeapPQDriver(q *otb.HeapPQ) PQDriver {
+	return &pqDriver[*otb.Tx]{"OptimisticBoosted", otbAtomic, q.Add, q.RemoveMin}
 }
 
-type otbSkipPQDriver struct{ q *otb.SkipPQ }
-
 // NewOTBSkipPQDriver wraps the fully optimistic skip-list queue.
-func NewOTBSkipPQDriver(q *otb.SkipPQ) PQDriver { return &otbSkipPQDriver{q: q} }
-
-func (d *otbSkipPQDriver) Name() string { return "OptimisticBoosted" }
-func (d *otbSkipPQDriver) Stop()        {}
-func (d *otbSkipPQDriver) RunTx(ops []PQOp) {
-	otb.Atomic(nil, func(tx *otb.Tx) {
-		for _, op := range ops {
-			if op.Kind == PQAdd {
-				d.q.Add(tx, op.Key)
-			} else {
-				d.q.RemoveMin(tx)
-			}
-		}
-	})
+func NewOTBSkipPQDriver(q *otb.SkipPQ) PQDriver {
+	return &pqDriver[*otb.Tx]{"OptimisticBoosted", otbAtomic,
+		func(tx *otb.Tx, key int64) { q.Add(tx, key) }, q.RemoveMin}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/cm"
 	"repro/internal/htm"
 	"repro/internal/integrate"
-	"repro/internal/mvotb"
 	"repro/internal/otb"
 	"repro/internal/rinval"
 	"repro/internal/rtc"
@@ -72,9 +71,11 @@ func integrateRuntime[A interface {
 	}}
 }
 
-// lifecycleRuntimes lists all fourteen. The two package-level runtimes (otb,
+// lifecycleRuntimes lists all thirteen. The two package-level runtimes (otb,
 // boosting) have no instance to ask; their outcome counters are the
-// abort.Stats the caller passes in.
+// abort.Stats the caller passes in. There is no MVOTB row: its updaters are
+// OTB transactions (the runtime is an otb.Datastructure, not a lifecycle of
+// its own), and its snapshot readers execute once, outside the retry runner.
 var lifecycleRuntimes = []lifecycleRuntime{
 	{name: "OTB", mk: func() (func(func()), func() (uint64, uint64), func()) {
 		st := new(abort.Stats)
@@ -85,11 +86,6 @@ var lifecycleRuntimes = []lifecycleRuntime{
 		st := new(abort.Stats)
 		return func(body func()) { boosting.Atomic(st, nil, func(*boosting.Tx) { body() }) },
 			func() (uint64, uint64) { return st.Commits, st.Aborts }, func() {}
-	}},
-	{name: "MVOTB", mk: func() (func(func()), func() (uint64, uint64), func()) {
-		rt := mvotb.New(mvotb.Options{})
-		return func(body func()) { rt.Atomic(func(*mvotb.Tx) { body() }) },
-			func() (uint64, uint64) { return rt.Commits(), rt.Aborts() }, rt.Stop
 	}},
 	integrateRuntime("OTB-NOrec", integrate.NewOTBNOrec),
 	integrateRuntime("OTB-TL2", integrate.NewOTBTL2),

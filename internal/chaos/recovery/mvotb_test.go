@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/mvotb"
+	"repro/internal/otb"
 )
 
 // mvotbSet builds a multi-version runtime with an aggressive background
@@ -21,7 +22,7 @@ func mvotbSet(t *testing.T) (func(int64), func(int64), func()) {
 	set := rt.NewSet(16)
 	run := func(k int64) {
 		rt.ReadOnly(func(x *mvotb.STx) { set.SnapContains(x, k%16) })
-		rt.Atomic(func(tx *mvotb.Tx) {
+		otb.Atomic(nil, func(tx *otb.Tx) {
 			set.Contains(tx, (k+1)%16)
 			if k%2 == 0 {
 				set.Add(tx, k%16)

@@ -65,7 +65,8 @@ func Sets() []SetEntry {
 		}},
 		{"mvotb/set", func() (lincheck.Set, func()) {
 			rt := mvotb.New(mvotb.Options{})
-			return mvotbSet{rt, rt.NewSet(16)}, rt.Stop
+			s := rt.NewSet(16)
+			return mvotbSet{otbSet{s}, rt, s}, rt.Stop
 		}},
 		{"stmds/list", func() (lincheck.Set, func()) {
 			alg := norec.New()
@@ -92,7 +93,8 @@ func Maps() []MapEntry {
 		{"otb/map", func() (lincheck.Map, func()) { return otbMap{otb.NewMap()}, noStop }},
 		{"mvotb/map", func() (lincheck.Map, func()) {
 			rt := mvotb.New(mvotb.Options{})
-			return mvotbMap{rt, rt.NewMap(16)}, rt.Stop
+			m := rt.NewMap(16)
+			return mvotbMap{otbMap{m}, rt, m}, rt.Stop
 		}},
 		{"stmds/hashmap", func() (lincheck.Map, func()) {
 			alg := norec.New()
@@ -117,8 +119,8 @@ func PQs() []PQEntry {
 	}
 }
 
-// otbSetOps is the transactional set surface shared by ListSet, SkipSet and
-// HashSet.
+// otbSetOps is the transactional set surface shared by ListSet, SkipSet,
+// HashSet and the multi-version Set.
 type otbSetOps interface {
 	Add(*otb.Tx, int64) bool
 	Remove(*otb.Tx, int64) bool
@@ -143,8 +145,16 @@ func (a otbSet) Contains(k int64) (ok bool) {
 	return
 }
 
+// otbMapOps is the transactional map surface shared by otb.Map and the
+// multi-version Map.
+type otbMapOps interface {
+	Put(*otb.Tx, int64, uint64) bool
+	Get(*otb.Tx, int64) (uint64, bool)
+	Delete(*otb.Tx, int64) bool
+}
+
 // otbMap runs each operation in its own OTB transaction.
-type otbMap struct{ m *otb.Map }
+type otbMap struct{ m otbMapOps }
 
 func (a otbMap) Put(k int64, v uint64) (ok bool) {
 	otb.Atomic(nil, func(tx *otb.Tx) { ok = a.m.Put(tx, k, v) })
@@ -193,22 +203,14 @@ func (a otbSkipPQ) RemoveMin() (k int64, ok bool) {
 	return
 }
 
-// mvotbSet runs updates in standalone MVOTB transactions and membership
-// queries through the never-abort snapshot path (a single-key read-only
-// transaction linearizes at its snapshot point).
+// mvotbSet is an OTB set — the multi-version structures update inside
+// ordinary OTB transactions — whose membership queries go through the
+// never-abort snapshot path (a single-key read-only transaction linearizes
+// at its snapshot point).
 type mvotbSet struct {
+	otbSet
 	rt *mvotb.Runtime
 	s  *mvotb.Set
-}
-
-func (a mvotbSet) Add(k int64) (ok bool) {
-	a.rt.Atomic(func(tx *mvotb.Tx) { ok = a.s.Add(tx, k) })
-	return
-}
-
-func (a mvotbSet) Remove(k int64) (ok bool) {
-	a.rt.Atomic(func(tx *mvotb.Tx) { ok = a.s.Remove(tx, k) })
-	return
 }
 
 func (a mvotbSet) Contains(k int64) (ok bool) {
@@ -218,22 +220,13 @@ func (a mvotbSet) Contains(k int64) (ok bool) {
 
 // mvotbMap is mvotbSet for the map.
 type mvotbMap struct {
+	otbMap
 	rt *mvotb.Runtime
 	m  *mvotb.Map
 }
 
-func (a mvotbMap) Put(k int64, v uint64) (ok bool) {
-	a.rt.Atomic(func(tx *mvotb.Tx) { ok = a.m.Put(tx, k, v) })
-	return
-}
-
 func (a mvotbMap) Get(k int64) (v uint64, ok bool) {
 	a.rt.ReadOnly(func(x *mvotb.STx) { v, ok = a.m.SnapGet(x, k) })
-	return
-}
-
-func (a mvotbMap) Delete(k int64) (ok bool) {
-	a.rt.Atomic(func(tx *mvotb.Tx) { ok = a.m.Delete(tx, k) })
 	return
 }
 

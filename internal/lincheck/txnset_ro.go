@@ -28,8 +28,12 @@ func RunTxnSetRO(cfg STMConfig, atomic func(thread int, body func(Set)), atomicR
 			j := chaos.NewJitter(cfg.Seed^int64(th), cfg.JitterPermille)
 			readOnly := th%2 == 1
 			for i := 0; i < cfg.Txns; i++ {
+				opened := false // attempt already begun by the driver, below
 				body := func(view Set) {
-					rec.BeginAttempt(th)
+					if !opened {
+						rec.BeginAttempt(th)
+					}
+					opened = false
 					rs := RecordedTxnSet{S: view, R: rec, Thread: th}
 					for o := 0; o < cfg.OpsPerTx; o++ {
 						key := rng.intn(int64(cfg.Cells))
@@ -47,6 +51,13 @@ func RunTxnSetRO(cfg STMConfig, atomic func(thread int, body func(Set)), atomicR
 					}
 				}
 				if readOnly {
+					// A snapshot transaction takes effect at the pin its runtime
+					// performs before it calls body. Its first attempt must begin
+					// before that: stamped inside body, an updater committing
+					// between pin and body would precede, in real time, a reader
+					// that rightly cannot see it.
+					rec.BeginAttempt(th)
+					opened = true
 					atomicRO(th, body)
 				} else {
 					atomic(th, body)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mvotb"
+	"repro/internal/otb"
 	"repro/internal/race"
 )
 
@@ -37,7 +38,7 @@ func newAllocRuntime(t testing.TB) (*mvotb.Runtime, *mvotb.Set) {
 	t.Cleanup(rt.Stop)
 	s := rt.NewSet(64)
 	for k := int64(1); k <= 64; k++ {
-		rt.Atomic(func(tx *mvotb.Tx) { s.Add(tx, k) })
+		otb.Atomic(nil, func(tx *otb.Tx) { s.Add(tx, k) })
 	}
 	return rt, s
 }
@@ -59,7 +60,7 @@ func TestWriteTxAllocFree(t *testing.T) {
 	rt, s := newAllocRuntime(t)
 	adding := false
 	key := int64(32)
-	body := func(tx *mvotb.Tx) {
+	body := func(tx *otb.Tx) {
 		if adding {
 			s.Add(tx, key)
 		} else {
@@ -67,7 +68,7 @@ func TestWriteTxAllocFree(t *testing.T) {
 		}
 	}
 	runAllocTx(t, "mvotb write tx", func() {
-		rt.Atomic(body)
+		otb.Atomic(nil, body)
 		adding = !adding
 		rt.GC()
 	})
@@ -92,7 +93,7 @@ func BenchmarkWriteTx(b *testing.B) {
 	rt, s := newAllocRuntime(b)
 	adding := false
 	key := int64(32)
-	body := func(tx *mvotb.Tx) {
+	body := func(tx *otb.Tx) {
 		if adding {
 			s.Add(tx, key)
 		} else {
@@ -102,7 +103,7 @@ func BenchmarkWriteTx(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Atomic(body)
+		otb.Atomic(nil, body)
 		adding = !adding
 		rt.GC()
 	}

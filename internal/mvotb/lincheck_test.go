@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/lincheck"
 	"repro/internal/mvotb"
+	"repro/internal/otb"
 	"repro/internal/telemetry"
 )
 
@@ -22,12 +23,12 @@ type atomicSet struct {
 }
 
 func (a atomicSet) Add(k int64) (ok bool) {
-	a.rt.Atomic(func(tx *mvotb.Tx) { ok = a.s.Add(tx, k) })
+	otb.Atomic(nil, func(tx *otb.Tx) { ok = a.s.Add(tx, k) })
 	return
 }
 
 func (a atomicSet) Remove(k int64) (ok bool) {
-	a.rt.Atomic(func(tx *mvotb.Tx) { ok = a.s.Remove(tx, k) })
+	otb.Atomic(nil, func(tx *otb.Tx) { ok = a.s.Remove(tx, k) })
 	return
 }
 
@@ -47,7 +48,7 @@ type atomicMap struct {
 }
 
 func (a atomicMap) Put(k int64, v uint64) (ok bool) {
-	a.rt.Atomic(func(tx *mvotb.Tx) { ok = a.m.Put(tx, k, v) })
+	otb.Atomic(nil, func(tx *otb.Tx) { ok = a.m.Put(tx, k, v) })
 	return
 }
 
@@ -57,7 +58,7 @@ func (a atomicMap) Get(k int64) (v uint64, ok bool) {
 }
 
 func (a atomicMap) Delete(k int64) (ok bool) {
-	a.rt.Atomic(func(tx *mvotb.Tx) { ok = a.m.Delete(tx, k) })
+	otb.Atomic(nil, func(tx *otb.Tx) { ok = a.m.Delete(tx, k) })
 	return
 }
 
@@ -87,7 +88,7 @@ func TestLincheckMVOTBMap(t *testing.T) {
 
 // txView is one attempt's transactional view of an MVOTB set.
 type txView struct {
-	tx *mvotb.Tx
+	tx *otb.Tx
 	s  *mvotb.Set
 }
 
@@ -118,7 +119,7 @@ func TestOpacityMVOTBSetTxns(t *testing.T) {
 		cfg = cfg.Scaled(2)
 	}
 	lincheck.StressTxnSet(t, cfg, func(th int, body func(lincheck.Set)) {
-		rt.Atomic(func(tx *mvotb.Tx) { body(txView{tx, s}) })
+		otb.Atomic(nil, func(tx *otb.Tx) { body(txView{tx, s}) })
 	})
 }
 
@@ -139,7 +140,7 @@ func TestOpacityMVOTBReadMostly(t *testing.T) {
 	before := telemetry.M("MVOTB-RO").Snapshot()
 	lincheck.StressTxnSetRO(t, cfg,
 		func(th int, body func(lincheck.Set)) {
-			rt.Atomic(func(tx *mvotb.Tx) { body(txView{tx, s}) })
+			otb.Atomic(nil, func(tx *otb.Tx) { body(txView{tx, s}) })
 		},
 		func(th int, body func(lincheck.Set)) {
 			rt.ReadOnly(func(x *mvotb.STx) { body(roView{x, s}) })

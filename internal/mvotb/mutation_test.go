@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/lincheck"
+	"repro/internal/otb"
 )
 
 // runSnapshotSchedule drives one fixed interleaving that only a correct
@@ -25,7 +26,7 @@ func runSnapshotSchedule(t *testing.T) lincheck.Result {
 	rec := lincheck.NewTxnRecorder(2)
 	// Setup (thread 0): A present before anything else.
 	rec.BeginAttempt(0)
-	rt.Atomic(func(tx *Tx) {
+	otb.Atomic(nil, func(tx *otb.Tx) {
 		ok := s.Add(tx, keyA)
 		rec.Op(0, lincheck.Op{Kind: lincheck.Add, Key: keyA, Ok: ok})
 	})
@@ -37,7 +38,7 @@ func runSnapshotSchedule(t *testing.T) lincheck.Result {
 		rec.Op(1, lincheck.Op{Kind: lincheck.Contains, Key: keyA, Ok: s.SnapContains(x, keyA)})
 
 		rec.BeginAttempt(0)
-		rt.Atomic(func(tx *Tx) {
+		otb.Atomic(nil, func(tx *otb.Tx) {
 			rec.Op(0, lincheck.Op{Kind: lincheck.Remove, Key: keyA, Ok: s.Remove(tx, keyA)})
 			rec.Op(0, lincheck.Op{Kind: lincheck.Add, Key: keyB, Ok: s.Add(tx, keyB)})
 		})

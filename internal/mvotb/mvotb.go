@@ -5,30 +5,35 @@
 // Based Transactional Systems", arXiv 1905.01200, over the PPoPP'14 OTB
 // base).
 //
-// Updaters run the normal OTB optimistic path — unmonitored traversal,
-// semantic read/write sets, post-validation after every operation, a
-// two-phase-locked commit — and install new versions atomically under
+// Updaters are ordinary OTB transactions: a Runtime is an OTB data structure
+// (otb.Datastructure, the paper's Chapter 4 interface) that a Set or Map
+// operation attaches to the caller's *otb.Tx, so otb.Atomic — or an
+// integration context — drives it through the normal optimistic path
+// (unmonitored traversal, semantic read/write sets, post-validation after
+// every operation, a two-phase-locked commit), alone or together with any
+// other OTB structure. Its OnCommit installs new versions atomically under
 // per-bucket versioned locks, stamped by a global spin.ShardedClock.
 // Readers resolve every key against their snapshot: the newest version with
 // createTS <= snapshot. A background sweeper reclaims versions older than
-// the minimum active snapshot through an epoch domain and publishes the
-// live chain length as a telemetry gauge ("mvotb.chain.max").
+// the minimum active snapshot through the shared epoch domain and publishes
+// the live chain length as a telemetry gauge ("mvotb.chain.max").
 //
 //	rt := mvotb.New(mvotb.Options{})
 //	defer rt.Stop()
 //	set := rt.NewSet(1024)
-//	rt.Atomic(func(tx *mvotb.Tx) { set.Add(tx, 1) })
+//	otb.Atomic(nil, func(tx *otb.Tx) { set.Add(tx, 1) })
 //	rt.ReadOnly(func(x *mvotb.STx) { _ = set.SnapContains(x, 1) })
 //
 // Snapshot rule (what makes readers abort-free): a writer ticks the clock
 // to its commit timestamp T only while holding every bucket lock it will
-// touch, and unlocks only after all its versions are installed. A reader
-// that observed snapshot S before the tick has S < T and correctly skips
-// the new versions; a reader whose S >= T can only have pinned S after the
-// tick, hence after the locks were taken — so when it finds the bucket
-// unlocked the versions are already installed, and when it finds the bucket
-// locked it waits for the (short) install to finish. Either way the chain
-// walk returns exactly the committed state at S.
+// touch (the tick is in OnCommit, which otb.Tx.Commit runs only after every
+// attached structure's PreCommit), and unlocks only after all its versions
+// are installed (PostCommit). A reader that observed snapshot S before the
+// tick has S < T and correctly skips the new versions; a reader whose S >= T
+// can only have pinned S after the tick, hence after the locks were taken —
+// so when it finds the bucket unlocked the versions are already installed,
+// and when it finds the bucket locked it waits for the (short) install to
+// finish. Either way the chain walk returns exactly the committed state at S.
 package mvotb
 
 import (
@@ -37,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/abort"
 	"repro/internal/chaos/failpoint"
 	"repro/internal/cm"
 	"repro/internal/mem/epoch"
@@ -48,10 +52,10 @@ import (
 // Failpoints on the version-install and GC paths; disarmed they are one
 // atomic load each.
 var (
-	// fpInstall fires inside commit after every bucket lock is held and the
-	// read set validated, but before the clock tick and version install —
-	// the most dangerous window; recovery must release the locks with their
-	// versions unchanged (nothing was published).
+	// fpInstall fires at the end of the runtime's PreCommit, with every one of
+	// its bucket locks held — the last point where no attached structure has
+	// published anything (OnCommit cannot fail, so nothing may fire inside
+	// it); recovery must release the locks with their versions unchanged.
 	fpInstall = failpoint.New("mvotb.commit.install")
 	// fpGCSweep fires at the top of a GC cycle, before the sweeper takes
 	// any bucket lock. The GC goroutine recovers injected panics and keeps
@@ -79,19 +83,17 @@ type snapSlot struct {
 	_  [spin.CacheLineSize - 8]byte
 }
 
-// Runtime owns the version clock, the snapshot registry, the epoch domain
-// the structures retire into, and the background sweeper. Structures from
-// different runtimes must not meet in one transaction (they would carry
-// unrelated timestamps).
+// Runtime owns the version clock, the snapshot registry and the background
+// sweeper, and is the otb.Datastructure its sets and maps attach to a
+// transaction — one attachment for all of them, so a transaction spanning
+// several tables commits at one timestamp. (Tables of different runtimes may
+// meet in one transaction; each runtime then draws its own.)
 type Runtime struct {
 	clock spin.ShardedClock
-	mem   *epoch.Manager
-	// Updaters record under the embedded "MVOTB" core (whose SetManager
-	// governs them; read-only transactions never contend, so no manager
-	// applies), snapshot readers under ro, "MVOTB-RO" — split so a
-	// read-mostly run can prove the snapshot path aborts zero times (its
-	// abort column is structurally zero: no validation and no locks).
-	*cm.Core
+	// Updaters are OTB transactions and record under OTB's meter; snapshot
+	// readers record under ro, "MVOTB-RO", so a read-mostly run can prove the
+	// snapshot path aborts zero times (its abort column is structurally
+	// zero: no validation and no locks).
 	ro *cm.Core
 
 	// snapMu guards slot registration and the sweeper's scan; the snapshot
@@ -107,8 +109,7 @@ type Runtime struct {
 	done    chan struct{}
 	stopped sync.Once
 
-	updPool sync.Pool // *updRunner
-	roPool  sync.Pool // *STx
+	roPool sync.Pool // *STx
 
 	chainGauge *telemetry.Gauge
 }
@@ -117,9 +118,7 @@ type Runtime struct {
 // done (tests leak-check the GC goroutine).
 func New(opts Options) *Runtime {
 	rt := &Runtime{
-		Core:       cm.NewCore("MVOTB"),
 		ro:         cm.NewCore("MVOTB-RO"),
-		mem:        epoch.NewManager(),
 		gcEvery:    opts.GCInterval,
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -127,11 +126,6 @@ func New(opts Options) *Runtime {
 	}
 	if rt.gcEvery <= 0 {
 		rt.gcEvery = DefaultGCInterval
-	}
-	rt.updPool.New = func() any {
-		r := &updRunner{h: rt.NewHandle(), tx: &Tx{rt: rt}}
-		r.tx.tr, r.tx.hint = r.h.Trace(), r.h.Hint()
-		return r
 	}
 	rt.roPool.New = func() any {
 		x := &STx{rt: rt, slot: &snapSlot{}, h: rt.ro.NewHandle()}
@@ -148,14 +142,6 @@ func New(opts Options) *Runtime {
 func (rt *Runtime) Stop() {
 	rt.stopped.Do(func() { close(rt.quit) })
 	<-rt.done
-}
-
-// tableList snapshots the registered tables.
-func (rt *Runtime) tableList() []*table {
-	rt.tableMu.Lock()
-	out := rt.tables
-	rt.tableMu.Unlock()
-	return out
 }
 
 // --- read-only (snapshot) transactions ---
@@ -218,7 +204,7 @@ func (rt *Runtime) ReadOnlyCtx(ctx context.Context, fn func(*STx)) error {
 	}
 	x := rt.roPool.Get().(*STx)
 	sp := x.h.Start()
-	x.eg = rt.mem.Enter()
+	x.eg = epoch.Default.Enter()
 	x.pinSnapshot()
 	defer func() {
 		x.slot.ts.Store(0)
@@ -230,53 +216,6 @@ func (rt *Runtime) ReadOnlyCtx(ctx context.Context, fn func(*STx)) error {
 	fn(x)
 	x.h.Commit(sp)
 	return nil
-}
-
-// --- updater transactions ---
-
-// updRunner is the pooled descriptor of one updater transaction; it
-// implements cm.Tx.
-type updRunner struct {
-	h  cm.Handle
-	tx *Tx
-	fn func(*Tx)
-}
-
-func (r *updRunner) Begin() {
-	r.tx.reset()
-	r.tx.eg = r.tx.rt.mem.Enter()
-}
-
-func (r *updRunner) Run() { r.fn(r.tx) }
-
-func (r *updRunner) Commit() {
-	r.tx.commit()
-	r.tx.unpin()
-}
-
-func (r *updRunner) Rollback(abort.Reason) {
-	r.tx.rollback()
-	r.tx.unpin()
-}
-
-// Atomic runs fn as an updater transaction, retrying on abort until commit.
-func (rt *Runtime) Atomic(fn func(*Tx)) {
-	_ = rt.AtomicCtx(nil, fn)
-}
-
-// AtomicCtx is Atomic observing ctx: cancellation or deadline expiry is
-// checked at every retry-loop top and inside contention-management waits; an
-// abandoned transaction is recorded as abort.Canceled and the context's
-// error is returned (nil after a successful commit).
-func (rt *Runtime) AtomicCtx(ctx context.Context, fn func(*Tx)) error {
-	r := rt.updPool.Get().(*updRunner)
-	r.fn = fn
-	defer func() {
-		r.tx.reset()
-		r.fn = nil
-		rt.updPool.Put(r)
-	}()
-	return r.h.Run(ctx, nil, r)
 }
 
 // --- background version GC ---
@@ -334,18 +273,28 @@ func (rt *Runtime) GC() { rt.gcOnce() }
 
 func (rt *Runtime) gcOnce() {
 	fpGCSweep.Hit()
-	minSnap := rt.minActiveSnap()
-	g := rt.mem.Enter()
+	rt.chainGauge.Set(int64(rt.scan(rt.minActiveSnap(), true)))
+}
+
+// MaxChainLen reports the longest live version chain across the runtime's
+// structures (tests and reporting).
+func (rt *Runtime) MaxChainLen() int { return rt.scan(0, false) }
+
+// scan walks every bucket of every table under an epoch pin and returns the
+// longest version chain; with sweep set it also reclaims what is garbage
+// relative to minSnap.
+func (rt *Runtime) scan(minSnap uint64, sweep bool) (maxChain int) {
+	g := epoch.Default.Enter()
 	defer g.Exit()
-	maxChain := 0
-	for _, t := range rt.tableList() {
+	rt.tableMu.Lock()
+	tables := rt.tables
+	rt.tableMu.Unlock()
+	for _, t := range tables {
 		for i := range t.buckets {
 			b := &t.buckets[i]
 			longest, dirty := scanBucket(b, minSnap)
-			if longest > maxChain {
-				maxChain = longest
-			}
-			if !dirty {
+			maxChain = max(maxChain, longest)
+			if !sweep || !dirty {
 				continue
 			}
 			if _, ok := b.lock.TryLock(); !ok {
@@ -359,21 +308,5 @@ func (rt *Runtime) gcOnce() {
 			b.lock.UnlockUnchanged()
 		}
 	}
-	rt.chainGauge.Set(int64(maxChain))
-}
-
-// MaxChainLen reports the longest live version chain across the runtime's
-// structures (epoch-pinned scan; tests and reporting).
-func (rt *Runtime) MaxChainLen() int {
-	g := rt.mem.Enter()
-	defer g.Exit()
-	longest := 0
-	for _, t := range rt.tableList() {
-		for i := range t.buckets {
-			if l, _ := scanBucket(&t.buckets[i], 0); l > longest {
-				longest = l
-			}
-		}
-	}
-	return longest
+	return maxChain
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chaos/leak"
 	"repro/internal/mvotb"
+	"repro/internal/otb"
 )
 
 func newRuntime(t testing.TB) *mvotb.Runtime {
@@ -21,7 +22,7 @@ func TestSetBasics(t *testing.T) {
 	leak.CheckCleanup(t)
 	rt := newRuntime(t)
 	s := rt.NewSet(64)
-	rt.Atomic(func(tx *mvotb.Tx) {
+	otb.Atomic(nil, func(tx *otb.Tx) {
 		if !s.Add(tx, 1) {
 			t.Error("Add(1) on empty set = false")
 		}
@@ -35,7 +36,7 @@ func TestSetBasics(t *testing.T) {
 			t.Error("Contains(2) = true")
 		}
 	})
-	rt.Atomic(func(tx *mvotb.Tx) {
+	otb.Atomic(nil, func(tx *otb.Tx) {
 		if !s.Contains(tx, 1) {
 			t.Error("Contains(1) in later tx = false")
 		}
@@ -63,7 +64,7 @@ func TestMapBasics(t *testing.T) {
 	leak.CheckCleanup(t)
 	rt := newRuntime(t)
 	m := rt.NewMap(64)
-	rt.Atomic(func(tx *mvotb.Tx) {
+	otb.Atomic(nil, func(tx *otb.Tx) {
 		if !m.Put(tx, 7, 70) {
 			t.Error("Put(7) on empty map: inserted = false")
 		}
@@ -74,7 +75,7 @@ func TestMapBasics(t *testing.T) {
 			t.Errorf("Get(7) = %d,%v want 71,true", v, ok)
 		}
 	})
-	rt.Atomic(func(tx *mvotb.Tx) {
+	otb.Atomic(nil, func(tx *otb.Tx) {
 		if v, ok := m.Get(tx, 7); !ok || v != 71 {
 			t.Errorf("Get(7) in later tx = %d,%v want 71,true", v, ok)
 		}
@@ -103,7 +104,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	rt := newRuntime(t)
 	s := rt.NewSet(64)
 	m := rt.NewMap(64)
-	rt.Atomic(func(tx *mvotb.Tx) {
+	otb.Atomic(nil, func(tx *otb.Tx) {
 		s.Add(tx, 1)
 		m.Put(tx, 1, 100)
 	})
@@ -127,7 +128,7 @@ func TestSnapshotIsolation(t *testing.T) {
 		})
 	}()
 	<-pinned
-	rt.Atomic(func(tx *mvotb.Tx) {
+	otb.Atomic(nil, func(tx *otb.Tx) {
 		s.Remove(tx, 1)
 		s.Add(tx, 2)
 		m.Put(tx, 1, 200)
@@ -155,7 +156,7 @@ func TestSnapshotAtomicity(t *testing.T) {
 	rt := newRuntime(t)
 	// One bucket-collision-prone small table raises contention on purpose.
 	s := rt.NewSet(8)
-	rt.Atomic(func(tx *mvotb.Tx) { s.Add(tx, 0) })
+	otb.Atomic(nil, func(tx *otb.Tx) { s.Add(tx, 0) })
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -169,7 +170,7 @@ func TestSnapshotAtomicity(t *testing.T) {
 			default:
 			}
 			next := (at + 1) % 3
-			rt.Atomic(func(tx *mvotb.Tx) {
+			otb.Atomic(nil, func(tx *otb.Tx) {
 				s.Remove(tx, at)
 				s.Add(tx, next)
 			})
@@ -226,7 +227,7 @@ func TestGCBoundsChains(t *testing.T) {
 	defer rt.Stop()
 	s := rt.NewSet(8)
 
-	rt.Atomic(func(tx *mvotb.Tx) { s.Add(tx, 99) })
+	otb.Atomic(nil, func(tx *otb.Tx) { s.Add(tx, 99) })
 	pinned := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
@@ -252,15 +253,15 @@ func TestGCBoundsChains(t *testing.T) {
 
 	const churns = 40
 	for i := 0; i < churns; i++ {
-		rt.Atomic(func(tx *mvotb.Tx) {
+		otb.Atomic(nil, func(tx *otb.Tx) {
 			if i%2 == 0 {
 				s.Remove(tx, 42)
 			} else {
 				s.Add(tx, 42)
 			}
 		})
-		rt.Atomic(func(tx *mvotb.Tx) { s.Add(tx, 7) })
-		rt.Atomic(func(tx *mvotb.Tx) { s.Remove(tx, 7) })
+		otb.Atomic(nil, func(tx *otb.Tx) { s.Add(tx, 7) })
+		otb.Atomic(nil, func(tx *otb.Tx) { s.Remove(tx, 7) })
 	}
 	if got := rt.MaxChainLen(); got < 2 {
 		t.Fatalf("chain did not grow under pinned reader: MaxChainLen = %d", got)
@@ -317,7 +318,7 @@ func TestConcurrentChurnWithGC(t *testing.T) {
 					return
 				default:
 				}
-				rt.Atomic(func(tx *mvotb.Tx) {
+				otb.Atomic(nil, func(tx *otb.Tx) {
 					if i%2 == 0 {
 						s.Add(tx, k)
 						m.Put(tx, k, uint64(i))

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/mem/epoch"
+	"repro/internal/otb"
 	"repro/internal/spin"
 )
 
@@ -119,6 +120,20 @@ func (t *table) bucket(key int64) *bucket {
 	return &t.buckets[hashKey(key)&t.mask]
 }
 
+// walk calls fn for every key whose newest version is present, with its
+// value. Epoch-pinned like every traversal; not linearizable.
+func (t *table) walk(fn func(key int64, val uint64)) {
+	g := epoch.Default.Enter()
+	defer g.Exit()
+	for i := range t.buckets {
+		for kn := t.buckets[i].head.Load(); kn != nil; kn = kn.next.Load() {
+			if h := kn.head.Load(); h != nil && h.present {
+				fn(kn.key, h.val)
+			}
+		}
+	}
+}
+
 // mutBreakSnapshot is a test-only mutation switch: when set, snapshot reads
 // return the newest version regardless of the reader's timestamp — the bug
 // class (a reader observing a version newer than its snapshot) the opacity
@@ -145,7 +160,7 @@ func visible(head *version, snap uint64) *version {
 // walk can reach: the reader published its snapshot before loading it and
 // its epoch pin covers the traversal.
 func (t *table) snapRead(x *STx, key int64) (uint64, bool) {
-	x.h.Trace().Op(traceKey(key))
+	x.h.Trace().Op(otb.TraceKey(key))
 	b := t.bucket(key)
 	var bo spin.Backoff
 	for spin.IsLocked(b.lock.Sample()) {
@@ -163,18 +178,19 @@ func (t *table) snapRead(x *STx, key int64) (uint64, bool) {
 }
 
 // read resolves key at "now" for an updater: it observes the current head
-// version, post-validates the transaction's prior reads (opacity), and
+// version, post-validates the whole transaction (opacity — every attached
+// structure, under whatever strategy the driving context installed), and
 // records a semantic read entry so commit re-validates the observation.
-func (t *table) read(tx *Tx, key int64) (uint64, bool) {
-	tx.tr.Op(traceKey(key))
+func (t *table) read(tx *otb.Tx, st *txState, key int64) (uint64, bool) {
+	tx.Trace().Op(otb.TraceKey(key))
 	b := t.bucket(key)
 	n := b.find(key)
 	var v *version
 	if n != nil {
 		v = n.head.Load()
 	}
-	tx.postValidate()
-	tx.reads = append(tx.reads, readEntry{b: b, key: key, ver: v})
+	st.reads = append(st.reads, readEntry{b: b, key: key, ver: v})
+	tx.PostValidate()
 	if v == nil || !v.present {
 		return 0, false
 	}
@@ -250,15 +266,6 @@ func sweepBucket(b *bucket, minSnap uint64, g *epoch.Guard) {
 		pred = n
 		n = next
 	}
-}
-
-// traceKey maps a user key to a flight-recorder attribution key (positive
-// keys map to themselves; the rest are offset into the high half).
-func traceKey(key int64) uint64 {
-	if key > 0 {
-		return uint64(key)
-	}
-	return uint64(key) ^ (1 << 63)
 }
 
 // lockTraceKey attributes bucket-lock events in the global-lock namespace.

@@ -1,8 +1,11 @@
 package mvotb
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/abort"
-	"repro/internal/mem/epoch"
+	"repro/internal/otb"
 	"repro/internal/spin"
 	"repro/internal/trace"
 )
@@ -45,178 +48,195 @@ type writeEntry struct {
 	val     uint64
 }
 
-// Tx is an updater transaction: the normal OTB optimistic path (unmonitored
-// reads of current heads, post-validation after every operation, two-phase
-// locked commit) plus an atomic multi-version install at its commit
-// timestamp.
-type Tx struct {
-	rt       *Runtime
+// txState is what one otb.Tx holds for a Runtime (the value tx.Attach
+// returns): the semantic read and write sets over every table of the runtime
+// — one attachment per runtime, not per table, so a transaction over a set
+// and a map still draws a single commit timestamp — plus the lock scratch.
+type txState struct {
 	reads    []readEntry
 	writes   []writeEntry
 	toLock   []*bucket // scratch: deduplicated lock targets
 	locked   []*bucket // buckets locked by this transaction
 	lockSnap []uint64  // scratch: sampled lock versions during validation
-	eg       *epoch.Guard
-	tr       *trace.Local
-	hint     uint32 // clock shard hint
+	hint     uint32    // clock shard hint, assigned once per pooled descriptor
 }
 
-// Trace returns the transaction's flight-recorder handle (possibly nil; all
-// its methods are nil-safe).
-func (tx *Tx) Trace() *trace.Local { return tx.tr }
+var _ otb.Datastructure = (*Runtime)(nil)
 
-func (tx *Tx) reset() {
-	tx.reads = tx.reads[:0]
-	tx.writes = tx.writes[:0]
-	tx.toLock = tx.toLock[:0]
-	tx.locked = tx.locked[:0]
-	tx.lockSnap = tx.lockSnap[:0]
+func newTxState() any { return &txState{hint: spin.NextShardHint()} }
+
+// state attaches the runtime to tx (idempotent) and returns its state.
+func (rt *Runtime) state(tx *otb.Tx) *txState {
+	return tx.Attach(rt, newTxState).(*txState)
 }
 
-func (tx *Tx) unpin() {
-	if tx.eg != nil {
-		tx.eg.Exit()
-		tx.eg = nil
-	}
+// Reset recycles the state for a new transaction (otb.Tx calls it on
+// re-attach).
+func (st *txState) Reset() {
+	st.reads = st.reads[:0]
+	st.writes = st.writes[:0]
+	st.toLock = st.toLock[:0]
+	st.locked = st.locked[:0]
+	st.lockSnap = st.lockSnap[:0]
 }
 
-func (tx *Tx) findWrite(t *table, key int64) *writeEntry {
-	for i := range tx.writes {
-		if tx.writes[i].t == t && tx.writes[i].key == key {
-			return &tx.writes[i]
+func (st *txState) findWrite(t *table, key int64) *writeEntry {
+	for i := range st.writes {
+		if st.writes[i].t == t && st.writes[i].key == key {
+			return &st.writes[i]
 		}
 	}
 	return nil
 }
 
-func (tx *Tx) addWrite(t *table, key int64, present bool, val uint64) {
-	tx.writes = append(tx.writes, writeEntry{t: t, b: t.bucket(key), key: key, present: present, val: val})
-}
-
-func (tx *Tx) ownsBucket(b *bucket) bool {
-	for _, l := range tx.locked {
-		if l == b {
-			return true
-		}
-	}
-	return false
+func (st *txState) addWrite(t *table, key int64, present bool, val uint64) {
+	st.writes = append(st.writes, writeEntry{t: t, b: t.bucket(key), key: key, present: present, val: val})
 }
 
 // ownedVersion marks a lock-snapshot slot for a bucket this transaction
 // itself holds (valid by construction).
 const ownedVersion = ^uint64(0)
 
-// validate checks the whole read set in the three-phase style of OTB's
-// Algorithm 2: sample the involved bucket locks (failing on foreign
-// holders), re-check the semantic observations, then confirm the sampled
-// versions unchanged, which makes the read set validate atomically.
-func (tx *Tx) validate() bool {
-	tx.lockSnap = tx.lockSnap[:0]
-	for i := range tx.reads {
-		b := tx.reads[i].b
-		if tx.ownsBucket(b) {
-			tx.lockSnap = append(tx.lockSnap, ownedVersion)
+// ValidateWithLocks implements otb.Datastructure: the whole read set in the
+// three-phase style of OTB's Algorithm 2 — sample the involved bucket locks
+// (failing on foreign holders), re-check the semantic observations, then
+// confirm the sampled versions unchanged, which makes the read set validate
+// atomically.
+func (rt *Runtime) ValidateWithLocks(tx *otb.Tx) bool {
+	st, tr := rt.state(tx), tx.Trace()
+	st.lockSnap = st.lockSnap[:0]
+	for i := range st.reads {
+		b := st.reads[i].b
+		if slices.Contains(st.locked, b) {
+			st.lockSnap = append(st.lockSnap, ownedVersion)
 			continue
 		}
 		v := b.lock.Sample()
 		if spin.IsLocked(v) {
-			tx.tr.ValidateFail(traceKey(tx.reads[i].key))
+			tr.ValidateFail(otb.TraceKey(st.reads[i].key))
 			return false
 		}
-		tx.lockSnap = append(tx.lockSnap, v)
+		st.lockSnap = append(st.lockSnap, v)
 	}
-	for i := range tx.reads {
-		if !tx.reads[i].check() {
-			tx.tr.ValidateFail(traceKey(tx.reads[i].key))
-			return false
-		}
+	if !st.checkReads(tr) {
+		return false
 	}
-	for i := range tx.reads {
-		v := tx.lockSnap[i]
+	for i := range st.reads {
+		v := st.lockSnap[i]
 		if v == ownedVersion {
 			continue
 		}
-		if tx.reads[i].b.lock.Sample() != v {
-			tx.tr.ValidateFail(traceKey(tx.reads[i].key))
+		if st.reads[i].b.lock.Sample() != v {
+			tr.ValidateFail(otb.TraceKey(st.reads[i].key))
 			return false
 		}
 	}
 	return true
 }
 
-// postValidate runs after every operation (opacity), aborting on failure.
-func (tx *Tx) postValidate() {
-	if !tx.validate() {
-		abort.Retry(abort.Conflict)
-	}
-	tx.tr.Validated()
+// ValidateWithoutLocks implements otb.Datastructure: the semantic conditions
+// only, for contexts that exclude writers by other means (OTB-NOrec's global
+// lock).
+func (rt *Runtime) ValidateWithoutLocks(tx *otb.Tx) bool {
+	return rt.state(tx).checkReads(tx.Trace())
 }
 
-// addToLock appends b to the lock-target scratch unless present.
-func (tx *Tx) addToLock(b *bucket) {
-	for _, m := range tx.toLock {
-		if m == b {
-			return
+// checkReads re-evaluates every semantic observation.
+func (st *txState) checkReads(tr *trace.Local) bool {
+	for i := range st.reads {
+		if !st.reads[i].check() {
+			tr.ValidateFail(otb.TraceKey(st.reads[i].key))
+			return false
 		}
 	}
-	tx.toLock = append(tx.toLock, b)
+	return true
 }
 
-// sortBucketsByID insertion-sorts buckets ascending by allocation id (the
-// global lock order), allocation-free on the commit path.
-func sortBucketsByID(bs []*bucket) {
-	for i := 1; i < len(bs); i++ {
-		b := bs[i]
-		j := i - 1
-		for j >= 0 && bs[j].id > b.id {
-			bs[j+1] = bs[j]
-			j--
+// Dirty implements otb.Datastructure.
+func (rt *Runtime) Dirty(tx *otb.Tx) bool { return len(rt.state(tx).writes) > 0 }
+
+// lockWrites takes the bucket lock of every pending write in the global
+// order (ascending allocation id). A busy lock aborts the transaction unless
+// wait is set, in which case it is waited out.
+func (st *txState) lockWrites(tr *trace.Local, wait bool) {
+	st.toLock = st.toLock[:0]
+	for i := range st.writes {
+		if b := st.writes[i].b; !slices.Contains(st.toLock, b) {
+			st.toLock = append(st.toLock, b)
 		}
-		bs[j+1] = b
+	}
+	slices.SortFunc(st.toLock, func(a, b *bucket) int { return cmp.Compare(a.id, b.id) })
+	for _, b := range st.toLock {
+		var bo spin.Backoff
+		for {
+			if _, ok := b.lock.TryLock(); ok {
+				break
+			}
+			if !wait {
+				tr.LockBusy(lockTraceKey(b))
+				abort.Retry(abort.LockBusy)
+			}
+			bo.Wait()
+		}
+		tr.Lock(lockTraceKey(b))
+		st.locked = append(st.locked, b)
 	}
 }
 
-// commit is the two-phase-locked commit with a multi-version install: lock
-// the write set's buckets in global order, validate the read set under
-// them, tick the clock to the commit timestamp, install one new version per
-// write, release (bumping lock versions so concurrent validations observe
-// the commit). Read-only updater transactions skip the locks and only
-// validate, pinning their serialization point at commit.
-func (tx *Tx) commit() {
-	if len(tx.writes) == 0 {
-		if !tx.validate() {
-			abort.Retry(abort.Conflict)
-		}
-		tx.tr.Validated()
+// PreCommit implements otb.Datastructure: lock the write set's buckets (of
+// every table of the runtime) in global order. A transaction that only read
+// takes no lock and is serialized by its commit-time validation alone.
+func (rt *Runtime) PreCommit(tx *otb.Tx) {
+	st := rt.state(tx)
+	if len(st.writes) == 0 {
 		return
 	}
-	tx.toLock = tx.toLock[:0]
-	for i := range tx.writes {
-		tx.addToLock(tx.writes[i].b)
-	}
-	sortBucketsByID(tx.toLock)
-	for _, b := range tx.toLock {
-		if _, ok := b.lock.TryLock(); !ok {
-			tx.tr.LockBusy(lockTraceKey(b))
-			abort.Retry(abort.LockBusy)
-		}
-		tx.tr.Lock(lockTraceKey(b))
-		tx.locked = append(tx.locked, b)
-	}
-	if !tx.validate() {
-		abort.Retry(abort.Conflict)
-	}
-	tx.tr.Validated()
+	st.lockWrites(tx.Trace(), false)
 	fpInstall.Hit()
-	ts := tx.rt.clock.Tick(tx.hint)
-	for i := range tx.writes {
-		tx.writes[i].install(ts)
+}
+
+// OnCommit implements otb.Datastructure: tick the clock to the commit
+// timestamp and install one new version per write. otb.Tx.Commit runs it only
+// after every attached structure's PreCommit and validation, so every bucket
+// lock is held when the timestamp is drawn — the snapshot rule. A context
+// that skips PreCommit (OTB-NOrec: its global lock already excludes other
+// updaters) gets the locks here instead, because snapshot readers
+// synchronize on the bucket locks alone; only the sweeper can hold one then,
+// briefly, so the wait cannot fail.
+func (rt *Runtime) OnCommit(tx *otb.Tx) {
+	st := rt.state(tx)
+	if len(st.writes) == 0 {
+		return
 	}
-	for _, b := range tx.locked {
+	if len(st.locked) == 0 {
+		st.lockWrites(tx.Trace(), true)
+	}
+	ts := rt.clock.Tick(st.hint)
+	for i := range st.writes {
+		st.writes[i].install(ts)
+	}
+}
+
+// PostCommit implements otb.Datastructure: release the bucket locks, bumping
+// their versions so concurrent validations observe the commit.
+func (rt *Runtime) PostCommit(tx *otb.Tx) {
+	st := rt.state(tx)
+	for _, b := range st.locked {
 		b.lock.Unlock()
-		tx.tr.Unlock(lockTraceKey(b))
+		tx.Trace().Unlock(lockTraceKey(b))
 	}
-	tx.locked = tx.locked[:0]
+	st.locked = st.locked[:0]
+}
+
+// OnAbort implements otb.Datastructure: release anything held with lock
+// versions unchanged — nothing was published (install cannot fail), so
+// concurrent readers are not spuriously invalidated.
+func (rt *Runtime) OnAbort(tx *otb.Tx) {
+	st := rt.state(tx)
+	for _, b := range st.locked {
+		b.lock.UnlockUnchanged()
+	}
+	st.locked = st.locked[:0]
 }
 
 // install publishes one write as a new chain head at commit timestamp ts.
@@ -244,14 +264,4 @@ func (w *writeEntry) install(ts uint64) {
 		old.deleteTS.Store(ts)
 	}
 	n.head.Store(v)
-}
-
-// rollback releases anything held by an aborting transaction with lock
-// versions unchanged — nothing was published (install cannot fail), so
-// concurrent readers are not spuriously invalidated.
-func (tx *Tx) rollback() {
-	for _, b := range tx.locked {
-		b.lock.UnlockUnchanged()
-	}
-	tx.reset()
 }

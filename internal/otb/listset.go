@@ -1,7 +1,9 @@
 package otb
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,12 +57,12 @@ func checkKey(key int64) {
 	}
 }
 
-// traceKey maps a set key to a flight-recorder attribution key. Positive
+// TraceKey maps a user key to a flight-recorder attribution key. Positive
 // keys map to themselves so conflict tables stay readable; the rest are
 // offset into the high half. The head sentinel lands on 0, which the
 // recorder treats as "unattributed" — exactly right for a lock that guards
 // no user key.
-func traceKey(key int64) uint64 {
+func TraceKey(key int64) uint64 {
 	if key > 0 {
 		return uint64(key)
 	}
@@ -129,8 +131,8 @@ type listState struct {
 	toLock   []*lnode // scratch: deduplicated lock targets during PreCommit
 }
 
-// reset recycles the state for a new transaction.
-func (st *listState) reset() {
+// Reset recycles the state for a new transaction.
+func (st *listState) Reset() {
 	st.reads = st.reads[:0]
 	st.writes = st.writes[:0]
 	st.locked = st.locked[:0]
@@ -140,12 +142,9 @@ func (st *listState) reset() {
 
 // addToLock appends n to the PreCommit lock-target scratch unless present.
 func (st *listState) addToLock(n *lnode) {
-	for _, m := range st.toLock {
-		if m == n {
-			return
-		}
+	if !slices.Contains(st.toLock, n) {
+		st.toLock = append(st.toLock, n)
 	}
-	st.toLock = append(st.toLock, n)
 }
 
 func (s *ListSet) state(tx *Tx) *listState {
@@ -154,10 +153,8 @@ func (s *ListSet) state(tx *Tx) *listState {
 
 // peekState returns the transaction's state for s without attaching.
 func (s *ListSet) peekState(tx *Tx) *listState {
-	if st, ok := tx.state[s]; ok {
-		return st.(*listState)
-	}
-	return nil
+	st, _ := tx.peek(s).(*listState)
+	return st
 }
 
 // Add inserts key within tx, returning false if already present.
@@ -175,7 +172,7 @@ func (s *ListSet) Contains(tx *Tx, key int64) bool { return s.op(tx, key, opCont
 func (s *ListSet) op(tx *Tx, key int64, kind opKind) bool {
 	checkKey(key)
 	st := s.state(tx)
-	tx.tr.Op(traceKey(key))
+	tx.tr.Op(TraceKey(key))
 
 	// Step 1: consult the local write set so the transaction reads its own
 	// deferred writes; opposite operations on the same key eliminate.
@@ -249,14 +246,7 @@ func (st *listState) deleteWrite(i int) {
 	st.writes = st.writes[:last]
 }
 
-func (st *listState) owns(n *lnode) bool {
-	for _, l := range st.locked {
-		if l == n {
-			return true
-		}
-	}
-	return false
-}
+func (st *listState) owns(n *lnode) bool { return slices.Contains(st.locked, n) }
 
 // involved appends the nodes whose locks guard entry e (curr only for
 // presentOnly entries; pred and curr otherwise).
@@ -295,7 +285,7 @@ func (s *ListSet) ValidateWithLocks(tx *Tx) bool {
 			}
 			v := n.lock.Sample()
 			if spin.IsLocked(v) {
-				tx.tr.ValidateFail(traceKey(n.key))
+				tx.tr.ValidateFail(TraceKey(n.key))
 				return false
 			}
 			st.lockSnap = append(st.lockSnap, v)
@@ -313,7 +303,7 @@ func (s *ListSet) ValidateWithLocks(tx *Tx) bool {
 				continue
 			}
 			if n.lock.Sample() != v {
-				tx.tr.ValidateFail(traceKey(n.key))
+				tx.tr.ValidateFail(TraceKey(n.key))
 				return false
 			}
 		}
@@ -334,7 +324,7 @@ func (s *ListSet) ValidateWithoutLocks(tx *Tx) bool {
 	}
 	for i := range st.reads {
 		if !st.reads[i].check() {
-			tx.tr.ValidateFail(traceKey(st.reads[i].curr.key))
+			tx.tr.ValidateFail(TraceKey(st.reads[i].curr.key))
 			return false
 		}
 	}
@@ -356,14 +346,14 @@ func (s *ListSet) PreCommit(tx *Tx) {
 			st.addToLock(st.writes[i].curr)
 		}
 	}
-	sortNodesByID(st.toLock)
+	slices.SortFunc(st.toLock, func(a, b *lnode) int { return cmp.Compare(a.id, b.id) })
 	for _, n := range st.toLock {
 		if _, ok := n.lock.TryLock(); !ok {
 			tx.Counters().IncCAS()
-			tx.tr.LockBusy(traceKey(n.key))
+			tx.tr.LockBusy(TraceKey(n.key))
 			abort.Retry(abort.LockBusy)
 		}
-		tx.tr.Lock(traceKey(n.key))
+		tx.tr.Lock(TraceKey(n.key))
 		st.locked = append(st.locked, n)
 	}
 }
@@ -377,7 +367,7 @@ func (s *ListSet) OnCommit(tx *Tx) {
 	if st == nil || len(st.writes) == 0 {
 		return
 	}
-	sortListWritesByKeyDesc(st.writes)
+	slices.SortFunc(st.writes, func(a, b listWrite) int { return cmp.Compare(b.key, a.key) })
 	for i := range st.writes {
 		w := &st.writes[i]
 		pred := w.pred
@@ -404,35 +394,6 @@ func (s *ListSet) OnCommit(tx *Tx) {
 	}
 }
 
-// sortNodesByID insertion-sorts nodes ascending by allocation id (the
-// global lock order). Write sets are small; insertion sort avoids the
-// reflection allocations of sort.Slice on the commit path.
-func sortNodesByID(nodes []*lnode) {
-	for i := 1; i < len(nodes); i++ {
-		n := nodes[i]
-		j := i - 1
-		for j >= 0 && nodes[j].id > n.id {
-			nodes[j+1] = nodes[j]
-			j--
-		}
-		nodes[j+1] = n
-	}
-}
-
-// sortListWritesByKeyDesc insertion-sorts write entries descending by key
-// (the publication order of Algorithm 3), allocation-free.
-func sortListWritesByKeyDesc(ws []listWrite) {
-	for i := 1; i < len(ws); i++ {
-		w := ws[i]
-		j := i - 1
-		for j >= 0 && ws[j].key < w.key {
-			ws[j+1] = ws[j]
-			j--
-		}
-		ws[j+1] = w
-	}
-}
-
 // PostCommit releases all semantic locks, bumping their versions so
 // concurrent validations observe the commit.
 func (s *ListSet) PostCommit(tx *Tx) {
@@ -442,7 +403,7 @@ func (s *ListSet) PostCommit(tx *Tx) {
 	}
 	for _, n := range st.locked {
 		n.lock.Unlock()
-		tx.tr.Unlock(traceKey(n.key))
+		tx.tr.Unlock(TraceKey(n.key))
 	}
 	st.locked = st.locked[:0]
 }

@@ -85,7 +85,7 @@ func (m *Map) Delete(tx *Tx, key int64) bool {
 			// Pending update of a live node: re-locate (validated) and turn
 			// the entry into a delete with fresh, commit-validated preds.
 			if m.locate(tx, key, &preds, &succs) != w.victim {
-				tx.tr.NoteKey(traceKey(key))
+				tx.tr.NoteKey(TraceKey(key))
 				abort.Retry(abort.Conflict)
 			}
 			st.writes[i] = st.remove(w.victim, &preds, &succs)

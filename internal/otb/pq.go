@@ -42,9 +42,9 @@ type heapPQState struct {
 	removed []int64 // mins removed under the lock (undo: re-add)
 }
 
-// reset recycles the state for a new transaction. The queue lock is never
+// Reset recycles the state for a new transaction. The queue lock is never
 // held between transactions (PostCommit/OnAbort release it).
-func (st *heapPQState) reset() {
+func (st *heapPQState) Reset() {
 	st.redo = st.redo[:0]
 	st.added = st.added[:0]
 	st.removed = st.removed[:0]
@@ -56,10 +56,8 @@ func (q *HeapPQ) state(tx *Tx) *heapPQState {
 }
 
 func (q *HeapPQ) peekState(tx *Tx) *heapPQState {
-	if st, ok := tx.state[q]; ok {
-		return st.(*heapPQState)
-	}
-	return nil
+	st, _ := tx.peek(q).(*heapPQState)
+	return st
 }
 
 // Add enqueues key within tx (duplicates allowed). Before the transaction's
@@ -221,8 +219,8 @@ type skipPQStateFor struct {
 	q *SkipPQ
 }
 
-// reset recycles the state for a new transaction.
-func (st *skipPQStateFor) reset() {
+// Reset recycles the state for a new transaction.
+func (st *skipPQStateFor) Reset() {
 	st.local.Clear()
 	st.lastRemoved = st.q.set.head
 }
@@ -270,18 +268,18 @@ func (q *SkipPQ) RemoveMin(tx *Tx) (int64, bool) {
 			// Pin the shared minimum in the read set so a smaller insertion
 			// by another transaction invalidates us.
 			if !q.set.Contains(tx, shared.key) {
-				tx.tr.NoteKey(traceKey(shared.key))
+				tx.tr.NoteKey(TraceKey(shared.key))
 				abort.Retry(abort.Conflict)
 			}
 			if q.firstLive(st.lastRemoved) != shared {
-				tx.tr.NoteKey(traceKey(shared.key))
+				tx.tr.NoteKey(TraceKey(shared.key))
 				abort.Retry(abort.Conflict)
 			}
 		}
 		// Dequeue a locally added item: cancel its pending add (the set
 		// operations eliminate) and pop it from the local heap.
 		if !q.set.Remove(tx, localMin) {
-			tx.tr.NoteKey(traceKey(localMin))
+			tx.tr.NoteKey(TraceKey(localMin))
 			abort.Retry(abort.Conflict)
 		}
 		st.local.RemoveMin()
@@ -291,11 +289,11 @@ func (q *SkipPQ) RemoveMin(tx *Tx) (int64, bool) {
 		return 0, false
 	}
 	if !q.set.Remove(tx, shared.key) {
-		tx.tr.NoteKey(traceKey(shared.key))
+		tx.tr.NoteKey(TraceKey(shared.key))
 		abort.Retry(abort.Conflict)
 	}
 	if q.firstLive(st.lastRemoved) != shared {
-		tx.tr.NoteKey(traceKey(shared.key))
+		tx.tr.NoteKey(TraceKey(shared.key))
 		abort.Retry(abort.Conflict)
 	}
 	st.lastRemoved = shared
@@ -311,7 +309,7 @@ func (q *SkipPQ) Min(tx *Tx) (int64, bool) {
 	if lok && (shared == nil || localMin < shared.key) {
 		if shared != nil {
 			if !q.set.Contains(tx, shared.key) {
-				tx.tr.NoteKey(traceKey(shared.key))
+				tx.tr.NoteKey(TraceKey(shared.key))
 				abort.Retry(abort.Conflict)
 			}
 		}
@@ -321,11 +319,11 @@ func (q *SkipPQ) Min(tx *Tx) (int64, bool) {
 		return 0, false
 	}
 	if !q.set.Contains(tx, shared.key) {
-		tx.tr.NoteKey(traceKey(shared.key))
+		tx.tr.NoteKey(TraceKey(shared.key))
 		abort.Retry(abort.Conflict)
 	}
 	if q.firstLive(st.lastRemoved) != shared {
-		tx.tr.NoteKey(traceKey(shared.key))
+		tx.tr.NoteKey(TraceKey(shared.key))
 		abort.Retry(abort.Conflict)
 	}
 	return shared.key, true

@@ -1,8 +1,10 @@
 package otb
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -56,34 +58,6 @@ func freeSNode(v any) {
 		n.next[l].Store(nil)
 	}
 	snodePool.Put(n)
-}
-
-// sortSNodesByID insertion-sorts nodes ascending by allocation id (the
-// global lock order), allocation-free on the commit path.
-func sortSNodesByID(nodes []*snode) {
-	for i := 1; i < len(nodes); i++ {
-		n := nodes[i]
-		j := i - 1
-		for j >= 0 && nodes[j].id > n.id {
-			nodes[j+1] = nodes[j]
-			j--
-		}
-		nodes[j+1] = n
-	}
-}
-
-// sortSkipWritesByKeyDesc insertion-sorts write entries descending by key
-// (publication order), allocation-free.
-func sortSkipWritesByKeyDesc(ws []skipWrite) {
-	for i := 1; i < len(ws); i++ {
-		w := ws[i]
-		j := i - 1
-		for j >= 0 && ws[j].key < w.key {
-			ws[j+1] = ws[j]
-			j--
-		}
-		ws[j+1] = w
-	}
 }
 
 // skipList is the one optimistically boosted skip list (Section 3.2.1)
@@ -180,8 +154,8 @@ type skipState struct {
 	toLock   []*snode // scratch: deduplicated lock targets during PreCommit
 }
 
-// reset recycles the state for a new transaction.
-func (st *skipState) reset() {
+// Reset recycles the state for a new transaction.
+func (st *skipState) Reset() {
 	st.reads = st.reads[:0]
 	st.writes = st.writes[:0]
 	st.locked = st.locked[:0]
@@ -191,26 +165,21 @@ func (st *skipState) reset() {
 
 // addToLock appends n to the PreCommit lock-target scratch unless present.
 func (st *skipState) addToLock(n *snode) {
-	for _, m := range st.toLock {
-		if m == n {
-			return
-		}
+	if !slices.Contains(st.toLock, n) {
+		st.toLock = append(st.toLock, n)
 	}
-	st.toLock = append(st.toLock, n)
 }
 
 func (s *skipList) peekState(tx *Tx) *skipState {
-	if st, ok := tx.state[s]; ok {
-		return st.(*skipState)
-	}
-	return nil
+	st, _ := tx.peek(s).(*skipState)
+	return st
 }
 
 // begin opens one operation on key: it attaches the list to tx and returns
 // the transaction's semantic read/write sets for it.
 func (s *skipList) begin(tx *Tx, key int64) *skipState {
 	checkKey(key)
-	tx.tr.Op(traceKey(key))
+	tx.tr.Op(TraceKey(key))
 	return tx.Attach(s, func() any { return &skipState{} }).(*skipState)
 }
 
@@ -366,14 +335,7 @@ func (st *skipState) deleteWrite(i int) {
 	st.writes = st.writes[:last]
 }
 
-func (st *skipState) owns(n *snode) bool {
-	for _, l := range st.locked {
-		if l == n {
-			return true
-		}
-	}
-	return false
-}
+func (st *skipState) owns(n *snode) bool { return slices.Contains(st.locked, n) }
 
 // involved appends the nodes whose locks guard entry e.
 func (e *skipRead) involved(buf []*snode) []*snode {
@@ -418,7 +380,7 @@ func (s *skipList) ValidateWithLocks(tx *Tx) bool {
 			}
 			v := n.lock.Sample()
 			if spin.IsLocked(v) {
-				tx.tr.ValidateFail(traceKey(n.key))
+				tx.tr.ValidateFail(TraceKey(n.key))
 				return false
 			}
 			st.lockSnap = append(st.lockSnap, v)
@@ -436,7 +398,7 @@ func (s *skipList) ValidateWithLocks(tx *Tx) bool {
 				continue
 			}
 			if n.lock.Sample() != v {
-				tx.tr.ValidateFail(traceKey(n.key))
+				tx.tr.ValidateFail(TraceKey(n.key))
 				return false
 			}
 		}
@@ -452,7 +414,7 @@ func (s *skipList) ValidateWithoutLocks(tx *Tx) bool {
 	}
 	for i := range st.reads {
 		if !st.reads[i].check() {
-			tx.tr.ValidateFail(traceKey(st.reads[i].traceNode().key))
+			tx.tr.ValidateFail(TraceKey(st.reads[i].traceNode().key))
 			return false
 		}
 	}
@@ -489,14 +451,14 @@ func (s *skipList) PreCommit(tx *Tx) {
 			st.addToLock(w.victim)
 		}
 	}
-	sortSNodesByID(st.toLock)
+	slices.SortFunc(st.toLock, func(a, b *snode) int { return cmp.Compare(a.id, b.id) })
 	for _, n := range st.toLock {
 		if _, ok := n.lock.TryLock(); !ok {
 			tx.Counters().IncCAS()
-			tx.tr.LockBusy(traceKey(n.key))
+			tx.tr.LockBusy(TraceKey(n.key))
 			abort.Retry(abort.LockBusy)
 		}
-		tx.tr.Lock(traceKey(n.key))
+		tx.tr.Lock(TraceKey(n.key))
 		st.locked = append(st.locked, n)
 	}
 }
@@ -510,7 +472,7 @@ func (s *skipList) OnCommit(tx *Tx) {
 	if st == nil || len(st.writes) == 0 {
 		return
 	}
-	sortSkipWritesByKeyDesc(st.writes)
+	slices.SortFunc(st.writes, func(a, b skipWrite) int { return cmp.Compare(b.key, a.key) })
 	for i := range st.writes {
 		w := &st.writes[i]
 		switch w.kind {
@@ -561,7 +523,7 @@ func (s *skipList) PostCommit(tx *Tx) {
 	}
 	for _, n := range st.locked {
 		n.lock.Unlock()
-		tx.tr.Unlock(traceKey(n.key))
+		tx.tr.Unlock(TraceKey(n.key))
 	}
 	st.locked = st.locked[:0]
 }

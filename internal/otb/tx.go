@@ -87,7 +87,8 @@ type Datastructure interface {
 // two-phase-locked commit across all of them.
 type Tx struct {
 	attached []Datastructure
-	state    map[Datastructure]any
+	states   []any                 // states[i] is the state of attached[i]
+	cache    map[Datastructure]any // every state this descriptor has made, for reuse
 	ctr      *spin.Counters
 	eg       *epoch.Guard // epoch pin covering the current attempt; may be nil
 	tr       *trace.Local // flight-recorder handle; may be nil
@@ -103,7 +104,7 @@ type Tx struct {
 // should use Atomic instead; NewTx is exported for the integration layer,
 // which embeds the semantic transaction inside an STM context.
 func NewTx(ctr *spin.Counters) *Tx {
-	return &Tx{state: make(map[Datastructure]any), ctr: ctr}
+	return &Tx{cache: make(map[Datastructure]any), ctr: ctr}
 }
 
 // SetValidator replaces the post-validation strategy (the paper's
@@ -153,9 +154,9 @@ func (tx *Tx) ValidateAllWithLocks() bool {
 	return true
 }
 
-// PreCommitAll / OnCommitAll / PostCommitAll / OnAbortAll drive the
-// commit sub-routines of every attached structure; the integration
-// contexts sequence them around their memory commit.
+// PreCommitAll / OnCommitAll / PostCommitAll drive the commit sub-routines
+// of every attached structure; Commit sequences them for a standalone
+// transaction, the integration contexts around their memory commit.
 
 // PreCommitAll acquires semantic locks on every attached structure.
 func (tx *Tx) PreCommitAll() {
@@ -175,13 +176,6 @@ func (tx *Tx) OnCommitAll() {
 func (tx *Tx) PostCommitAll() {
 	for _, ds := range tx.attached {
 		ds.PostCommit(tx)
-	}
-}
-
-// OnAbortAll releases anything held by an aborting transaction.
-func (tx *Tx) OnAbortAll() {
-	for _, ds := range tx.attached {
-		ds.OnAbort(tx)
 	}
 }
 
@@ -220,27 +214,40 @@ func (tx *Tx) retire(v any, free func(any)) {
 }
 
 // txState is implemented by per-structure transaction states that can be
-// recycled across transactions.
-type txState interface{ reset() }
+// recycled across transactions (exported method: package mvotb's runtime
+// attaches its state from outside this package).
+type txState interface{ Reset() }
 
 // Attach registers ds with the transaction (idempotent) and returns its
 // per-transaction state, creating it with mk on first touch. States are
 // cached across transactions on the same descriptor and reset on re-attach.
 func (tx *Tx) Attach(ds Datastructure, mk func() any) any {
-	for _, a := range tx.attached {
-		if a == ds {
-			return tx.state[ds]
-		}
+	if st := tx.peek(ds); st != nil {
+		return st
 	}
-	st, ok := tx.state[ds]
+	st, ok := tx.cache[ds]
 	if !ok {
 		st = mk()
-		tx.state[ds] = st
+		tx.cache[ds] = st
 	} else if r, ok := st.(txState); ok {
-		r.reset()
+		r.Reset()
 	}
 	tx.attached = append(tx.attached, ds)
+	tx.states = append(tx.states, st)
 	return st
+}
+
+// peek returns the state of ds if this transaction has attached it, else nil.
+// The commit and validation hooks of the structures in this package reach
+// their state through it: a scan of a slice that holds one or two entries,
+// where the cache would hash an interface key on every call.
+func (tx *Tx) peek(ds Datastructure) any {
+	for i, a := range tx.attached {
+		if a == ds {
+			return tx.states[i]
+		}
+	}
+	return nil
 }
 
 // Attached returns the structures touched by this transaction in
@@ -251,6 +258,7 @@ func (tx *Tx) Attached() []Datastructure { return tx.attached }
 // retained and reset lazily on their next Attach.
 func (tx *Tx) Reset() {
 	tx.attached = tx.attached[:0]
+	tx.states = tx.states[:0]
 }
 
 // PostValidate runs after every operation: it validates the semantic read
@@ -275,22 +283,14 @@ func (tx *Tx) PostValidate() {
 // acquired locks via OnAbort).
 func (tx *Tx) Commit() {
 	fpCommitPreLock.Hit()
-	for _, ds := range tx.attached {
-		ds.PreCommit(tx)
-	}
+	tx.PreCommitAll()
 	fpCommitPostLock.Hit()
-	for _, ds := range tx.attached {
-		if !ds.ValidateWithLocks(tx) {
-			abort.Retry(abort.Conflict)
-		}
+	if !tx.ValidateAllWithLocks() {
+		abort.Retry(abort.Conflict)
 	}
 	tx.tr.Validated()
-	for _, ds := range tx.attached {
-		ds.OnCommit(tx)
-	}
-	for _, ds := range tx.attached {
-		ds.PostCommit(tx)
-	}
+	tx.OnCommitAll()
+	tx.PostCommitAll()
 }
 
 // Rollback releases anything held by an aborting transaction and clears it.

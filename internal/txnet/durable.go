@@ -45,7 +45,7 @@ type Durable struct {
 }
 
 // DurableStore is a Store whose full state can be dumped as ops — what a
-// snapshot needs beyond the session table. OTBStore implements it.
+// snapshot needs beyond the session table. OTBStore and MVOTBStore do.
 type DurableStore interface {
 	Store
 	DumpOps(emit func(Op))
@@ -149,19 +149,6 @@ const (
 	recSessionClose byte = 3
 )
 
-// mutating reports whether any op changes state; pure-read batches are not
-// logged (replaying them is a no-op, and skipping them keeps the log — and
-// therefore recovery time — proportional to actual writes).
-func mutating(ops []Op) bool {
-	for _, op := range ops {
-		switch op.Code {
-		case OpAdd, OpRemove, OpPut, OpDelete, OpRemoveMin:
-			return true
-		}
-	}
-	return false
-}
-
 func appendOp(b []byte, op Op) []byte {
 	b = append(b, byte(op.Code))
 	b = binary.BigEndian.AppendUint32(b, op.Struct)
@@ -185,7 +172,8 @@ func parseOp(p []byte) Op {
 // classification; log errors never return.
 func (d *Durable) commitTxn(ctx context.Context, sess *session, req txnReq, results []OpResult, resp []byte, o *reqObs) ([]byte, error) {
 	if !mutating(req.ops) {
-		// Read-only: nothing to log. Execute outside d.mu (reads keep
+		// Read-only: nothing to log (replay would be a no-op, and skipping it
+		// keeps the log proportional to actual writes). Execute outside d.mu (reads keep
 		// their concurrency) but update the session cache under it, so
 		// the snapshot encoder sees a consistent pair.
 		err := d.store.Exec(ctx, req.ops, results)

@@ -1,12 +1,16 @@
 package txnet
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/chaos/leak"
+	"repro/internal/wal"
 )
 
 // newMVOTBServer builds a test server over the multi-version store.
@@ -107,5 +111,79 @@ func TestSessionTTLExpiryOnResume(t *testing.T) {
 	}
 	if ok, err := c2.SetAdd(ctx, 0, 1); err != nil || ok {
 		t.Fatalf("re-add key 1: ok=%v err=%v, want false (already present exactly once)", ok, err)
+	}
+}
+
+// dumpOf collects a store's DumpOps, sorted so stores whose structures walk
+// in different orders compare equal.
+func dumpOf(st DurableStore) []Op {
+	var ops []Op
+	st.DumpOps(func(op Op) { ops = append(ops, op) })
+	slices.SortFunc(ops, func(a, b Op) int {
+		return cmp.Or(cmp.Compare(a.Struct, b.Struct), cmp.Compare(a.Key, b.Key))
+	})
+	return ops
+}
+
+// TestDurableMVOTBRoundTrip: the multi-version store is a DurableStore.
+// Commits over the wire, a clean shutdown, then recovery into a fresh store
+// must rebuild the same state (equal dumps) and keep the session's cached
+// verdict replayable — from the log, and again from a snapshot.
+func TestDurableMVOTBRoundTrip(t *testing.T) {
+	leak.CheckCleanup(t)
+	for _, snapEvery := range []int{-1, 2} {
+		dir := filepath.Join(t.TempDir(), "wal")
+		open := func() (*Server, *MVOTBStore) {
+			st := NewMVOTBStore()
+			t.Cleanup(st.Stop)
+			dur, err := OpenDurable(st, DurabilityOptions{Dir: dir, Fsync: wal.SyncAlways, SnapshotEvery: snapEvery})
+			if err != nil {
+				t.Fatalf("OpenDurable: %v", err)
+			}
+			return newTestServer(t, Options{Durable: dur, SessionTTL: time.Hour}), st
+		}
+
+		s, st := open()
+		rc := dialRaw(t, s.Addr())
+		rc.hello(0)
+		for i := int64(1); i <= 5; i++ {
+			if resp := rc.txn(uint64(i), 0,
+				Op{Code: OpAdd, Struct: 0, Key: i},
+				Op{Code: OpPut, Struct: 1, Key: i, Val: uint64(10 * i)},
+			); resp.status != StatusOK {
+				t.Fatalf("txn %d: %+v", i, resp)
+			}
+		}
+		lastOps := []Op{
+			{Code: OpRemove, Struct: 0, Key: 2},
+			{Code: OpGet, Struct: 1, Key: 3},
+			{Code: OpDelete, Struct: 1, Key: 404},
+		}
+		last := rc.txn(6, 0, lastOps...)
+		if last.status != StatusOK {
+			t.Fatalf("txn 6: %+v", last)
+		}
+		want := dumpOf(st)
+		if len(want) != 9 { // keys 1,3,4,5 in the set, 1..5 in the map
+			t.Fatalf("dump before restart has %d ops, want 9: %+v", len(want), want)
+		}
+		shutdown(t, s)
+
+		s2, st2 := open()
+		if rec := s2.dur.Recovery(); rec.SessionsRestored != 1 || rec.TornTail || (snapEvery > 0) != (rec.SnapshotLSN > 0) {
+			t.Fatalf("snapEvery=%d recovery: %+v", snapEvery, rec)
+		}
+		if got := dumpOf(st2); !slices.Equal(got, want) {
+			t.Fatalf("snapEvery=%d recovered dump\n got %+v\nwant %+v", snapEvery, got, want)
+		}
+		rc2 := dialRaw(t, s2.Addr())
+		if h := rc2.hello(rc.sess); h.status != StatusHello || h.lastSeq != 6 {
+			t.Fatalf("resume after restart: %+v", h)
+		}
+		replay := rc2.txn(6, 0, lastOps...)
+		if replay.status != StatusOK || !slices.Equal(replay.results, last.results) {
+			t.Fatalf("replayed verdict %+v, want %+v", replay, last)
+		}
+		shutdown(t, s2)
 	}
 }

@@ -28,6 +28,69 @@ type Store interface {
 	NumStructs() int
 }
 
+// setOps, mapOps and pqOps are the three abstract types every store serves,
+// over the transaction handle T of whichever runtime hosts them (*otb.Tx for
+// the OTB and multi-version structures, stm.Tx for the word-based ones).
+type setOps[T any] interface {
+	Add(tx T, key int64) bool
+	Remove(tx T, key int64) bool
+	Contains(tx T, key int64) bool
+}
+
+type mapOps[T any] interface {
+	Put(tx T, key int64, val uint64) bool
+	Get(tx T, key int64) (uint64, bool)
+	Delete(tx T, key int64) bool
+	ContainsKey(tx T, key int64) bool
+}
+
+type pqOps[T any] interface {
+	Add(tx T, key int64) bool
+	Min(tx T) (int64, bool)
+	RemoveMin(tx T) (int64, bool)
+}
+
+// applySet, applyMap and applyPQ are the only op-code dispatch in the
+// package: one per abstract type, shared by every store. validateOps has
+// already run, so the default arm is the one remaining legal code.
+func applySet[T any](s setOps[T], tx T, op Op) OpResult {
+	switch op.Code {
+	case OpAdd:
+		return OpResult{OK: s.Add(tx, op.Key)}
+	case OpRemove:
+		return OpResult{OK: s.Remove(tx, op.Key)}
+	default:
+		return OpResult{OK: s.Contains(tx, op.Key)}
+	}
+}
+
+func applyMap[T any](m mapOps[T], tx T, op Op) OpResult {
+	switch op.Code {
+	case OpPut:
+		return OpResult{OK: m.Put(tx, op.Key, op.Val)}
+	case OpGet:
+		v, ok := m.Get(tx, op.Key)
+		return OpResult{Out: v, OK: ok}
+	case OpDelete:
+		return OpResult{OK: m.Delete(tx, op.Key)}
+	default:
+		return OpResult{OK: m.ContainsKey(tx, op.Key)}
+	}
+}
+
+func applyPQ[T any](q pqOps[T], tx T, op Op) OpResult {
+	switch op.Code {
+	case OpAdd:
+		return OpResult{OK: q.Add(tx, op.Key)}
+	case OpMin:
+		k, ok := q.Min(tx)
+		return OpResult{Out: uint64(k), OK: ok}
+	default:
+		k, ok := q.RemoveMin(tx)
+		return OpResult{Out: uint64(k), OK: ok}
+	}
+}
+
 // OTBStore serves OTB structures: any mix of sets, maps and priority
 // queues, all updated in one otb.Atomic transaction per request. The zero
 // value is empty; register structures before serving (registration is not
@@ -37,13 +100,13 @@ type OTBStore struct {
 	kinds   []structKind // kinds[i] is the abstract type of structs[i]
 }
 
-// otbStruct dispatches ops onto one OTB structure kind. validateOps runs
-// before the transaction starts, so apply never fails mid-transaction. dump
-// emits ops that rebuild the structure's current state (quiescent callers
-// only — snapshots run with the commit path held).
-type otbStruct interface {
-	apply(tx *otb.Tx, op Op) OpResult
-	dump(st uint32, emit func(Op))
+// otbStruct is one registry slot. validateOps runs before the transaction
+// starts, so apply never fails mid-transaction. dump emits ops that rebuild
+// the structure's current state (quiescent callers only — snapshots run with
+// the commit path held).
+type otbStruct struct {
+	apply func(tx *otb.Tx, op Op) OpResult
+	dump  func(st uint32, emit func(Op))
 }
 
 // NewOTBStore builds the default store: one ListSet (index 0), one Map
@@ -60,90 +123,61 @@ func NewOTBStore() *OTBStore {
 // NumStructs implements Store.
 func (s *OTBStore) NumStructs() int { return len(s.structs) }
 
-// AddSet registers a set (ListSet and SkipSet both qualify) and returns its
-// wire index.
-func (s *OTBStore) AddSet(set otbSetOps) uint32 { return s.add(kindSet, otbSet{set}) }
+// otbSetOps is a set driven by an OTB transaction, plus the key walk a dump
+// needs.
+type otbSetOps interface {
+	setOps[*otb.Tx]
+	Keys() []int64
+}
 
-// AddMap registers an OTB ordered map and returns its wire index.
-func (s *OTBStore) AddMap(m *otb.Map) uint32 { return s.add(kindMap, otbMap{m}) }
+// otbMapOps is otbSetOps for maps.
+type otbMapOps interface {
+	mapOps[*otb.Tx]
+	Snapshot() map[int64]uint64
+}
+
+// dumpKeys emits one OpAdd per key: the dump of a set or a priority queue.
+func dumpKeys(keys func() []int64) func(uint32, func(Op)) {
+	return func(st uint32, emit func(Op)) {
+		for _, k := range keys() {
+			emit(Op{Code: OpAdd, Struct: st, Key: k})
+		}
+	}
+}
+
+// AddSet registers a set (otb.ListSet, otb.SkipSet and mvotb.Set all
+// qualify) and returns its wire index.
+func (s *OTBStore) AddSet(set otbSetOps) uint32 {
+	return s.add(kindSet, otbStruct{
+		func(tx *otb.Tx, op Op) OpResult { return applySet(set, tx, op) },
+		dumpKeys(set.Keys),
+	})
+}
+
+// AddMap registers a map (otb.Map or mvotb.Map) and returns its wire index.
+func (s *OTBStore) AddMap(m otbMapOps) uint32 {
+	return s.add(kindMap, otbStruct{
+		func(tx *otb.Tx, op Op) OpResult { return applyMap(m, tx, op) },
+		func(st uint32, emit func(Op)) {
+			for k, v := range m.Snapshot() {
+				emit(Op{Code: OpPut, Struct: st, Key: k, Val: v})
+			}
+		},
+	})
+}
 
 // AddPQ registers a skip-list priority queue and returns its wire index.
-func (s *OTBStore) AddPQ(q *otb.SkipPQ) uint32 { return s.add(kindPQ, otbPQ{q}) }
+func (s *OTBStore) AddPQ(q *otb.SkipPQ) uint32 {
+	return s.add(kindPQ, otbStruct{
+		func(tx *otb.Tx, op Op) OpResult { return applyPQ(q, tx, op) },
+		dumpKeys(q.Keys),
+	})
+}
 
 func (s *OTBStore) add(k structKind, st otbStruct) uint32 {
 	s.structs = append(s.structs, st)
 	s.kinds = append(s.kinds, k)
 	return uint32(len(s.structs) - 1)
-}
-
-// otbSetOps is the common surface of otb.ListSet and otb.SkipSet.
-type otbSetOps interface {
-	Add(tx *otb.Tx, key int64) bool
-	Remove(tx *otb.Tx, key int64) bool
-	Contains(tx *otb.Tx, key int64) bool
-	Keys() []int64
-}
-
-type otbSet struct{ s otbSetOps }
-
-func (w otbSet) apply(tx *otb.Tx, op Op) OpResult {
-	switch op.Code {
-	case OpAdd:
-		return OpResult{OK: w.s.Add(tx, op.Key)}
-	case OpRemove:
-		return OpResult{OK: w.s.Remove(tx, op.Key)}
-	default:
-		return OpResult{OK: w.s.Contains(tx, op.Key)}
-	}
-}
-
-func (w otbSet) dump(st uint32, emit func(Op)) {
-	for _, k := range w.s.Keys() {
-		emit(Op{Code: OpAdd, Struct: st, Key: k})
-	}
-}
-
-type otbMap struct{ m *otb.Map }
-
-func (w otbMap) apply(tx *otb.Tx, op Op) OpResult {
-	switch op.Code {
-	case OpPut:
-		return OpResult{OK: w.m.Put(tx, op.Key, op.Val)}
-	case OpGet:
-		v, ok := w.m.Get(tx, op.Key)
-		return OpResult{Out: v, OK: ok}
-	case OpDelete:
-		return OpResult{OK: w.m.Delete(tx, op.Key)}
-	default:
-		return OpResult{OK: w.m.ContainsKey(tx, op.Key)}
-	}
-}
-
-func (w otbMap) dump(st uint32, emit func(Op)) {
-	for k, v := range w.m.Snapshot() {
-		emit(Op{Code: OpPut, Struct: st, Key: k, Val: v})
-	}
-}
-
-type otbPQ struct{ q *otb.SkipPQ }
-
-func (w otbPQ) apply(tx *otb.Tx, op Op) OpResult {
-	switch op.Code {
-	case OpAdd:
-		return OpResult{OK: w.q.Add(tx, op.Key)}
-	case OpMin:
-		k, ok := w.q.Min(tx)
-		return OpResult{Out: uint64(k), OK: ok}
-	default:
-		k, ok := w.q.RemoveMin(tx)
-		return OpResult{Out: uint64(k), OK: ok}
-	}
-}
-
-func (w otbPQ) dump(st uint32, emit func(Op)) {
-	for _, k := range w.q.Keys() {
-		emit(Op{Code: OpAdd, Struct: st, Key: k})
-	}
 }
 
 // DumpOps emits one op per live entry across every registered structure,
@@ -173,8 +207,25 @@ var opAllowed = [...][numOpCodes]bool{
 	kindPQ:  {OpAdd: true, OpMin: true, OpRemoveMin: true},
 }
 
-// setAndMap is the fixed registry of the MVOTB and STM stores: a set at
-// index 0 and a map at index 1.
+// opMutates is the one read/write classification of op codes: opMutates[c]
+// reports whether executing c can change a structure's state. It decides
+// what the durable path logs and what the multi-version store may serve from
+// a snapshot (TestOpMutatesMatchesBehaviour holds it to the implementations).
+var opMutates = [numOpCodes]bool{OpAdd: true, OpRemove: true, OpPut: true, OpDelete: true, OpRemoveMin: true}
+
+// mutating reports whether any op of the batch changes state. Codes out of
+// range count as reads: validateOps rejects them before anything executes.
+func mutating(ops []Op) bool {
+	for _, op := range ops {
+		if op.Code < numOpCodes && opMutates[op.Code] {
+			return true
+		}
+	}
+	return false
+}
+
+// setAndMap is the fixed registry of the STM store: a set at index 0 and a
+// map at index 1.
 var setAndMap = []structKind{kindSet, kindMap}
 
 // validateOps rejects malformed batches before any transactional work —
@@ -223,8 +274,26 @@ func (s *OTBStore) Exec(ctx context.Context, ops []Op, res []OpResult) error {
 // underlying arenas do not grow).
 type STMStore struct {
 	alg stm.AlgorithmCtx
-	set *stmds.HashMap // membership via Put(key, 1)/Delete
-	kv  *stmds.HashMap
+	set stmSet
+	kv  stmMap
+}
+
+// stmSet is set membership over a hash map (Add is Put(key, 1)).
+type stmSet struct{ h *stmds.HashMap }
+
+func (s stmSet) Add(tx stm.Tx, key int64) bool    { return s.h.Put(tx, key, 1) }
+func (s stmSet) Remove(tx stm.Tx, key int64) bool { return s.h.Delete(tx, key) }
+func (s stmSet) Contains(tx stm.Tx, key int64) bool {
+	_, found := s.h.Get(tx, key)
+	return found
+}
+
+// stmMap completes stmds.HashMap to mapOps.
+type stmMap struct{ *stmds.HashMap }
+
+func (m stmMap) ContainsKey(tx stm.Tx, key int64) bool {
+	_, found := m.Get(tx, key)
+	return found
 }
 
 // NewSTMStore builds an STM-backed store over alg with room for capacity
@@ -232,8 +301,8 @@ type STMStore struct {
 func NewSTMStore(alg stm.AlgorithmCtx, capacity int) *STMStore {
 	return &STMStore{
 		alg: alg,
-		set: stmds.NewHashMap(256, capacity),
-		kv:  stmds.NewHashMap(256, capacity),
+		set: stmSet{stmds.NewHashMap(256, capacity)},
+		kv:  stmMap{stmds.NewHashMap(256, capacity)},
 	}
 }
 
@@ -248,28 +317,9 @@ func (s *STMStore) Exec(ctx context.Context, ops []Op, res []OpResult) error {
 	return s.alg.AtomicCtx(ctx, func(tx stm.Tx) {
 		for i, op := range ops {
 			if op.Struct == 0 {
-				switch op.Code {
-				case OpAdd:
-					res[i] = OpResult{OK: s.set.Put(tx, op.Key, 1)}
-				case OpRemove:
-					res[i] = OpResult{OK: s.set.Delete(tx, op.Key)}
-				default:
-					_, found := s.set.Get(tx, op.Key)
-					res[i] = OpResult{OK: found}
-				}
-				continue
-			}
-			switch op.Code {
-			case OpPut:
-				res[i] = OpResult{OK: s.kv.Put(tx, op.Key, op.Val)}
-			case OpGet:
-				v, found := s.kv.Get(tx, op.Key)
-				res[i] = OpResult{Out: v, OK: found}
-			case OpDelete:
-				res[i] = OpResult{OK: s.kv.Delete(tx, op.Key)}
-			default:
-				_, found := s.kv.Get(tx, op.Key)
-				res[i] = OpResult{OK: found}
+				res[i] = applySet(s.set, tx, op)
+			} else {
+				res[i] = applyMap(s.kv, tx, op)
 			}
 		}
 	})
