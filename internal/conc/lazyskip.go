@@ -2,6 +2,7 @@ package conc
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -9,8 +10,8 @@ import (
 	"repro/internal/spin"
 )
 
-// MaxLevel is the number of skip-list levels (supports ~2^20 elements with
-// p=1/2 towers).
+// MaxLevel is the number of skip-list levels (supports ~4^20 elements with
+// p = 1/4 towers).
 const MaxLevel = 20
 
 // skipNode is one tower of a LazySkipList. A node is logically in the set
@@ -44,13 +45,15 @@ func NewLazySkipList() *LazySkipList {
 	return &LazySkipList{head: head}
 }
 
-// randomLevel draws a tower height with geometric distribution p=1/2.
-func randomLevel() int {
-	lvl := 0
-	for lvl < MaxLevel-1 && rand.Uint64()&1 == 1 {
-		lvl++
-	}
-	return lvl
+// RandomLevel draws a skip-list tower's top level with geometric
+// distribution p = 1/4: level k is reached with probability 4^-k, so a tower
+// holds 4/3 levels on average (2 at p = 1/2) and searches stay logarithmic.
+// Both this lazy skip list and the OTB skip list draw from it, so the
+// boosted and optimistically boosted structures share one geometry. Two
+// random bits per level come from a single draw: a run of 2k trailing zero
+// bits has probability 4^-k.
+func RandomLevel() int {
+	return min(bits.TrailingZeros64(rand.Uint64())/2, MaxLevel-1)
 }
 
 // find fills preds/succs with the per-level neighbours of key and returns
@@ -75,7 +78,7 @@ func (s *LazySkipList) find(key int64, preds, succs *[MaxLevel]*skipNode) int {
 
 // Add inserts key, returning false if it was already present.
 func (s *LazySkipList) Add(key int64) bool {
-	topLevel := randomLevel()
+	topLevel := RandomLevel()
 	var preds, succs [MaxLevel]*skipNode
 	var b spin.Backoff
 	for {

@@ -101,6 +101,37 @@ func TestMapWriteTxAllocFree(t *testing.T) {
 	})
 }
 
+// TestMapLargeWriteTxAllocFree pins the same path for 64-op transactions:
+// over 64 adjacent keys one transaction deletes the even keys and inserts
+// the odd ones, the next does the reverse, so every transaction carries 32
+// inserts and 32 deletes side by side. Once the per-transaction arenas and
+// scratch slices have grown, a transaction of any size allocates nothing.
+func TestMapLargeWriteTxAllocFree(t *testing.T) {
+	m := otb.NewMap()
+	const lo, hi = 100, 164
+	otb.Atomic(nil, func(tx *otb.Tx) {
+		for k := int64(lo); k < hi; k += 2 {
+			m.Put(tx, k, uint64(k))
+		}
+	})
+	flip := func(parity int64) func(*otb.Tx) {
+		return func(tx *otb.Tx) {
+			for k := int64(lo); k < hi; k++ {
+				if k%2 == parity {
+					m.Delete(tx, k)
+				} else {
+					m.Put(tx, k, uint64(k))
+				}
+			}
+		}
+	}
+	dropEven, dropOdd := flip(0), flip(1)
+	runAllocTx(t, "otb map 64-op write tx pair", func() {
+		otb.Atomic(nil, dropEven)
+		otb.Atomic(nil, dropOdd)
+	})
+}
+
 // TestMapReadTxAllocFree pins the map's read-only fast path (get).
 func TestMapReadTxAllocFree(t *testing.T) {
 	m := otb.NewMap()

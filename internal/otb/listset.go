@@ -123,11 +123,14 @@ type listWrite struct {
 
 // listState is the per-transaction state for one ListSet.
 type listState struct {
-	reads    []listRead
-	writes   []listWrite
-	locked   []*lnode // nodes semantically locked by this transaction
+	reads  []listRead
+	writes []listWrite
+	// locked holds the nodes semantically locked by this transaction: after
+	// PreCommit in slot order (owns searches it during commit validation),
+	// then the nodes OnCommit creates.
+	locked   []*lnode
 	lockSnap []uint64 // scratch: sampled lock versions during validation
-	toLock   []*lnode // scratch: deduplicated lock targets during PreCommit
+	toLock   []*lnode // scratch: PreCommit's lock targets
 }
 
 // Reset recycles the state for a new transaction.
@@ -137,13 +140,6 @@ func (st *listState) Reset() {
 	st.locked = st.locked[:0]
 	st.lockSnap = st.lockSnap[:0]
 	st.toLock = st.toLock[:0]
-}
-
-// addToLock appends n to the PreCommit lock-target scratch unless present.
-func (st *listState) addToLock(n *lnode) {
-	if !slices.Contains(st.toLock, n) {
-		st.toLock = append(st.toLock, n)
-	}
 }
 
 func (s *ListSet) state(tx *Tx) *listState {
@@ -245,7 +241,13 @@ func (st *listState) deleteWrite(i int) {
 	st.writes = st.writes[:last]
 }
 
-func (st *listState) owns(n *lnode) bool { return slices.Contains(st.locked, n) }
+// owns reports whether this transaction holds n's lock: a binary search of
+// the slot-ordered lock list PreCommit built. Only commit validation asks,
+// and it runs before OnCommit appends anything.
+func (st *listState) owns(n *lnode) bool {
+	_, ok := slices.BinarySearchFunc(st.locked, n.Slot.Index(), func(m *lnode, i uint32) int { return cmp.Compare(m.Slot.Index(), i) })
+	return ok
+}
 
 // involved appends the nodes whose locks guard entry e (curr only for
 // presentOnly entries; pred and curr otherwise).
@@ -275,10 +277,11 @@ func (s *ListSet) ValidateWithLocks(tx *Tx) bool {
 		return true
 	}
 	var scratch [2]*lnode
+	held := len(st.locked) > 0 // only commit validation runs with locks held
 	st.lockSnap = st.lockSnap[:0]
 	for i := range st.reads {
 		for _, n := range st.reads[i].involved(scratch[:0]) {
-			if st.owns(n) {
+			if held && st.owns(n) {
 				st.lockSnap = append(st.lockSnap, ownedVersion)
 				continue
 			}
@@ -331,9 +334,10 @@ func (s *ListSet) ValidateWithoutLocks(tx *Tx) bool {
 }
 
 // PreCommit acquires the semantic locks covering the write set: pred for
-// adds, pred and curr for removes (the lazy-list locking rule), deduplicated
-// and ordered by slab slot (unique per node; TryLock-or-abort never waits, so
-// any fixed order will do). Any busy lock aborts.
+// adds, pred and curr for removes (the lazy-list locking rule), collected
+// with repeats, then ordered by slab slot (unique per node; TryLock-or-abort
+// never waits, so any fixed order will do) and deduplicated. Any busy lock
+// aborts.
 func (s *ListSet) PreCommit(tx *Tx) {
 	st := s.peekState(tx)
 	if st == nil || len(st.writes) == 0 {
@@ -341,12 +345,13 @@ func (s *ListSet) PreCommit(tx *Tx) {
 	}
 	st.toLock = st.toLock[:0]
 	for i := range st.writes {
-		st.addToLock(st.writes[i].pred)
+		st.toLock = append(st.toLock, st.writes[i].pred)
 		if !st.writes[i].isAdd {
-			st.addToLock(st.writes[i].curr)
+			st.toLock = append(st.toLock, st.writes[i].curr)
 		}
 	}
 	slices.SortFunc(st.toLock, func(a, b *lnode) int { return cmp.Compare(a.Slot.Index(), b.Slot.Index()) })
+	st.toLock = slices.Compact(st.toLock)
 	for _, n := range st.toLock {
 		if _, ok := n.lock.TryLock(); !ok {
 			tx.Counters().IncCAS()

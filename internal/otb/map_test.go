@@ -2,6 +2,7 @@ package otb
 
 import (
 	"math/rand/v2"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -215,5 +216,42 @@ func TestMapValueValidationDoomsStaleReaders(t *testing.T) {
 	})
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want 2", attempts)
+	}
+}
+
+// BenchmarkMapTxSize puts the cost of a map op against the size of the
+// transaction it runs in on record: b.N ops, alternately Put and Delete of
+// random keys in a map holding about 4 k of 8 k keys, committed in
+// transactions of 1, 8, 64 or 1024 ops. OTB post-validates the whole read
+// set after every op, so ns/op grows with the size; it should grow with the
+// number of entries, not with maxLevel times it.
+func BenchmarkMapTxSize(b *testing.B) {
+	const keys = 8192
+	for _, size := range []int{1, 8, 64, 1024} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			m := NewMap()
+			for k := int64(1); k <= keys; k += 128 {
+				Atomic(nil, func(tx *Tx) {
+					for i := k; i < k+128; i += 2 {
+						m.Put(tx, i, uint64(i))
+					}
+				})
+			}
+			r := rand.New(rand.NewPCG(1, uint64(size)))
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				n := min(size, b.N-done)
+				Atomic(nil, func(tx *Tx) {
+					for i := 0; i < n; i++ {
+						if k := 1 + r.Int64N(keys); i%2 == 0 {
+							m.Put(tx, k, uint64(i))
+						} else {
+							m.Delete(tx, k)
+						}
+					}
+				})
+				done += n
+			}
+		})
 	}
 }

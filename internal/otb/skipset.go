@@ -3,18 +3,19 @@ package otb
 import (
 	"cmp"
 	"math"
-	"math/rand/v2"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/abort"
+	"repro/internal/conc"
 	"repro/internal/mem/epoch"
 	"repro/internal/spin"
 )
 
-// maxLevel is the number of skip-list levels.
-const maxLevel = 20
+// maxLevel is the number of skip-list levels; towers are drawn by
+// conc.RandomLevel, as the boosted skip list's are.
+const maxLevel = conc.MaxLevel
 
 // snode is the OTB skip-list node: the lazy skip-list layout plus a
 // versioned semantic lock and a value slot. Sets leave the value 0. It is
@@ -66,7 +67,7 @@ func freeSNode(v any) {
 
 // skipList is the one optimistically boosted skip list (Section 3.2.1)
 // behind both SkipSet and Map: the same three-step structure as ListSet,
-// with per-level predecessor arrays in the semantic entries and the paper's
+// with per-level predecessors in the semantic entries and the paper's
 // level-aware validation optimizations. A set is this list with every value
 // 0; a map adds reads of a node's value and in-place value updates. The
 // list, not its wrapper, is what a transaction attaches.
@@ -120,15 +121,19 @@ const (
 	skipLevels
 )
 
-// skipRead is a semantic read entry.
+// skipRead is a semantic read entry. The levels a skipLevels entry guards
+// live out of line, in the transaction's readLevels arena, so an entry costs
+// as much as the levels it guards rather than maxLevel of them.
 type skipRead struct {
-	kind     skipReadKind
 	curr     *snode // the key's node (present cases); nil for absent reads
 	val      uint64 // observed value for skipPresent entries
-	topLevel int    // highest level validated for skipLevels entries
-	preds    [maxLevel]*snode
-	succs    [maxLevel]*snode
+	off      int32  // skipLevels: index of level 0 in skipState.readLevels
+	topLevel int32  // skipLevels: highest level validated
+	kind     skipReadKind
 }
+
+// levelPair is the adjacency a skipLevels entry guards on one level.
+type levelPair struct{ pred, succ *snode }
 
 // skipWriteKind identifies the deferred operation of a write entry.
 type skipWriteKind int8
@@ -139,39 +144,83 @@ const (
 	skipDelete
 )
 
-// skipWrite is a semantic write (redo) entry.
+// skipWrite is a semantic write (redo) entry. An insert's or delete's
+// per-level predecessors live in the transaction's writePreds arena.
 type skipWrite struct {
-	kind     skipWriteKind
 	key      int64
 	val      uint64
-	topLevel int    // tower height: new node's (insert) or victim's (delete)
 	victim   *snode // update/delete target
-	preds    [maxLevel]*snode
+	off      int32  // insert/delete: index of level 0 in skipState.writePreds
+	topLevel int32  // tower height: new node's (insert) or victim's (delete)
+	kind     skipWriteKind
+}
+
+// lockSample is a lock version validation's first phase sampled and its
+// third phase confirms unchanged.
+type lockSample struct {
+	n *snode
+	v uint64
+}
+
+// writeRef names a write entry by position, carrying its key for sorting.
+type writeRef struct {
+	key int64
+	i   int
 }
 
 // skipState is the per-transaction state for one skipList.
 type skipState struct {
-	reads    []skipRead
-	writes   []skipWrite
+	reads      []skipRead
+	writes     []skipWrite
+	readLevels []levelPair // arena: levels 0..topLevel of each skipLevels read
+	writePreds []*snode    // arena: levels 0..topLevel of each insert and delete
+	// locked holds, after PreCommit, the acquired locks in id order (owns
+	// searches it during commit validation); OnCommit then appends the
+	// nodes it creates.
 	locked   []*snode
-	lockSnap []uint64
-	toLock   []*snode // scratch: deduplicated lock targets during PreCommit
+	lockSnap []lockSample // scratch: validation's sampled lock versions
+	toLock   []*snode     // scratch: PreCommit's lock targets
+	order    []writeRef   // scratch: OnCommit's publication order
 }
 
 // Reset recycles the state for a new transaction.
 func (st *skipState) Reset() {
 	st.reads = st.reads[:0]
 	st.writes = st.writes[:0]
+	st.readLevels = st.readLevels[:0]
+	st.writePreds = st.writePreds[:0]
 	st.locked = st.locked[:0]
 	st.lockSnap = st.lockSnap[:0]
 	st.toLock = st.toLock[:0]
+	st.order = st.order[:0]
 }
 
-// addToLock appends n to the PreCommit lock-target scratch unless present.
-func (st *skipState) addToLock(n *snode) {
-	if !slices.Contains(st.toLock, n) {
-		st.toLock = append(st.toLock, n)
+// levelsOf returns the levels skipLevels entry e guards.
+func (st *skipState) levelsOf(e *skipRead) []levelPair {
+	return st.readLevels[e.off : e.off+e.topLevel+1]
+}
+
+// predsOf returns the per-level predecessors of insert or delete w.
+func (st *skipState) predsOf(w *skipWrite) []*snode {
+	return st.writePreds[w.off : w.off+w.topLevel+1]
+}
+
+// guard records a skipLevels entry over levels 0..top of a traversal; curr
+// is the key's node, nil when the key was absent.
+func (st *skipState) guard(curr *snode, top int, preds, succs *[maxLevel]*snode) {
+	off := len(st.readLevels)
+	for l := 0; l <= top; l++ {
+		st.readLevels = append(st.readLevels, levelPair{preds[l], succs[l]})
 	}
+	st.reads = append(st.reads, skipRead{kind: skipLevels, curr: curr, off: int32(off), topLevel: int32(top)})
+}
+
+// savePreds copies levels 0..top of preds into the write arena and returns
+// their offset.
+func (st *skipState) savePreds(top int, preds *[maxLevel]*snode) int32 {
+	off := len(st.writePreds)
+	st.writePreds = append(st.writePreds, preds[:top+1]...)
+	return int32(off)
 }
 
 func (s *skipList) peekState(tx *Tx) *skipState {
@@ -231,7 +280,7 @@ func (s *skipList) locate(tx *Tx, key int64, preds, succs *[maxLevel]*snode) *sn
 func (s *skipList) readPresent(st *skipState, curr *snode, preds, succs *[maxLevel]*snode) uint64 {
 	v := curr.val.Load()
 	if s.fullValidation {
-		st.reads = append(st.reads, skipRead{kind: skipLevels, curr: curr, topLevel: curr.topLevel, preds: *preds, succs: *succs})
+		st.guard(curr, curr.topLevel, preds, succs)
 	} else {
 		st.reads = append(st.reads, skipRead{kind: skipPresent, curr: curr, val: v})
 	}
@@ -241,34 +290,26 @@ func (s *skipList) readPresent(st *skipState, curr *snode, preds, succs *[maxLev
 // readAbsent records that the key was seen absent between preds[0] and
 // succs[0].
 func (st *skipState) readAbsent(preds, succs *[maxLevel]*snode) {
-	st.reads = append(st.reads, skipRead{kind: skipLevels, preds: *preds, succs: *succs})
-}
-
-// randomTower draws a tower height with geometric distribution p=1/2.
-func randomTower() int {
-	lvl := 0
-	for lvl < maxLevel-1 && rand.Uint64()&1 == 1 {
-		lvl++
-	}
-	return lvl
+	st.guard(nil, 0, preds, succs)
 }
 
 // insert defers linking a new node for an absent key. The tower height is
 // drawn now, so the read entry guards exactly the levels the commit links.
 func (st *skipState) insert(key int64, val uint64, preds, succs *[maxLevel]*snode) {
-	top := randomTower()
-	st.reads = append(st.reads, skipRead{kind: skipLevels, topLevel: top, preds: *preds, succs: *succs})
-	st.writes = append(st.writes, skipWrite{kind: skipInsert, key: key, val: val, topLevel: top, preds: *preds})
+	top := conc.RandomLevel()
+	st.guard(nil, top, preds, succs)
+	st.writes = append(st.writes, skipWrite{
+		kind: skipInsert, key: key, val: val, topLevel: int32(top), off: st.savePreds(top, preds),
+	})
 }
 
 // remove records the read guarding every level of present node curr and
 // returns the write entry that unlinks it.
 func (st *skipState) remove(curr *snode, preds, succs *[maxLevel]*snode) skipWrite {
-	st.reads = append(st.reads, skipRead{
-		kind: skipLevels, curr: curr, topLevel: curr.topLevel, preds: *preds, succs: *succs,
-	})
+	st.guard(curr, curr.topLevel, preds, succs)
 	return skipWrite{
-		kind: skipDelete, key: curr.key, topLevel: curr.topLevel, victim: curr, preds: *preds,
+		kind: skipDelete, key: curr.key, topLevel: int32(curr.topLevel), victim: curr,
+		off: st.savePreds(curr.topLevel, preds),
 	}
 }
 
@@ -339,28 +380,22 @@ func (st *skipState) deleteWrite(i int) {
 	st.writes = st.writes[:last]
 }
 
-func (st *skipState) owns(n *snode) bool { return slices.Contains(st.locked, n) }
-
-// involved appends the nodes whose locks guard entry e.
-func (e *skipRead) involved(buf []*snode) []*snode {
-	if e.kind == skipPresent {
-		return append(buf, e.curr)
-	}
-	for l := 0; l <= e.topLevel; l++ {
-		buf = append(buf, e.preds[l], e.succs[l])
-	}
-	return buf
+// owns reports whether this transaction holds n's lock: a binary search of
+// the id-ordered lock list PreCommit built. Only commit validation finds
+// locks held, and it runs before OnCommit appends anything.
+func (st *skipState) owns(n *snode) bool {
+	_, ok := slices.BinarySearchFunc(st.locked, n.id, func(m *snode, id uint64) int { return cmp.Compare(m.id, id) })
+	return ok
 }
 
-// check re-evaluates the entry's semantic condition using the paper's
+// check re-evaluates entry e's semantic condition using the paper's
 // level-aware rules.
-func (e *skipRead) check() bool {
+func (st *skipState) check(e *skipRead) bool {
 	if e.kind == skipPresent {
 		return !e.curr.marked.Load() && e.curr.val.Load() == e.val
 	}
-	for l := 0; l <= e.topLevel; l++ {
-		if e.preds[l].marked.Load() || e.succs[l].marked.Load() ||
-			e.preds[l].next[l].Load() != e.succs[l] {
+	for l, lv := range st.levelsOf(e) {
+		if lv.pred.marked.Load() || lv.succ.marked.Load() || lv.pred.next[l].Load() != lv.succ {
 			return false
 		}
 	}
@@ -374,39 +409,49 @@ func (s *skipList) ValidateWithLocks(tx *Tx) bool {
 	if st == nil || len(st.reads) == 0 {
 		return true
 	}
-	var scratch [2 * maxLevel]*snode
+	held := len(st.locked) > 0 // only commit validation runs with locks held
 	st.lockSnap = st.lockSnap[:0]
+	// The nodes whose locks guard an entry: its node for a skipPresent
+	// entry, pred and succ on every guarded level otherwise.
 	for i := range st.reads {
-		for _, n := range st.reads[i].involved(scratch[:0]) {
-			if st.owns(n) {
-				st.lockSnap = append(st.lockSnap, ownedVersion)
-				continue
-			}
-			v := n.lock.Sample()
-			if spin.IsLocked(v) {
-				tx.tr.ValidateFail(TraceKey(n.key))
+		e := &st.reads[i]
+		if e.kind == skipPresent {
+			if !st.sample(tx, e.curr, held) {
 				return false
 			}
-			st.lockSnap = append(st.lockSnap, v)
+			continue
+		}
+		for _, lv := range st.levelsOf(e) {
+			if !st.sample(tx, lv.pred, held) || !st.sample(tx, lv.succ, held) {
+				return false
+			}
 		}
 	}
 	if !s.ValidateWithoutLocks(tx) {
 		return false
 	}
-	k := 0
-	for i := range st.reads {
-		for _, n := range st.reads[i].involved(scratch[:0]) {
-			v := st.lockSnap[k]
-			k++
-			if v == ownedVersion {
-				continue
-			}
-			if n.lock.Sample() != v {
-				tx.tr.ValidateFail(TraceKey(n.key))
-				return false
-			}
+	for _, ls := range st.lockSnap {
+		if ls.n.lock.Sample() != ls.v {
+			tx.tr.ValidateFail(TraceKey(ls.n.key))
+			return false
 		}
 	}
+	return true
+}
+
+// sample is validation's first phase for one involved node: unless this
+// transaction holds the lock itself (held says whether it holds any), it
+// records the lock's version, failing if another transaction holds it.
+func (st *skipState) sample(tx *Tx, n *snode, held bool) bool {
+	if held && st.owns(n) {
+		return true
+	}
+	v := n.lock.Sample()
+	if spin.IsLocked(v) {
+		tx.tr.ValidateFail(TraceKey(n.key))
+		return false
+	}
+	st.lockSnap = append(st.lockSnap, lockSample{n, v})
 	return true
 }
 
@@ -417,27 +462,28 @@ func (s *skipList) ValidateWithoutLocks(tx *Tx) bool {
 		return true
 	}
 	for i := range st.reads {
-		if !st.reads[i].check() {
-			tx.tr.ValidateFail(TraceKey(st.reads[i].traceNode().key))
+		if e := &st.reads[i]; !st.check(e) {
+			tx.tr.ValidateFail(TraceKey(st.traceNode(e).key))
 			return false
 		}
 	}
 	return true
 }
 
-// traceNode names a read entry for conflict attribution: the key's own
-// node when the read saw it present, otherwise the bottom-level successor
+// traceNode names read entry e for conflict attribution: the key's own node
+// when the read saw it present, otherwise the bottom-level successor
 // bounding the searched range (curr is nil for absent reads).
-func (e *skipRead) traceNode() *snode {
+func (st *skipState) traceNode(e *skipRead) *snode {
 	if e.curr != nil {
 		return e.curr
 	}
-	return e.succs[0]
+	return st.readLevels[e.off].succ
 }
 
 // PreCommit locks, in allocation order, the distinct predecessor towers of
 // every insert and delete (all levels), the victims of deletes, and the
-// target nodes of updates.
+// target nodes of updates. The targets are collected with repeats, then
+// sorted and compacted.
 func (s *skipList) PreCommit(tx *Tx) {
 	st := s.peekState(tx)
 	if st == nil || len(st.writes) == 0 {
@@ -447,15 +493,14 @@ func (s *skipList) PreCommit(tx *Tx) {
 	for i := range st.writes {
 		w := &st.writes[i]
 		if w.kind != skipUpdate {
-			for l := 0; l <= w.topLevel; l++ {
-				st.addToLock(w.preds[l])
-			}
+			st.toLock = append(st.toLock, st.predsOf(w)...)
 		}
 		if w.kind != skipInsert {
-			st.addToLock(w.victim)
+			st.toLock = append(st.toLock, w.victim)
 		}
 	}
 	slices.SortFunc(st.toLock, func(a, b *snode) int { return cmp.Compare(a.id, b.id) })
+	st.toLock = slices.Compact(st.toLock)
 	for _, n := range st.toLock {
 		if _, ok := n.lock.TryLock(); !ok {
 			tx.Counters().IncCAS()
@@ -467,29 +512,34 @@ func (s *skipList) PreCommit(tx *Tx) {
 	}
 }
 
-// OnCommit publishes the write set in descending key order, re-traversing
-// each level from the saved predecessor so that this transaction's earlier
-// publications are observed (each level independently, as the paper notes);
-// updates store their value in place.
+// OnCommit publishes the write set in descending key order (through a
+// sorted index of keys and positions), re-traversing each level from the
+// saved predecessor so that this transaction's earlier publications are
+// observed (each level independently, as the paper notes); updates store
+// their value in place.
 func (s *skipList) OnCommit(tx *Tx) {
 	st := s.peekState(tx)
 	if st == nil || len(st.writes) == 0 {
 		return
 	}
-	slices.SortFunc(st.writes, func(a, b skipWrite) int { return cmp.Compare(b.key, a.key) })
+	st.order = st.order[:0]
 	for i := range st.writes {
-		w := &st.writes[i]
+		st.order = append(st.order, writeRef{st.writes[i].key, i})
+	}
+	slices.SortFunc(st.order, func(a, b writeRef) int { return cmp.Compare(b.key, a.key) })
+	for _, r := range st.order {
+		w := &st.writes[r.i]
 		switch w.kind {
 		case skipUpdate:
 			w.victim.val.Store(w.val)
 		case skipInsert:
-			n := newSNode(w.key, w.topLevel)
+			n := newSNode(w.key, int(w.topLevel))
 			n.val.Store(w.val)
 			n.lock.TryLock() // created locked until the commit finishes
 			// Link bottom-up: once a reader can reach n at some level, all
 			// lower next pointers are already set.
-			for l := 0; l <= w.topLevel; l++ {
-				pred, succ := retraverse(w.preds[l], w.key, l)
+			for l, pred := range st.predsOf(w) {
+				pred, succ := retraverse(pred, w.key, l)
 				n.next[l].Store(succ)
 				pred.next[l].Store(n)
 			}
@@ -497,8 +547,9 @@ func (s *skipList) OnCommit(tx *Tx) {
 			st.locked = append(st.locked, n)
 		default: // skipDelete
 			w.victim.marked.Store(true)
-			for l := w.topLevel; l >= 0; l-- {
-				pred, _ := retraverse(w.preds[l], w.key, l)
+			preds := st.predsOf(w)
+			for l := len(preds) - 1; l >= 0; l-- {
+				pred, _ := retraverse(preds[l], w.key, l)
 				pred.next[l].Store(w.victim.next[l].Load())
 			}
 			// Fully unlinked; recycle once concurrent traversals unpin.

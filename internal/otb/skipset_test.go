@@ -1,10 +1,15 @@
 package otb
 
 import (
+	"maps"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/abort"
+	"repro/internal/chaos"
 )
 
 func TestSkipSetSequentialSemantics(t *testing.T) {
@@ -169,4 +174,193 @@ func TestSkipSetMatchesModel(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSkipTowerHeights checks the towers a skip list actually builds against
+// the p = 1/4 geometric distribution: level k is a tower's top level with
+// probability (3/4)(1/4)^k. Tolerances are counts (six binomial standard
+// deviations), so the test does not depend on timing.
+func TestSkipTowerHeights(t *testing.T) {
+	const n = 1 << 14
+	s := NewSkipSet()
+	for k := int64(0); k < n; k += 64 {
+		run(t, func(tx *Tx) {
+			for i := k; i < k+64; i++ {
+				s.Add(tx, i)
+			}
+		})
+	}
+	var counts [maxLevel]int
+	s.walk(func(node *snode) bool { counts[node.topLevel]++; return true })
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if total != n {
+		t.Fatalf("walked %d towers, want %d", total, n)
+	}
+	p := 0.75
+	for level := 0; level <= 4; level++ {
+		want := n * p
+		sd := math.Sqrt(n * p * (1 - p))
+		if got := float64(counts[level]); math.Abs(got-want) > 6*sd+1 {
+			t.Errorf("level %d tops %d towers, want %.0f ± %.0f (p = 1/4)", level, counts[level], want, 6*sd+1)
+		}
+		p /= 4
+	}
+	// P(top ≥ 15) = 4^-15: about one in a billion towers.
+	for level := 15; level < maxLevel; level++ {
+		if counts[level] != 0 {
+			t.Errorf("%d towers reach level %d of %d", counts[level], level, maxLevel)
+		}
+	}
+}
+
+// ownershipModel is the sequential model TestLargeTxOwnership checks a map
+// and a set against.
+type ownershipModel struct {
+	m map[int64]uint64
+	s map[int64]bool
+}
+
+func (md ownershipModel) clone() ownershipModel {
+	return ownershipModel{m: maps.Clone(md.m), s: maps.Clone(md.s)}
+}
+
+// largeTxGroups × 8 ops is the transaction TestLargeTxOwnership runs.
+const largeTxGroups = 128
+
+// largeTx runs 1024 ops within tx on adjacent keys of m and s — inserts,
+// value updates and deletes side by side — checking each result against md,
+// which it updates as the transaction sees its own writes.
+func largeTx(t *testing.T, tx *Tx, m *Map, s *SkipSet, md ownershipModel, val uint64) {
+	t.Helper()
+	check := func(op string, key int64, got, want bool) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s(%d) = %v, model says %v", op, key, got, want)
+		}
+	}
+	toggleMap := func(k int64) {
+		if _, ok := md.m[k]; ok {
+			check("Delete", k, m.Delete(tx, k), true)
+			delete(md.m, k)
+		} else {
+			check("Put", k, m.Put(tx, k, val), true)
+			md.m[k] = val
+		}
+	}
+	toggleSet := func(k int64) {
+		if md.s[k] {
+			check("Remove", k, s.Remove(tx, k), true)
+			delete(md.s, k)
+		} else {
+			check("Add", k, s.Add(tx, k), true)
+			md.s[k] = true
+		}
+	}
+	for j := int64(0); j < largeTxGroups; j++ {
+		k := 4 * j
+		_, present := md.m[k+1]
+		check("Put", k+1, m.Put(tx, k+1, val), !present)
+		md.m[k+1] = val
+		toggleMap(k + 2)
+		toggleMap(k + 3)
+		want, present := md.m[k+4]
+		got, ok := m.Get(tx, k+4)
+		if got != want || ok != present {
+			t.Fatalf("Get(%d) = %d, %v; model says %d, %v", k+4, got, ok, want, present)
+		}
+		check("Contains", k+1, s.Contains(tx, k+1), md.s[k+1])
+		toggleSet(k + 2)
+		toggleSet(k + 3)
+		check("Add", k+4, s.Add(tx, k+4), !md.s[k+4])
+		md.s[k+4] = true
+	}
+}
+
+// commitOnce runs fn in a fresh transaction and commits it, failing the
+// test instead of retrying on an abort.
+func commitOnce(t *testing.T, fn func(*Tx)) {
+	t.Helper()
+	tx := NewTx(nil)
+	tx.Pin()
+	defer tx.Unpin()
+	defer func() {
+		if r := recover(); r != nil {
+			tx.Rollback()
+			t.Fatalf("transaction aborted: %v", r)
+		}
+	}()
+	fn(tx)
+	tx.Commit()
+}
+
+// TestLargeTxOwnership commits 1024-op Map+SkipSet transactions whose
+// inserts, updates and deletes sit on adjacent keys, so commit validation
+// meets many nodes the transaction locked itself: each must be recognised as
+// owned or the commit would fail. A node the transaction only reads, held
+// by a second transaction, must still abort it.
+func TestLargeTxOwnership(t *testing.T) {
+	m, s := NewMap(), NewSkipSet()
+	md := ownershipModel{m: map[int64]uint64{}, s: map[int64]bool{}}
+	const top = 4 * largeTxGroups // 512: read by Get only, never locked
+	commitOnce(t, func(tx *Tx) {
+		for k := int64(2); k <= top; k += 2 {
+			m.Put(tx, k, uint64(k))
+			s.Add(tx, k)
+		}
+	})
+	for k := int64(2); k <= top; k += 2 {
+		md.m[k], md.s[k] = uint64(k), true
+	}
+	verify := func(round string) {
+		t.Helper()
+		if got := m.Snapshot(); !maps.Equal(got, md.m) {
+			t.Fatalf("%s: map has %d keys, model %d, or values differ", round, len(got), len(md.m))
+		}
+		keys := s.Keys()
+		if len(keys) != len(md.s) {
+			t.Fatalf("%s: set has %d keys, model %d", round, len(keys), len(md.s))
+		}
+		for _, k := range keys {
+			if !md.s[k] {
+				t.Fatalf("%s: set holds %d, model does not", round, k)
+			}
+		}
+	}
+
+	// Round 1: inserts and deletes; one attempt must commit.
+	next := md.clone()
+	commitOnce(t, func(tx *Tx) { largeTx(t, tx, m, s, next, 100) })
+	md = next
+	verify("round 1")
+
+	// Round 2: updates too. A second transaction updating key 512, which
+	// round 2 only reads, holds that node's lock across round 2's commit.
+	tx := NewTx(nil)
+	tx.Pin()
+	largeTx(t, tx, m, s, md.clone(), 200)
+	tx2 := NewTx(nil)
+	tx2.Pin()
+	if m.Put(tx2, top, 999) {
+		t.Fatalf("Put(%d) inserted; the key should be present", top)
+	}
+	tx2.PreCommitAll()
+	chaos.ExpectAbort(t, abort.Conflict, tx.Commit)
+	tx.Rollback()
+	tx.Unpin()
+	if !tx2.ValidateAllWithLocks() {
+		t.Fatal("second transaction failed validation")
+	}
+	tx2.OnCommitAll()
+	tx2.PostCommitAll()
+	tx2.Unpin()
+	md.m[top] = 999
+
+	// The retry sees the second transaction's value and commits at once.
+	next = md.clone()
+	commitOnce(t, func(tx *Tx) { largeTx(t, tx, m, s, next, 200) })
+	md = next
+	verify("round 2")
 }

@@ -319,3 +319,72 @@ func TestSnapshotPayloadRoundTrip(t *testing.T) {
 		t.Fatalf("nextID not restored: new id %d after restored %d", ns.id, sess.id)
 	}
 }
+
+// batchRecorder is a DurableStore that records the largest batch Exec has
+// been handed.
+type batchRecorder struct {
+	DurableStore
+	largest, execs int
+}
+
+func (r *batchRecorder) Exec(ctx context.Context, ops []Op, res []OpResult) error {
+	r.largest = max(r.largest, len(ops))
+	r.execs++
+	return r.DurableStore.Exec(ctx, ops, res)
+}
+
+// TestSnapshotApplyBatches restores a snapshot of a few thousand map keys
+// and checks that OpenDurable re-executes it in transactions of at most 64
+// ops: post-validation makes a transaction's cost quadratic in
+// its size, so restore must not hand the store one big batch.
+func TestSnapshotApplyBatches(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	opts := DurabilityOptions{Dir: dir, Fsync: wal.SyncNever, SnapshotEvery: -1}
+	store := NewOTBStore()
+	dur, err := OpenDurable(store, opts)
+	if err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	const keys = 3000
+	ops := make([]Op, 0, keys)
+	for k := int64(1); k <= keys; k++ {
+		ops = append(ops, Op{Code: OpPut, Struct: 1, Key: k, Val: uint64(k) * 3})
+	}
+	if err := store.Exec(context.Background(), ops, make([]OpResult, len(ops))); err != nil {
+		t.Fatal(err)
+	}
+	dur.logSessionOpen(dur.sess.open().id) // the snapshot then covers lsn 1
+	dur.mu.Lock()
+	err = dur.log.Snapshot(dur.snapshotPayloadLocked())
+	dur.mu.Unlock()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := &batchRecorder{DurableStore: NewOTBStore()}
+	dur2, err := OpenDurable(rec, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer dur2.Close()
+	if r := dur2.Recovery(); r.SnapshotLSN == 0 || r.RecordsReplayed != 0 {
+		t.Fatalf("recovery did not come from the snapshot: %+v", r)
+	}
+	const most = 64 // the benchmark's preload transaction
+	if rec.largest > most || rec.execs < keys/most {
+		t.Fatalf("restore ran %d Execs, the largest of %d ops; want batches of at most %d", rec.execs, rec.largest, most)
+	}
+	restored := make(map[Op]bool)
+	rec.DumpOps(func(op Op) { restored[op] = true })
+	if len(restored) != len(ops) {
+		t.Fatalf("restored %d ops, dumped %d", len(restored), len(ops))
+	}
+	for _, op := range ops {
+		if !restored[op] {
+			t.Fatalf("restored store lacks %+v", op)
+		}
+	}
+}
