@@ -1,6 +1,10 @@
 // Command reproduce regenerates the tables and figures of the paper's
 // evaluation sections. Each experiment prints the same rows and series the
-// paper plots.
+// paper plots. It then checks the paper's ratio claims about the figures it
+// generated, prints one row per claim, and exits 1 when any claim is below
+// its floor. The paper-shape gate is
+//
+//	reproduce -exp fig3.3,fig3.6,fig4.2 -threads 2 -warmup 100ms -measure 400ms -no-telemetry
 //
 // Usage:
 //
@@ -14,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -36,7 +41,6 @@ func main() {
 		cmPolicy     = flag.String("cm", "", "contention-management policy: "+strings.Join(cm.Names(), ", "))
 		cmBudget     = flag.Int("cm-budget", 0, "retry budget before serial-mode escalation (<0 disables)")
 		failspec     = flag.String("failpoints", "", "fault-injection specs, 'name=action[@triggers];...' (see internal/chaos/failpoint)")
-		benchOut     = flag.String("bench-out", "", "also write every figure point as stmbench-result/v1 JSON records to this path")
 	)
 	flag.Parse()
 
@@ -96,7 +100,8 @@ func main() {
 			ids = append(ids, e.ID)
 		}
 	}
-	var results []bench.Result
+	var claims strings.Builder
+	held := true
 	for _, id := range ids {
 		e, ok := bench.Find(strings.TrimSpace(id))
 		if !ok {
@@ -104,24 +109,24 @@ func main() {
 			os.Exit(2)
 		}
 		start := time.Now()
-		if *benchOut != "" && e.Gen != nil {
-			// Generate once, print the figure, and keep the points for the
-			// machine-readable record file.
-			telemetry.Default.Reset()
-			f := e.Gen(cfg)
-			f.Print(os.Stdout)
-			bench.WriteTelemetry(os.Stdout, e.ID)
-			results = append(results, bench.FigureResults(e.ID, cfg, f)...)
-		} else {
-			e.Run(cfg, os.Stdout)
-		}
+		f := e.Run(cfg, os.Stdout)
 		fmt.Printf("[%s completed in %s]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		var swept []bench.Claim
+		for _, c := range e.Claims {
+			if slices.Contains(cfg.Threads, c.Threads) {
+				swept = append(swept, c)
+			} else {
+				fmt.Fprintf(&claims, "%s %s: not checked, %d threads is not in the -threads sweep\n",
+					e.ID, c.Panel, c.Threads)
+			}
+		}
+		held = bench.CheckClaims(&claims, f, swept) && held
 	}
-	if *benchOut != "" {
-		if err := bench.WriteResults(*benchOut, results); err != nil {
-			fmt.Fprintln(os.Stderr, "reproduce: bench-out:", err)
+	if claims.Len() > 0 {
+		fmt.Printf("== paper-shape claims ==\n%-66s %7s %6s  verdict\n%s", "claim", "ratio", "floor", claims.String())
+		if !held {
+			fmt.Fprintln(os.Stderr, "reproduce: a paper-shape claim is below its floor")
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d stmbench-result/v1 records to %s\n", len(results), *benchOut)
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"sync/atomic"
 
@@ -228,21 +227,17 @@ func Fig511(cfg Config) Figure {
 
 // Table51 reproduces Table 5.1: NOrec's commit-time ratio on the STAMP
 // profiles — %trans (share of in-transaction time) and %total (share of
-// total CPU time including the non-transactional work).
-func Table51(cfg Config, w io.Writer) {
+// total CPU time including the non-transactional work), one series per app.
+func Table51(cfg Config) Figure {
 	threads := []int{8, 16, 32, 48}
 	totalTxs := 20000
 	if cfg.Measure.Milliseconds() < 500 {
 		totalTxs = 2000
 	}
-	fmt.Fprintf(w, "== table5.1: NOrec commit-time ratio on STAMP profiles ==\n\n")
-	fmt.Fprintf(w, "%-10s", "app")
-	for _, th := range threads {
-		fmt.Fprintf(w, "  %8s %8s", fmt.Sprintf("%dt/tr%%", th), "tot%")
-	}
-	fmt.Fprintln(w)
+	trans := SubPlot{Name: "%trans", YLabel: "commit % of in-transaction time"}
+	total := SubPlot{Name: "%total", YLabel: "commit % of total CPU time"}
 	for _, app := range stamp.Apps() {
-		fmt.Fprintf(w, "%-10s", app.Name)
+		tr, tot := Series{Name: app.Name}, Series{Name: app.Name}
 		for _, th := range threads {
 			alg := norec.New()
 			prof := &stm.Profile{}
@@ -253,19 +248,21 @@ func Table51(cfg Config, w io.Writer) {
 				sink.Add(wl.RunTx(alg, rng))
 			})
 			snap := prof.Snapshot()
-			trans := 0.0
+			y := 0.0
 			if snap.TotalNS > 0 {
-				trans = 100 * float64(snap.CommitNS) / float64(snap.TotalNS)
+				y = 100 * float64(snap.CommitNS) / float64(snap.TotalNS)
 			}
-			cpuNS := dur.Nanoseconds() * int64(th)
-			total := 0.0
-			if cpuNS > 0 {
-				total = 100 * float64(snap.CommitNS) / float64(cpuNS)
+			tr.Points = append(tr.Points, Point{X: th, Y: y})
+			y = 0
+			if cpuNS := dur.Nanoseconds() * int64(th); cpuNS > 0 {
+				y = 100 * float64(snap.CommitNS) / float64(cpuNS)
 			}
+			tot.Points = append(tot.Points, Point{X: th, Y: y})
 			alg.Stop()
-			fmt.Fprintf(w, "  %8.1f %8.1f", trans, total)
 		}
-		fmt.Fprintln(w)
+		trans.Series = append(trans.Series, tr)
+		total.Series = append(total.Series, tot)
 	}
-	fmt.Fprintln(w)
+	return Figure{ID: "table5.1", Title: "NOrec commit-time ratio on STAMP profiles",
+		XLabel: "threads", SubPlots: []SubPlot{trans, total}}
 }

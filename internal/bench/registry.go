@@ -7,28 +7,28 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Experiment is one reproducible artifact of the paper's evaluation. Gen,
-// when non-nil, generates the underlying Figure (cmd/reproduce -bench-out
-// uses it to also emit machine-readable records); experiments that print
-// free-form tables only provide Run.
+// Experiment is one reproducible artifact of the paper's evaluation: a
+// figure generator plus the ratio claims the paper makes about it.
 type Experiment struct {
-	ID   string
-	Desc string
-	Run  func(cfg Config, w io.Writer)
-	Gen  func(cfg Config) Figure
+	ID     string
+	Desc   string
+	Gen    func(cfg Config) Figure
+	Claims []Claim
 }
 
-// figExp adapts a Figure generator to an Experiment. When telemetry is
-// enabled, each experiment runs against a freshly reset Default registry
-// and appends its own abort-reason breakdown, so the table is windowed to
-// the experiment rather than the process lifetime.
-func figExp(id, desc string, gen func(Config) Figure) Experiment {
-	return Experiment{ID: id, Desc: desc, Gen: gen, Run: func(cfg Config, w io.Writer) {
-		telemetry.Default.Reset()
-		f := gen(cfg)
-		f.Print(w)
-		WriteTelemetry(w, id)
-	}}
+// Run generates the experiment's figure against a freshly reset Default
+// telemetry registry, prints it and the abort-reason breakdown recorded
+// while it ran, and returns it so its claims can be checked.
+func (e Experiment) Run(cfg Config, w io.Writer) Figure {
+	telemetry.Default.Reset()
+	f := e.Gen(cfg)
+	f.Print(w)
+	WriteTelemetry(w, e.ID)
+	return f
+}
+
+func figExp(id, desc string, gen func(Config) Figure, claims ...Claim) Experiment {
+	return Experiment{ID: id, Desc: desc, Gen: gen, Claims: claims}
 }
 
 // WriteTelemetry appends the Default registry's abort-reason table for one
@@ -53,24 +53,37 @@ func WriteTelemetry(w io.Writer, id string) {
 	fmt.Fprintln(w)
 }
 
+// Series names the claims compare.
+const (
+	otbName  = "OptimisticBoosted"
+	pessName = "PessimisticBoosted"
+)
+
 // Experiments lists every table and figure of the evaluation sections, in
-// paper order.
+// paper order. Claims are encoded only where they clear their floor at two
+// threads on a 2-vCPU host (EXPERIMENTS.md, "Paper-shape gate"); the
+// Fig 3.3 read-only and Fig 3.5 claims do not and are absent on purpose.
 func Experiments() []Experiment {
+	const writes80 = "80pct add/remove, 20pct contains"
 	return []Experiment{
-		figExp("fig3.3", "linked-list set 512, Lazy vs pessimistic vs OTB", Fig33),
+		figExp("fig3.3", "linked-list set 512, Lazy vs pessimistic vs OTB", Fig33,
+			// OTB ahead under contention; pessimistic slightly better write-intensive.
+			Claim{Panel: "high-contention", Num: otbName, Den: pessName, Threads: 2, Floor: 1},
+			Claim{Panel: "write-intensive", Num: pessName, Den: otbName, Threads: 2, Floor: 1}),
 		figExp("fig3.4", "skip-list set 512, Lazy vs pessimistic vs OTB", Fig34),
 		figExp("fig3.5", "skip-list set 64K, Lazy vs pessimistic vs OTB", Fig35),
-		figExp("fig3.6", "heap priority queue 512, tx sizes 1 and 5", Fig36),
+		figExp("fig3.6", "heap priority queue 512, tx sizes 1 and 5", Fig36,
+			// Semi-optimistic at least as fast as pessimistic; 2x at tx-size 5.
+			Claim{Panel: "tx-size-1", Num: otbName, Den: pessName, Threads: 2, Floor: 1},
+			Claim{Panel: "tx-size-5", Num: otbName, Den: pessName, Threads: 2, Floor: 2}),
 		figExp("fig3.7", "skip-list priority queue 512, tx sizes 1 and 5", Fig37),
-		figExp("fig4.2", "linked-list 512, pure STM vs OTB integration", Fig42),
+		figExp("fig4.2", "linked-list 512, pure STM vs OTB integration", Fig42,
+			// "Up to an order of magnitude" over the pure-STM list.
+			Claim{Panel: writes80, Num: "OTB-NOrec", Den: "NOrec", Threads: 2, Floor: 2},
+			Claim{Panel: writes80, Num: "OTB-TL2", Den: "TL2", Threads: 2, Floor: 2}),
 		figExp("fig4.3", "skip-list 4K, pure STM vs OTB integration", Fig43),
 		figExp("fig4.4", "Algorithm 7 mixed set+memory transactions", Fig44),
-		{ID: "table5.1", Desc: "NOrec commit-time ratio on STAMP profiles",
-			Run: func(cfg Config, w io.Writer) {
-				telemetry.Default.Reset()
-				Table51(cfg, w)
-				WriteTelemetry(w, "table5.1")
-			}},
+		figExp("table5.1", "NOrec commit-time ratio on STAMP profiles", Table51),
 		figExp("fig5.5", "red-black tree 64K, RingSW/NOrec/TL2/RTC", Fig55),
 		figExp("fig5.6", "contention events per tx (cache-miss proxy), NOrec vs RTC", Fig56),
 		figExp("fig5.7", "hash map 10K/256 buckets, RingSW/NOrec/TL2/RTC", Fig57),

@@ -5,14 +5,14 @@ import (
 	"os"
 )
 
-// ResultSchema is the machine-readable result schema shared by cmd/stmbench
-// -json, cmd/reproduce -bench-out, and cmd/benchgate (documented in
-// EXPERIMENTS.md, "Machine-readable results").
+// ResultSchema is the machine-readable result schema of cmd/stmbench -json
+// and the recovery-timing suite (documented in EXPERIMENTS.md,
+// "Machine-readable results").
 const ResultSchema = "stmbench-result/v1"
 
 // Result is one stmbench-result/v1 record: one (structure, algorithm,
 // threads, workload) measurement. cmd/stmbench extends it with telemetry
-// meters; the perf gate compares TxPerSec and AllocsPerTx across runs.
+// meters.
 type Result struct {
 	Schema      string  `json:"schema"`
 	Structure   string  `json:"structure"`
@@ -34,30 +34,6 @@ type Result struct {
 	// (snapshot load + log-tail replay), emitted by the recovery-timing
 	// suite in internal/txnet; zero (omitted) for throughput records.
 	RecoveryMS float64 `json:"recovery_ms,omitempty"`
-}
-
-// FigureResults flattens a reproduced figure into stmbench-result/v1
-// records: one per series point, with Structure naming the figure panel and
-// Algorithm the series. For figures whose Y axis is not a throughput (e.g.
-// execution time or ratios), TxPerSec carries the figure's Y value verbatim
-// — the record identifies the point; its unit is the figure's YLabel.
-func FigureResults(id string, cfg Config, f Figure) []Result {
-	var out []Result
-	for _, sp := range f.SubPlots {
-		for _, s := range sp.Series {
-			for _, p := range s.Points {
-				out = append(out, Result{
-					Schema:     ResultSchema,
-					Structure:  id + "/" + sp.Name,
-					Algorithm:  s.Name,
-					Threads:    p.X,
-					DurationNS: int64(cfg.Measure),
-					TxPerSec:   p.Y,
-				})
-			}
-		}
-	}
-	return out
 }
 
 // WriteResults writes records as an indented JSON array.
