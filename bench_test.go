@@ -97,6 +97,56 @@ func BenchmarkFig3_5(b *testing.B) {
 	})
 }
 
+// BenchmarkReadOnlyTx prices one read-only transaction of a single
+// Contains on the three series of Figs 3.3 and 3.5, on one goroutine: the
+// list of 512 keys and the skip list of 64 K, half the key range present.
+// OTB's reads take no lock and pessimistic boosting's take an uncontended
+// abstract read lock, so OTB can lead the read-only panels only if its
+// overhead over Lazy is below that lock's price; this puts both on record.
+func BenchmarkReadOnlyTx(b *testing.B) {
+	type series struct {
+		name string
+		mk   func() bench.SetDriver
+	}
+	for _, st := range []struct {
+		name   string
+		size   int
+		series []series
+	}{
+		{"list", 512, []series{
+			{"Lazy", func() bench.SetDriver { return bench.NewLazyDriver(conc.NewLazyList()) }},
+			{"PessimisticBoosted", func() bench.SetDriver {
+				return bench.NewBoostedDriver(boosting.NewSet(conc.NewLazyList(), 4096))
+			}},
+			{"OptimisticBoosted", func() bench.SetDriver { return bench.NewOTBDriver(otb.NewListSet()) }},
+		}},
+		{"skip", 64 * 1024, []series{
+			{"Lazy", func() bench.SetDriver { return bench.NewLazyDriver(conc.NewLazySkipList()) }},
+			{"PessimisticBoosted", func() bench.SetDriver {
+				return bench.NewBoostedDriver(boosting.NewSet(conc.NewLazySkipList(), 1<<16))
+			}},
+			{"OptimisticBoosted", func() bench.SetDriver { return bench.NewOTBDriver(otb.NewSkipSet()) }},
+		}},
+	} {
+		for _, se := range st.series {
+			b.Run(st.name+"/"+se.name, func(b *testing.B) {
+				d := se.mk()
+				defer d.Stop()
+				keyRange := 2 * int64(st.size)
+				bench.SetWorkload{InitialSize: st.size, KeyRange: keyRange}.Populate(d)
+				rng := rand.New(rand.NewPCG(1, 2))
+				ops := []bench.SetOp{{Kind: bench.OpContains}}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ops[0].Key = rng.Int64N(keyRange)
+					d.RunTx(ops)
+				}
+			})
+		}
+	}
+}
+
 // benchPQDriver measures b.N priority-queue transactions.
 func benchPQDriver(b *testing.B, opsPerTx int, mk func() bench.PQDriver) {
 	b.Helper()

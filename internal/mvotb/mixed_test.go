@@ -156,10 +156,9 @@ func (v twoTables) Contains(k int64) bool {
 
 // TestOpacityMVOTBTwoTablesTxns puts multi-operation transactions over two
 // tables of one runtime under the opacity checker (seeded like every
-// lincheck run), driven both ways. The single-version OTB structures are
-// left out on purpose: under OTB-NOrec they fail this checker on their own
-// (ROADMAP item 1), which would mask what is tested here — the runtime's
-// hooks.
+// lincheck run), driven both ways. The single-version skip structures get
+// the same view in otb's TestOpacityOTBSkipTxns, under both drivers; keeping
+// them out of this one keeps a failure here about the runtime's hooks.
 func TestOpacityMVOTBTwoTablesTxns(t *testing.T) {
 	for i, d := range mixedDrivers() {
 		atomically := d.atomically

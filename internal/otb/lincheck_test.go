@@ -3,6 +3,7 @@ package otb_test
 import (
 	"testing"
 
+	"repro/internal/integrate"
 	"repro/internal/lincheck"
 	"repro/internal/otb"
 )
@@ -82,4 +83,65 @@ func TestOpacityOTBListSetTxns(t *testing.T) {
 	lincheck.StressTxnSet(t, cfg, func(th int, body func(lincheck.Set)) {
 		otb.Atomic(nil, func(tx *otb.Tx) { body(txView{tx, s}) })
 	})
+}
+
+// skipView is one attempt's view of a set split over the two skip-list
+// structures: even keys in a SkipSet, odd keys in a Map (bound to 1 while
+// present), so one transaction reads and writes two commit counters.
+type skipView struct {
+	tx *otb.Tx
+	s  *otb.SkipSet
+	m  *otb.Map
+}
+
+func (v skipView) Add(k int64) bool {
+	if k&1 == 0 {
+		return v.s.Add(v.tx, k)
+	}
+	return v.m.Put(v.tx, k, 1)
+}
+
+func (v skipView) Remove(k int64) bool {
+	if k&1 == 0 {
+		return v.s.Remove(v.tx, k)
+	}
+	return v.m.Delete(v.tx, k)
+}
+
+func (v skipView) Contains(k int64) bool {
+	if k&1 == 0 {
+		return v.s.Contains(v.tx, k)
+	}
+	return v.m.ContainsKey(v.tx, k)
+}
+
+// TestOpacityOTBSkipTxns is TestOpacityOTBListSetTxns over the skip lists,
+// whose post-validation and write-free commits skip a list no commit has
+// touched since the read set was last known valid, and whose ops return
+// only what held at one instant with the read set. It runs standalone and
+// under both integration contexts, whose validators do not skip but whose
+// ops keep the one-instant rule.
+func TestOpacityOTBSkipTxns(t *testing.T) {
+	norec, tl2 := integrate.NewOTBNOrec(), integrate.NewOTBTL2()
+	for i, d := range []struct {
+		name   string
+		atomic func(func(*otb.Tx))
+	}{
+		{"standalone", func(fn func(*otb.Tx)) { otb.Atomic(nil, fn) }},
+		{"OTB-NOrec", func(fn func(*otb.Tx)) { norec.Atomic(func(c *integrate.Ctx) { fn(c.Sem()) }) }},
+		{"OTB-TL2", func(fn func(*otb.Tx)) { tl2.Atomic(func(c *integrate.Ctx) { fn(c.Sem()) }) }},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			s, m := otb.NewSkipSet(), otb.NewMap()
+			cfg := lincheck.DefaultSTMConfig(int64(13 + i))
+			cfg.Name = "otb/skip-txns-" + d.name
+			cfg.Cells = 8
+			if testing.Short() {
+				cfg = cfg.Scaled(2)
+			}
+			lincheck.StressTxnSet(t, cfg, func(th int, body func(lincheck.Set)) {
+				d.atomic(func(tx *otb.Tx) { body(skipView{tx, s, m}) })
+			})
+		})
+	}
 }

@@ -17,7 +17,11 @@ import "repro/internal/abort"
 type Map struct{ skipList }
 
 // NewMap creates an empty map. Keys exclude the int64 sentinels.
-func NewMap() *Map { return &Map{newSkipList()} }
+func NewMap() *Map {
+	m := &Map{}
+	m.init()
+	return m
+}
 
 // Get returns the value stored for key within tx.
 func (m *Map) Get(tx *Tx, key int64) (uint64, bool) {
@@ -30,12 +34,12 @@ func (m *Map) Get(tx *Tx, key int64) (uint64, bool) {
 		return w.val, true
 	}
 	var preds, succs [maxLevel]*snode
-	curr := m.locate(tx, key, &preds, &succs)
+	curr, val := m.locate(tx, st, key, &preds, &succs)
 	if curr == nil {
 		st.readAbsent(&preds, &succs)
 		return 0, false
 	}
-	return m.readPresent(st, curr, &preds, &succs), true
+	return m.readPresent(st, curr, val, &preds, &succs), true
 }
 
 // ContainsKey reports within tx whether key is mapped.
@@ -59,12 +63,12 @@ func (m *Map) Put(tx *Tx, key int64, val uint64) bool {
 		return false
 	}
 	var preds, succs [maxLevel]*snode
-	curr := m.locate(tx, key, &preds, &succs)
+	curr, old := m.locate(tx, st, key, &preds, &succs)
 	if curr == nil {
 		st.insert(key, val, &preds, &succs)
 		return true
 	}
-	m.readPresent(st, curr, &preds, &succs)
+	m.readPresent(st, curr, old, &preds, &succs)
 	st.writes = append(st.writes, skipWrite{kind: skipUpdate, key: key, val: val, victim: curr})
 	return false
 }
@@ -84,7 +88,7 @@ func (m *Map) Delete(tx *Tx, key int64) bool {
 		default:
 			// Pending update of a live node: re-locate (validated) and turn
 			// the entry into a delete with fresh, commit-validated preds.
-			if m.locate(tx, key, &preds, &succs) != w.victim {
+			if curr, _ := m.locate(tx, st, key, &preds, &succs); curr != w.victim {
 				tx.tr.NoteKey(TraceKey(key))
 				abort.Retry(abort.Conflict)
 			}
@@ -92,7 +96,7 @@ func (m *Map) Delete(tx *Tx, key int64) bool {
 			return true
 		}
 	}
-	curr := m.locate(tx, key, &preds, &succs)
+	curr, _ := m.locate(tx, st, key, &preds, &succs)
 	if curr == nil {
 		st.readAbsent(&preds, &succs)
 		return false

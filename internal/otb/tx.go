@@ -155,6 +155,26 @@ func (tx *Tx) ValidateAllWithLocks() bool {
 	return true
 }
 
+// revalidateAll is ValidateAllWithLocks for standalone post-validation and
+// for the commit of a transaction with no semantic writes: a skip list whose
+// commit counter shows that no commit has locked or published in it since
+// its read set was last known valid is skipped. A writer's commit validates
+// in full, under its locks.
+func (tx *Tx) revalidateAll() bool {
+	for i, ds := range tx.attached {
+		var ok bool
+		if l, counted := ds.(*skipList); counted {
+			ok = l.revalidate(tx, tx.states[i].(*skipState))
+		} else {
+			ok = ds.ValidateWithLocks(tx)
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // PreCommitAll / OnCommitAll / PostCommitAll drive the commit sub-routines
 // of every attached structure; Commit sequences them for a standalone
 // transaction, the integration contexts around their memory commit.
@@ -274,15 +294,17 @@ func (tx *Tx) Reset() {
 
 // PostValidate runs after every operation: it validates the semantic read
 // sets of all attached structures (guaranteeing opacity, as NOrec does at
-// the memory level), aborting on failure. Integration contexts install a
-// replacement strategy via SetValidator.
+// the memory level), aborting on failure. Like NOrec, it skips a skip list
+// whose commit counter has not moved since its read set was last known
+// valid. Integration contexts install a replacement strategy via
+// SetValidator.
 func (tx *Tx) PostValidate() {
 	fpValidateMid.Hit()
 	if tx.validator != nil {
 		tx.validator(tx)
 		return
 	}
-	if !tx.ValidateAllWithLocks() {
+	if !tx.revalidateAll() {
 		abort.Retry(abort.Conflict)
 	}
 	tx.tr.Validated()
@@ -291,12 +313,20 @@ func (tx *Tx) PostValidate() {
 // Commit runs the standalone two-phase commit across all attached
 // structures: acquire all semantic locks, validate all read sets, publish
 // all write sets, release. Any failure aborts (the rollback path releases
-// acquired locks via OnAbort).
+// acquired locks via OnAbort). A transaction with semantic writes validates
+// every read set in full under its locks; one without takes no lock, and
+// its validation skips the skip lists nothing has been published in.
 func (tx *Tx) Commit() {
 	fpCommitPreLock.Hit()
 	tx.PreCommitAll()
 	fpCommitPostLock.Hit()
-	if !tx.ValidateAllWithLocks() {
+	var valid bool
+	if tx.HasSemanticWrites() {
+		valid = tx.ValidateAllWithLocks()
+	} else {
+		valid = tx.revalidateAll()
+	}
+	if !valid {
 		abort.Retry(abort.Conflict)
 	}
 	tx.tr.Validated()
