@@ -1,16 +1,16 @@
 // Command txstore serves the repository's transactional data structures
-// over TCP: OTB sets/maps/priority queues (or any word-based STM runtime)
-// behind a length-prefixed wire protocol with per-client sessions,
-// exactly-once request sequencing, deadline propagation, admission control
-// and graceful drain. It is the networked promotion of the remote-commit
-// split (paper chapter 5): the client ships whole transactions, the server
-// owns the structures.
+// over TCP: OTB sets/maps/priority queues (or the multi-version runtime's
+// set and map) behind a length-prefixed wire protocol with per-client
+// sessions, exactly-once request sequencing, deadline propagation,
+// admission control and graceful drain. It is the networked promotion of
+// the remote-commit split (paper chapter 5): the client ships whole
+// transactions, the server owns the structures.
 //
 // Examples:
 //
 //	txstore -addr :7470
 //	txstore -addr :7470 -wal-dir /var/lib/txstore -fsync always   # durable
-//	txstore -addr :7470 -store stm -alg TL2
+//	txstore -addr :7470 -store mvotb
 //	txstore -addr :7470 -max-inflight 64 -cm hybrid -debug-addr localhost:6060
 //	txstore -failpoints 'txnet.conn.drop=panic@prob:0.01'   # chaos drill
 //
@@ -31,38 +31,16 @@ import (
 
 	"repro/internal/chaos/failpoint"
 	"repro/internal/cm"
-	"repro/internal/stm"
-	"repro/internal/stm/glock"
-	"repro/internal/stm/invalstm"
-	"repro/internal/stm/norec"
-	"repro/internal/stm/ringsw"
-	"repro/internal/stm/tl2"
-	"repro/internal/stm/tml"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/txnet"
 	"repro/internal/wal"
 )
 
-// stmAlgorithms are the context-aware runtimes an -store stm server can
-// host (deadline propagation needs AtomicCtx, so the list is the
-// AlgorithmCtx subset of the repository's STMs).
-var stmAlgorithms = map[string]func() stm.AlgorithmCtx{
-	"NOrec":    func() stm.AlgorithmCtx { return norec.New() },
-	"TL2":      func() stm.AlgorithmCtx { return tl2.New() },
-	"TL2S":     func() stm.AlgorithmCtx { return tl2.NewSharded() },
-	"TML":      func() stm.AlgorithmCtx { return tml.New() },
-	"RingSW":   func() stm.AlgorithmCtx { return ringsw.New() },
-	"InvalSTM": func() stm.AlgorithmCtx { return invalstm.New() },
-	"CGL":      func() stm.AlgorithmCtx { return glock.New() },
-}
-
 func main() {
 	var (
 		addr        = flag.String("addr", ":7470", "listen address")
-		storeKind   = flag.String("store", "otb", "backing runtime: otb (boosted set+map+pq), mvotb (multi-version set+map) or stm (word-based set+map)")
-		alg         = flag.String("alg", "NOrec", "algorithm for -store stm: "+strings.Join(algNames(), ", "))
-		capacity    = flag.Int("capacity", 1<<20, "arena capacity for -store stm (inserts per structure)")
+		storeKind   = flag.String("store", "otb", "backing runtime: otb (boosted set+map+pq) or mvotb (multi-version set+map)")
 		maxInflight = flag.Int("max-inflight", txnet.DefaultMaxInflight, "admission slots (concurrently executing transactions)")
 		patience    = flag.Duration("patience", txnet.DefaultAdmissionPatience, "how long an arrival waits for a slot before being shed")
 		sessionTTL  = flag.Duration("session-ttl", txnet.DefaultSessionTTL, "idle time before a session (and its exactly-once cache) expires")
@@ -72,7 +50,7 @@ func main() {
 		failspec    = flag.String("failpoints", "", "fault-injection specs, 'name=action[@triggers];...' (see internal/chaos/failpoint)")
 		debugAddr   = flag.String("debug-addr", "", "serve the live debug endpoint (trace snapshot, pprof, expvar) on this address")
 		statsEvery  = flag.Duration("stats-every", 0, "periodically log server stats to stderr (0 = off)")
-		walDir      = flag.String("wal-dir", "", "directory for the write-ahead log; enables durable mode (-store otb or mvotb) with recovery on start")
+		walDir      = flag.String("wal-dir", "", "directory for the write-ahead log; enables durable mode with recovery on start")
 		fsyncPolicy = flag.String("fsync", "always", "WAL sync policy: always (ack after fsync), interval (background fsync), never (OS decides)")
 		fsyncEvery  = flag.Duration("fsync-interval", 2*time.Millisecond, "background fsync cadence for -fsync interval")
 		snapEvery   = flag.Int("snapshot-every", txnet.DefaultSnapshotEvery, "snapshot the store+sessions after this many logged commits (<=0 disables)")
@@ -95,30 +73,19 @@ func main() {
 		trace.Enable(*traceSample)
 	}
 
-	var store txnet.Store
-	var durable txnet.DurableStore // the same store, when it can be dumped for snapshots
+	var store txnet.DurableStore
 	switch *storeKind {
 	case "otb":
-		st := txnet.NewOTBStore()
-		store, durable = st, st
+		store = txnet.NewOTBStore()
 	case "mvotb":
 		st := txnet.NewMVOTBStore()
 		defer st.Stop()
-		store, durable = st, st
-	case "stm":
-		mk, ok := stmAlgorithms[*alg]
-		if !ok {
-			fatal(fmt.Errorf("unknown -alg %q (have %s)", *alg, strings.Join(algNames(), ", ")))
-		}
-		store = txnet.NewSTMStore(mk(), *capacity)
+		store = st
 	default:
-		fatal(fmt.Errorf("unknown -store %q (otb, mvotb or stm)", *storeKind))
+		fatal(fmt.Errorf("unknown -store %q (otb or mvotb)", *storeKind))
 	}
 	var dur *txnet.Durable
 	if *walDir != "" {
-		if durable == nil {
-			fatal(fmt.Errorf("-wal-dir requires -store otb or mvotb (the stm store has no state dump to snapshot)"))
-		}
 		policy, err := wal.ParsePolicy(*fsyncPolicy)
 		if err != nil {
 			fatal(err)
@@ -127,7 +94,7 @@ func main() {
 		if every <= 0 {
 			every = -1
 		}
-		dur, err = txnet.OpenDurable(durable, txnet.DurabilityOptions{
+		dur, err = txnet.OpenDurable(store, txnet.DurabilityOptions{
 			Dir:           *walDir,
 			Fsync:         policy,
 			FsyncInterval: *fsyncEvery,
@@ -193,14 +160,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "txstore: drain incomplete: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-func algNames() []string {
-	names := make([]string, 0, len(stmAlgorithms))
-	for n := range stmAlgorithms {
-		names = append(names, n)
-	}
-	return names
 }
 
 func fatal(err error) {

@@ -29,26 +29,30 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-var (
-	servingRE = regexp.MustCompile(`serving \S+ store on (\S+)`)
-	debugRE   = regexp.MustCompile(`debug endpoint on http://(\S+)/debug/trace`)
-)
+var debugRE = regexp.MustCompile(`debug endpoint on http://(\S+)/debug/trace`)
 
-// TestMetricsScrapeSmoke is the CI metrics job run as a test: boot a
-// durable txstore with a debug endpoint, commit one traced transaction,
-// scrape /metrics, validate the exposition with the vendored OpenMetrics
-// parser, and require the families the dashboards depend on — txnet
-// sessions and admission, WAL durability, request-latency histograms —
-// with at least one trace-id exemplar. Then SIGTERM and expect a clean
-// drain.
+// TestMetricsScrapeSmoke is the CI metrics job run as a test, once per
+// -store value: boot a durable txstore with a debug endpoint, commit one
+// traced transaction, scrape /metrics, validate the exposition with the
+// vendored OpenMetrics parser, and require the families the dashboards
+// depend on — txnet sessions and admission, WAL durability,
+// request-latency histograms — with at least one trace-id exemplar. Then
+// SIGTERM and expect a clean drain.
 func TestMetricsScrapeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a child process")
 	}
+	for _, store := range []string{"otb", "mvotb"} {
+		t.Run(store, func(t *testing.T) { metricsScrapeSmoke(t, store) })
+	}
+}
+
+func metricsScrapeSmoke(t *testing.T, store string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	cmd := exec.CommandContext(ctx, os.Args[0],
+		"-store", store,
 		"-addr", "127.0.0.1:0",
 		"-debug-addr", "127.0.0.1:0",
 		"-wal-dir", t.TempDir(),
@@ -69,14 +73,17 @@ func TestMetricsScrapeSmoke(t *testing.T) {
 		_ = cmd.Wait()
 	}()
 
-	// The child prints its bound addresses on stderr; scan for both while
-	// teeing the rest (the slow-request log lands here too).
+	// The child prints its bound addresses on stderr, the serving line
+	// naming the store; scan for both while teeing the rest (the
+	// slow-request log lands here too).
+	servingRE := regexp.MustCompile(`serving ` + store + ` store on (\S+)`)
 	var serveAddr, debugAddr string
 	var slowSeen = make(chan string, 1)
 	lines := bufio.NewScanner(stderr)
 	addrCh := make(chan [2]string, 1)
 	go func() {
 		var sa, da string
+		announced := false
 		for lines.Scan() {
 			line := lines.Text()
 			if m := servingRE.FindStringSubmatch(line); m != nil {
@@ -85,9 +92,9 @@ func TestMetricsScrapeSmoke(t *testing.T) {
 			if m := debugRE.FindStringSubmatch(line); m != nil {
 				da = m[1]
 			}
-			if sa != "" && da != "" && addrCh != nil {
+			if sa != "" && da != "" && !announced {
 				addrCh <- [2]string{sa, da}
-				addrCh = nil
+				announced = true
 			}
 			if strings.Contains(line, "slow-request") {
 				select {
@@ -101,7 +108,7 @@ func TestMetricsScrapeSmoke(t *testing.T) {
 	case got := <-addrCh:
 		serveAddr, debugAddr = got[0], got[1]
 	case <-time.After(10 * time.Second):
-		t.Fatal("child did not announce its addresses")
+		t.Fatalf("child did not announce its addresses (serving %s store, debug endpoint)", store)
 	}
 
 	// One traced committed transaction: the client draws the sample, the

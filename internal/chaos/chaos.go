@@ -96,10 +96,6 @@ func (inj *AbortInjector) Hit() {
 	}
 }
 
-// Remaining reports how many forced aborts are left (negative once
-// exhausted: it counts calls, not aborts).
-func (inj *AbortInjector) Remaining() int64 { return inj.remaining.Load() }
-
 // Storm starts n goroutines repeatedly calling work (each is passed its
 // worker index) and returns a stop function that halts them and waits for
 // them to exit. It is the write-storm harness of the starvation tests: the

@@ -194,9 +194,6 @@ func (m *Manager) Drain() {
 	}
 }
 
-// Epoch returns the current global epoch (diagnostics and tests).
-func (m *Manager) Epoch() uint64 { return m.epoch.Load() }
-
 // Reclaimed returns the lifetime count of nodes recycled (diagnostics and
 // tests).
 func (m *Manager) Reclaimed() uint64 { return m.reclaimed.Load() }

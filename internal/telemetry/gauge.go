@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -71,8 +70,7 @@ func G(name string) *Gauge {
 	return g
 }
 
-// GaugeVars returns a snapshot of every gauge, in the map shape published
-// over expvar.
+// GaugeVars returns a snapshot of every gauge, keyed by name.
 func GaugeVars() map[string]int64 {
 	gaugeMu.Lock()
 	defer gaugeMu.Unlock()
@@ -102,16 +100,4 @@ func WriteGauges(w io.Writer) {
 		fmt.Fprintf(tw, "%s\t%d\n", name, vars[name])
 	}
 	tw.Flush()
-}
-
-var publishGaugesOnce sync.Once
-
-// PublishGauges registers the gauge table under the expvar name "gauges",
-// alongside Publish's "transactions". Safe to call multiple times.
-func PublishGauges() {
-	publishGaugesOnce.Do(func() {
-		expvar.Publish("gauges", expvar.Func(func() any {
-			return GaugeVars()
-		}))
-	})
 }

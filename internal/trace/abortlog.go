@@ -3,99 +3,23 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 	"text/tabwriter"
 	"time"
-
-	"repro/internal/abort"
 )
 
-// abortLogCap bounds the last-N-aborts ring. 256 records is enough to see
-// the tail of any failure without holding the whole run.
-const abortLogCap = 256
-
-// abortRecord is one logged abort (sampled transactions only — the log is
-// a triage tool for "what just went wrong", not a counter; the conflict
-// table and telemetry count everything).
-type abortRecord struct {
-	ts      int64
-	src     uint16
-	span    uint64
-	attempt uint16
-	reason  abort.Reason
-	key     uint64
-}
-
-// abortLog is a mutex-guarded ring of the most recent aborts. The abort
-// path is already a slow path (backoff follows), so a short critical
-// section is acceptable; recording never allocates.
-type abortLog struct {
-	mu   sync.Mutex
-	recs [abortLogCap]abortRecord
-	next uint64 // total records ever written; next%cap is the write slot
-}
-
-func (l *abortLog) add(r abortRecord) {
-	l.mu.Lock()
-	l.recs[l.next%abortLogCap] = r
-	l.next++
-	l.mu.Unlock()
-}
-
-func (l *abortLog) reset() {
-	l.mu.Lock()
-	l.next = 0
-	l.mu.Unlock()
-}
-
-// last returns up to n most recent records, oldest first.
-func (l *abortLog) last(n int) []abortRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	total := l.next
-	count := uint64(n)
-	if count > total {
-		count = total
-	}
-	if count > abortLogCap {
-		count = abortLogCap
-	}
-	out := make([]abortRecord, 0, count)
-	for i := total - count; i < total; i++ {
-		out = append(out, l.recs[i%abortLogCap])
-	}
-	return out
-}
-
-// AbortRecord is one entry of the last-N-aborts dump.
-type AbortRecord struct {
-	// TS is the recorder-clock timestamp in nanoseconds.
-	TS int64
-	// Runtime is the aborting algorithm's name.
-	Runtime string
-	// Span is the sampled transaction id.
-	Span uint64
-	// Attempt is the 1-based attempt ordinal that aborted.
-	Attempt uint16
-	// Reason classifies the abort.
-	Reason abort.Reason
-	// Key is the attributed conflict key (0 = unattributed).
-	Key uint64
-}
-
-// LastAborts returns up to n most recent sampled aborts, oldest first.
-func (r *Recorder) LastAborts(n int) []AbortRecord {
-	if r == nil {
-		return nil
-	}
-	recs := r.aborts.last(n)
-	out := make([]AbortRecord, len(recs))
-	for i, rec := range recs {
-		out[i] = AbortRecord{
-			TS: rec.ts, Runtime: r.sourceName(rec.src), Span: rec.span,
-			Attempt: rec.attempt, Reason: rec.reason, Key: rec.key,
+// LastAborts returns the newest n sampled aborts the rings still hold,
+// oldest first: the EvAbort events of Snapshot. The rings are the only
+// record, so the tail reaches back as far as the rings' depth.
+func (r *Recorder) LastAborts(n int) []Event {
+	evs := r.Snapshot()
+	var out []Event
+	for i := len(evs) - 1; i >= 0 && len(out) < n; i-- {
+		if evs[i].Kind == EvAbort {
+			out = append(out, evs[i])
 		}
 	}
+	slices.Reverse(out)
 	return out
 }
 

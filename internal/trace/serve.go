@@ -5,6 +5,7 @@ import (
 	"expvar"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -78,7 +79,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //	/debug/trace/perfetto  flight-recorder dump as trace-event JSON
 //	                       (load in ui.perfetto.dev)
 //	/debug/trace/conflicts conflict attribution table (text)
-//	/debug/trace/aborts    last-N-aborts dump (text)
+//	/debug/trace/aborts    every abort the rings hold (text)
 //	/metrics               OpenMetrics text exposition (Prometheus-scrapable)
 //	/debug/vars            expvar (includes telemetry's "transactions")
 //	/debug/pprof/...       the standard pprof handlers
@@ -107,7 +108,7 @@ func NewMux(r *Recorder) *http.ServeMux {
 	})
 	mux.HandleFunc("/debug/trace/aborts", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		r.WriteAborts(w, abortLogCap)
+		r.WriteAborts(w, math.MaxInt)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", telemetry.OpenMetricsContentType)

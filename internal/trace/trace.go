@@ -34,7 +34,8 @@
 //   - the Perfetto / Chrome trace-event exporter (WritePerfetto): one
 //     process per runtime, one track per descriptor, one slice per attempt
 //     phase — load the JSON in ui.perfetto.dev;
-//   - the last-N-aborts dump (WriteAborts) for failure triage;
+//   - the last-N-aborts dump (WriteAborts), read back from the rings, for
+//     failure triage;
 //   - the live debug endpoint (Serve): snapshot, conflict table, Perfetto
 //     dump, expvar and pprof on one mux.
 //
@@ -214,8 +215,8 @@ type Event struct {
 }
 
 // Recorder is a flight-recorder instance: a set of per-P event rings, the
-// named sources recording into them, the conflict attribution table, and
-// the last-N-aborts log. The zero value is not usable; call NewRecorder.
+// named sources recording into them, and the conflict attribution table.
+// The zero value is not usable; call NewRecorder.
 type Recorder struct {
 	on      atomic.Bool
 	every   atomic.Uint64 // sample 1 in every transactions (min 1)
@@ -232,8 +233,6 @@ type Recorder struct {
 	mu      sync.Mutex
 	sources map[string]*Source
 	names   []string // source name by id
-
-	aborts abortLog
 }
 
 // defaultRingSlots is the per-ring slot count: deep enough to hold several
@@ -372,9 +371,9 @@ func (r *Recorder) Snapshot() []Event {
 	return out
 }
 
-// Reset discards all recorded events, conflict attributions and abort
-// records. Counters (span ids, sequence numbers) keep advancing so
-// snapshots from different windows never alias.
+// Reset discards all recorded events and conflict attributions. Counters
+// (span ids, sequence numbers) keep advancing so snapshots from different
+// windows never alias.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -385,7 +384,6 @@ func (r *Recorder) Reset() {
 	for _, s := range r.sourceList() {
 		s.conflicts.reset()
 	}
-	r.aborts.reset()
 }
 
 // Source is the recording identity of one transactional runtime. Sources
@@ -627,9 +625,9 @@ func (l *Local) NoteKey(key uint64) {
 	}
 }
 
-// Abort records one aborted attempt: the event (sampled spans), the
-// conflict-table attribution under the last noted key (every transaction
-// while the recorder is enabled), and the last-N-aborts log entry.
+// Abort records one aborted attempt: the event (sampled spans; the
+// last-N-aborts dump reads it back) and the conflict-table attribution under
+// the last noted key (every transaction while the recorder is enabled).
 func (l *Local) Abort(reason abort.Reason) {
 	if l == nil {
 		return
@@ -648,10 +646,6 @@ func (l *Local) Abort(reason abort.Reason) {
 		if key != 0 {
 			l.src.conflicts.note(key, wait)
 		}
-		r.aborts.add(abortRecord{
-			ts: now, src: l.src.id, span: l.span,
-			attempt: l.attempt, reason: reason, key: key,
-		})
 		return
 	}
 	if !r.on.Load() {

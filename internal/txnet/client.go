@@ -135,13 +135,6 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// Session returns the server-assigned session ID.
-func (c *Client) Session() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.session
-}
-
 // Close says goodbye and tears the connection down. The goodbye frame
 // frees the server-side session immediately instead of leaving it to the
 // TTL sweeper; it is best-effort — if the connection is already dead the
@@ -485,12 +478,6 @@ func (c *Client) Do1(ctx context.Context, op Op) (OpResult, error) {
 // SetAdd adds key to the set structure at index st.
 func (c *Client) SetAdd(ctx context.Context, st uint32, key int64) (bool, error) {
 	r, err := c.Do1(ctx, Op{Code: OpAdd, Struct: st, Key: key})
-	return r.OK, err
-}
-
-// SetRemove removes key from the set structure at index st.
-func (c *Client) SetRemove(ctx context.Context, st uint32, key int64) (bool, error) {
-	r, err := c.Do1(ctx, Op{Code: OpRemove, Struct: st, Key: key})
 	return r.OK, err
 }
 

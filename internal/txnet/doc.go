@@ -28,7 +28,7 @@
 //
 // Client context deadlines ride the wire as a remaining-time budget and
 // become the server-side context for the transaction itself
-// (otb.AtomicCtx / stm.AtomicCtx), so a transaction whose client has given
+// (otb.AtomicCtx / mvotb's ReadOnlyCtx), so a transaction whose client has given
 // up stops retrying instead of burning server cycles. The wire distinguishes
 // deadline-exceeded, aborted, overloaded (with a retry-after hint) and
 // shutting-down, so clients can react differently to each.

@@ -6,8 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/otb"
-	"repro/internal/stm"
-	"repro/internal/stmds"
 )
 
 // ErrBadOp marks a structurally invalid request: an op code a structure
@@ -28,32 +26,29 @@ type Store interface {
 	NumStructs() int
 }
 
-// setOps, mapOps and pqOps are the three abstract types every store serves,
-// over the transaction handle T of whichever runtime hosts them (*otb.Tx for
-// the OTB and multi-version structures, stm.Tx for the word-based ones).
-type setOps[T any] interface {
-	Add(tx T, key int64) bool
-	Remove(tx T, key int64) bool
-	Contains(tx T, key int64) bool
+// otbSetOps is a set driven by an OTB transaction (otb.ListSet, otb.SkipSet
+// and mvotb.Set all qualify), plus the key walk a dump needs.
+type otbSetOps interface {
+	Add(tx *otb.Tx, key int64) bool
+	Remove(tx *otb.Tx, key int64) bool
+	Contains(tx *otb.Tx, key int64) bool
+	Keys() []int64
 }
 
-type mapOps[T any] interface {
-	Put(tx T, key int64, val uint64) bool
-	Get(tx T, key int64) (uint64, bool)
-	Delete(tx T, key int64) bool
-	ContainsKey(tx T, key int64) bool
-}
-
-type pqOps[T any] interface {
-	Add(tx T, key int64) bool
-	Min(tx T) (int64, bool)
-	RemoveMin(tx T) (int64, bool)
+// otbMapOps is otbSetOps for maps (otb.Map and mvotb.Map). The third
+// abstract type, the priority queue, has one implementation, *otb.SkipPQ.
+type otbMapOps interface {
+	Put(tx *otb.Tx, key int64, val uint64) bool
+	Get(tx *otb.Tx, key int64) (uint64, bool)
+	Delete(tx *otb.Tx, key int64) bool
+	ContainsKey(tx *otb.Tx, key int64) bool
+	Snapshot() map[int64]uint64
 }
 
 // applySet, applyMap and applyPQ are the only op-code dispatch in the
 // package: one per abstract type, shared by every store. validateOps has
 // already run, so the default arm is the one remaining legal code.
-func applySet[T any](s setOps[T], tx T, op Op) OpResult {
+func applySet(s otbSetOps, tx *otb.Tx, op Op) OpResult {
 	switch op.Code {
 	case OpAdd:
 		return OpResult{OK: s.Add(tx, op.Key)}
@@ -64,7 +59,7 @@ func applySet[T any](s setOps[T], tx T, op Op) OpResult {
 	}
 }
 
-func applyMap[T any](m mapOps[T], tx T, op Op) OpResult {
+func applyMap(m otbMapOps, tx *otb.Tx, op Op) OpResult {
 	switch op.Code {
 	case OpPut:
 		return OpResult{OK: m.Put(tx, op.Key, op.Val)}
@@ -78,7 +73,7 @@ func applyMap[T any](m mapOps[T], tx T, op Op) OpResult {
 	}
 }
 
-func applyPQ[T any](q pqOps[T], tx T, op Op) OpResult {
+func applyPQ(q *otb.SkipPQ, tx *otb.Tx, op Op) OpResult {
 	switch op.Code {
 	case OpAdd:
 		return OpResult{OK: q.Add(tx, op.Key)}
@@ -122,19 +117,6 @@ func NewOTBStore() *OTBStore {
 
 // NumStructs implements Store.
 func (s *OTBStore) NumStructs() int { return len(s.structs) }
-
-// otbSetOps is a set driven by an OTB transaction, plus the key walk a dump
-// needs.
-type otbSetOps interface {
-	setOps[*otb.Tx]
-	Keys() []int64
-}
-
-// otbMapOps is otbSetOps for maps.
-type otbMapOps interface {
-	mapOps[*otb.Tx]
-	Snapshot() map[int64]uint64
-}
 
 // dumpKeys emits one OpAdd per key: the dump of a set or a priority queue.
 func dumpKeys(keys func() []int64) func(uint32, func(Op)) {
@@ -224,10 +206,6 @@ func mutating(ops []Op) bool {
 	return false
 }
 
-// setAndMap is the fixed registry of the STM store: a set at index 0 and a
-// map at index 1.
-var setAndMap = []structKind{kindSet, kindMap}
-
 // validateOps rejects malformed batches before any transactional work —
 // codes in range, structure indexes inside the registry, and every code
 // legal on the kind of structure it addresses — so a failing batch provably
@@ -260,67 +238,6 @@ func (s *OTBStore) Exec(ctx context.Context, ops []Op, res []OpResult) error {
 	return otb.AtomicCtx(ctx, nil, func(tx *otb.Tx) {
 		for i, op := range ops {
 			res[i] = s.structs[op.Struct].apply(tx, op)
-		}
-	})
-}
-
-// STMStore serves word-based STM structures: a set and a map, both backed
-// by stmds.HashMap chains over the given algorithm's cells, executed with
-// the algorithm's AtomicCtx. It demonstrates that the network layer is
-// runtime-agnostic — any stm.AlgorithmCtx hosts the same wire API.
-//
-// Structure indexes: 0 is a set (Add/Remove/Contains via membership), 1 is
-// a map (Put/Get/Delete/Contains). Capacity is fixed at construction (the
-// underlying arenas do not grow).
-type STMStore struct {
-	alg stm.AlgorithmCtx
-	set stmSet
-	kv  stmMap
-}
-
-// stmSet is set membership over a hash map (Add is Put(key, 1)).
-type stmSet struct{ h *stmds.HashMap }
-
-func (s stmSet) Add(tx stm.Tx, key int64) bool    { return s.h.Put(tx, key, 1) }
-func (s stmSet) Remove(tx stm.Tx, key int64) bool { return s.h.Delete(tx, key) }
-func (s stmSet) Contains(tx stm.Tx, key int64) bool {
-	_, found := s.h.Get(tx, key)
-	return found
-}
-
-// stmMap completes stmds.HashMap to mapOps.
-type stmMap struct{ *stmds.HashMap }
-
-func (m stmMap) ContainsKey(tx stm.Tx, key int64) bool {
-	_, found := m.Get(tx, key)
-	return found
-}
-
-// NewSTMStore builds an STM-backed store over alg with room for capacity
-// inserts per structure.
-func NewSTMStore(alg stm.AlgorithmCtx, capacity int) *STMStore {
-	return &STMStore{
-		alg: alg,
-		set: stmSet{stmds.NewHashMap(256, capacity)},
-		kv:  stmMap{stmds.NewHashMap(256, capacity)},
-	}
-}
-
-// NumStructs implements Store.
-func (s *STMStore) NumStructs() int { return len(setAndMap) }
-
-// Exec implements Store.
-func (s *STMStore) Exec(ctx context.Context, ops []Op, res []OpResult) error {
-	if err := validateOps(setAndMap, ops); err != nil {
-		return err
-	}
-	return s.alg.AtomicCtx(ctx, func(tx stm.Tx) {
-		for i, op := range ops {
-			if op.Struct == 0 {
-				res[i] = applySet(s.set, tx, op)
-			} else {
-				res[i] = applyMap(s.kv, tx, op)
-			}
 		}
 	})
 }
