@@ -263,9 +263,10 @@ func (t *norecCtx) commit() {
 	}
 	t.holdsClock = true
 	t.h.Trace().Lock(norecClockTraceKey)
-	// A semantic operation logs its entry after its post-validation, so the
-	// entries of the last operation may predate the snapshot the lock was
-	// taken at. Nothing can commit now; check them before publishing.
+	// Every semantic entry, the last operation's included, was validated at
+	// or after the snapshot the lock was taken at. The read set is still
+	// checked once more here, where nothing can commit: commit-time
+	// semantic validation stays unconditional in every context.
 	if !t.ctx.sem.ValidateAllWithoutLocks() {
 		abort.Retry(abort.Conflict)
 	}

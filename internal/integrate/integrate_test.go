@@ -69,9 +69,9 @@ func TestMixedSetAndMemory(t *testing.T) {
 
 // TestOTBNOrecCommitValidatesLastOperation lets other transactions commit
 // between a semantic operation's traversal and its post-validation (the
-// otb.validate.mid failpoint sits exactly there). The operation then logs
-// entries older than the snapshot OTB-NOrec commits at; unless commit
-// re-checks them, two transactions insert the same key.
+// otb.validate.mid failpoint sits exactly there). The operation's entries
+// predate those commits; unless a validation checks them before the
+// transaction commits, two transactions insert the same key.
 func TestOTBNOrecCommitValidatesLastOperation(t *testing.T) {
 	defer failpoint.Arm("otb.validate.mid", failpoint.Spec{Action: failpoint.Delay, Delay: 20 * time.Microsecond})()
 	alg := integrate.NewOTBNOrec()

@@ -8,32 +8,63 @@ import (
 	"repro/internal/chaos"
 )
 
-// Tests of the skip list's commit counter: what the validation it skips
-// must still catch, and the work it saves.
+// Tests of the lists' commit counters and of record-then-validate: what
+// the validation a counter skips must still catch, what an op's own
+// validation must catch, and the work the counters save.
 
-// keyed is the part of SkipSet and Map these tests drive.
+// keyed is the part of SkipSet, Map and ListSet these tests drive.
 type keyed interface {
-	has(tx *Tx, k int64) bool
+	get(tx *Tx, k int64) (uint64, bool) // what a read of k observes
 	add(tx *Tx, k int64)
+	remove(tx *Tx, k int64)
+	// change alters what get observes for present key k: a map updates the
+	// value in place, a set removes the key.
+	change(tx *Tx, k int64)
+	view(tx *Tx) *counterView
+}
+
+func has(s keyed, tx *Tx, k int64) bool {
+	_, ok := s.get(tx, k)
+	return ok
 }
 
 type keyedSet struct{ *SkipSet }
 
-func (s keyedSet) has(tx *Tx, k int64) bool { return s.Contains(tx, k) }
-func (s keyedSet) add(tx *Tx, k int64)      { s.Add(tx, k) }
+func (s keyedSet) get(tx *Tx, k int64) (uint64, bool) { return 0, s.Contains(tx, k) }
+func (s keyedSet) add(tx *Tx, k int64)                { s.Add(tx, k) }
+func (s keyedSet) remove(tx *Tx, k int64)             { s.Remove(tx, k) }
+func (s keyedSet) change(tx *Tx, k int64)             { s.Remove(tx, k) }
+func (s keyedSet) view(tx *Tx) *counterView           { return &s.peekState(tx).view }
 
 type keyedMap struct{ *Map }
 
-func (m keyedMap) has(tx *Tx, k int64) bool { return m.ContainsKey(tx, k) }
-func (m keyedMap) add(tx *Tx, k int64)      { m.Put(tx, k, uint64(k)) }
+func (m keyedMap) get(tx *Tx, k int64) (uint64, bool) { return m.Get(tx, k) }
+func (m keyedMap) add(tx *Tx, k int64)                { m.Put(tx, k, uint64(k)) }
+func (m keyedMap) remove(tx *Tx, k int64)             { m.Delete(tx, k) }
+func (m keyedMap) change(tx *Tx, k int64)             { m.Put(tx, k, uint64(k)+1) }
+func (m keyedMap) view(tx *Tx) *counterView           { return &m.peekState(tx).view }
 
-var keyedKinds = []struct {
+type keyedList struct{ *ListSet }
+
+func (s keyedList) get(tx *Tx, k int64) (uint64, bool) { return 0, s.Contains(tx, k) }
+func (s keyedList) add(tx *Tx, k int64)                { s.Add(tx, k) }
+func (s keyedList) remove(tx *Tx, k int64)             { s.Remove(tx, k) }
+func (s keyedList) change(tx *Tx, k int64)             { s.Remove(tx, k) }
+func (s keyedList) view(tx *Tx) *counterView           { return &s.peekState(tx).view }
+
+type keyedKind struct {
 	name string
 	mk   func() keyed
-}{
-	{"skipset", func() keyed { return keyedSet{NewSkipSet()} }},
-	{"map", func() keyed { return keyedMap{NewMap()} }},
 }
+
+var (
+	skipKinds = []keyedKind{
+		{"skipset", func() keyed { return keyedSet{NewSkipSet()} }},
+		{"map", func() keyed { return keyedMap{NewMap()} }},
+	}
+	listKind   = keyedKind{"listset", func() keyed { return keyedList{NewListSet()} }}
+	keyedKinds = append(skipKinds[:len(skipKinds):len(skipKinds)], listKind)
+)
 
 // TestStaleViewAborts: a transaction reads key 1 as absent and pauses;
 // another commits {add 1, add 2}; the first then reads key 2 and finds it.
@@ -47,14 +78,14 @@ func TestStaleViewAborts(t *testing.T) {
 			attempts := 0
 			Atomic(nil, func(tx *Tx) {
 				attempts++
-				has1 := s.has(tx, 1)
+				has1 := has(s, tx, 1)
 				if attempts > 1 {
 					return
 				}
 				chaos.CommitConcurrently(func() {
 					Atomic(nil, func(tx2 *Tx) { s.add(tx2, 1); s.add(tx2, 2) })
 				})
-				has2 := s.has(tx, 2)
+				has2 := has(s, tx, 2)
 				t.Errorf("attempt 1 observed 1 present=%v, 2 present=%v; it should have aborted", has1, has2)
 			})
 			if attempts != 2 {
@@ -70,36 +101,44 @@ func TestStaleViewAborts(t *testing.T) {
 // The set holds {1, 4, 5}. A reads 3 as absent (an entry on 1 → 4). C1
 // adds 3 and removes 5; A's next op traverses for 5 and finds it absent;
 // during its post-validation C2 removes 3 and adds 5 back. The entry on
-// 1 → 4 validates again, but 3 and 5 were never absent together: the op
-// must traverse again and find 5.
+// 1 → 4 validates again, but 3 and 5 were never absent together. The op
+// records its entry for 5 before it validates, so that validation sees C2's
+// insert and the attempt aborts.
 func TestOpOutcomeHoldsWithEntries(t *testing.T) {
-	s := NewSkipSet()
-	run(t, func(tx *Tx) { s.Add(tx, 1); s.Add(tx, 4); s.Add(tx, 5) })
-	a := NewTx(nil)
-	a.Pin()
-	defer a.Unpin()
-	during := func() {}
-	a.SetValidator(func(tx *Tx) {
-		during()
-		if !tx.ValidateAllWithLocks() {
-			abort.Retry(abort.Conflict)
-		}
-	})
-	if s.Contains(a, 3) {
-		t.Fatal("A: key 3 present before anyone added it")
-	}
-	run(t, func(tx *Tx) { s.Add(tx, 3); s.Remove(tx, 5) })
-	during = func() {
-		during = func() {}
-		chaos.CommitConcurrently(func() {
-			Atomic(nil, func(tx *Tx) { s.Remove(tx, 3); s.Add(tx, 5) })
+	for _, kind := range keyedKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			s := kind.mk()
+			run(t, func(tx *Tx) { s.add(tx, 1); s.add(tx, 4); s.add(tx, 5) })
+			a := NewTx(nil)
+			a.Pin()
+			defer a.Unpin()
+			during := func() {}
+			a.SetValidator(func(tx *Tx) {
+				during()
+				if !tx.ValidateAllWithLocks() {
+					abort.Retry(abort.Conflict)
+				}
+			})
+			if has(s, a, 3) {
+				t.Fatal("A: key 3 present before anyone added it")
+			}
+			run(t, func(tx *Tx) { s.add(tx, 3); s.remove(tx, 5) })
+			during = func() {
+				during = func() {}
+				chaos.CommitConcurrently(func() {
+					Atomic(nil, func(tx *Tx) { s.remove(tx, 3); s.add(tx, 5) })
+				})
+			}
+			chaos.ExpectAbort(t, abort.Conflict, func() {
+				if has(s, a, 5) {
+					t.Error("A returned 5 present from a traversal that found it absent")
+				} else {
+					t.Error("A observed 3 and 5 both absent, a state the set never held")
+				}
+			})
+			a.Rollback()
 		})
 	}
-	if !s.Contains(a, 5) {
-		a.Rollback()
-		t.Fatal("A observed 3 and 5 both absent, a state the set never held")
-	}
-	a.Commit()
 }
 
 // gate is a structure with no state of its own that stops a committing
@@ -156,40 +195,44 @@ func commitBehind(t *testing.T, g *gate, fn func(*Tx)) (finish func()) {
 	return finish
 }
 
-// TestHalfPublishedCommitAborts: C inserts 1 into a set and 2 into a map,
-// and stops after publishing the set, before the map. A read 2 as absent
-// before C began and now finds 1: it has seen half of C and must abort.
-// Only the map's counter can tell it, and only because C moved every
-// list's counter in PreCommit, before publishing in any of them.
+// TestHalfPublishedCommitAborts: C inserts 1 into x and 2 into y, and
+// stops after publishing x, before y. A read 2 as absent before C began and
+// now finds 1: it has seen half of C and must abort. Only y's counter can
+// tell it, and only because C moved every list's counter in PreCommit,
+// before publishing in any of them.
 func TestHalfPublishedCommitAborts(t *testing.T) {
-	s, m := NewSkipSet(), NewMap()
-	a := NewTx(nil)
-	a.Pin()
-	defer a.Unpin()
-	if m.ContainsKey(a, 2) {
-		t.Fatal("A: key 2 present before anyone added it")
+	for _, kind := range keyedKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			x, y := kind.mk(), kind.mk()
+			a := NewTx(nil)
+			a.Pin()
+			defer a.Unpin()
+			if has(y, a, 2) {
+				t.Fatal("A: key 2 present before anyone added it")
+			}
+			g := newGate(true)
+			finish := commitBehind(t, g, func(c *Tx) {
+				x.add(c, 1)
+				c.Attach(g, func() any { return g })
+				y.add(c, 2)
+			})
+			chaos.ExpectAbort(t, abort.Conflict, func() {
+				has1 := has(x, a, 1)
+				t.Errorf("A returned 1 present=%v with 2 absent; C was half published", has1)
+			})
+			a.Rollback()
+			finish()
+			run(t, func(tx *Tx) {
+				if !has(x, tx, 1) || !has(y, tx, 2) {
+					t.Error("C's commit is incomplete")
+				}
+			})
+		})
 	}
-	g := newGate(true)
-	finish := commitBehind(t, g, func(c *Tx) {
-		s.Add(c, 1)
-		c.Attach(g, func() any { return g })
-		m.Put(c, 2, 2)
-	})
-	chaos.ExpectAbort(t, abort.Conflict, func() {
-		has1 := s.Contains(a, 1)
-		t.Errorf("A returned 1 present=%v with 2 absent; C was half published", has1)
-	})
-	a.Rollback()
-	finish()
-	run(t, func(tx *Tx) {
-		if !s.Contains(tx, 1) || !m.ContainsKey(tx, 2) {
-			t.Error("C's commit is incomplete")
-		}
-	})
 }
 
 // TestWriterCommitValidatesUnderLocks: a writer's commit validation runs in
-// full under its locks. A reads key 1 as absent in x and updates 20 in y. B
+// full under its locks. A reads key 1 as absent in x and changes 20 in y. B
 // then reads 20, inserts 1 into x, validates and stops before publishing.
 // Unless A's commit samples the lock B holds on 1's predecessor, both
 // commit and each misses the other's write (write skew). Run over one list
@@ -198,110 +241,174 @@ func TestWriterCommitValidatesUnderLocks(t *testing.T) {
 	for _, two := range []bool{false, true} {
 		name := map[bool]string{false: "one list", true: "two lists"}[two]
 		t.Run(name, func(t *testing.T) {
-			x, y := NewMap(), NewMap()
-			if !two {
-				y = x
+			for _, kind := range keyedKinds {
+				t.Run(kind.name, func(t *testing.T) {
+					// A set's remove of 20 also locks 20's predecessors.
+					// Those include the head, which B locks for 1, when
+					// 20's tower outgrows 10's; then A aborts in PreCommit
+					// without validating, so the round is run again.
+					for round := 1; ; round++ {
+						r := writeSkewRound(t, kind, two)
+						if r == abort.Conflict {
+							break
+						}
+						if r != abort.LockBusy || round == 20 {
+							t.Fatalf("round %d: A's commit aborted with %v, want %v", round, r, abort.Conflict)
+						}
+					}
+				})
 			}
-			run(t, func(tx *Tx) { y.Put(tx, 20, 0) })
-
-			a := NewTx(nil)
-			a.Pin()
-			defer a.Unpin()
-			if x.ContainsKey(a, 1) {
-				t.Fatal("A: key 1 present before anyone added it")
-			}
-			if y.Put(a, 20, 5) {
-				t.Fatal("A: Put(20) inserted; the key should be present")
-			}
-
-			g := newGate(false)
-			finishB := commitBehind(t, g, func(b *Tx) {
-				if v, ok := y.Get(b, 20); !ok || v != 0 {
-					t.Errorf("B: Get(20) = %d,%v; want 0,true", v, ok)
-				}
-				x.Put(b, 1, 1)
-				b.Attach(g, func() any { return g })
-			})
-			chaos.ExpectAbort(t, abort.Conflict, a.Commit)
-			a.Rollback()
-			finishB()
-			run(t, func(tx *Tx) {
-				if v, _ := y.Get(tx, 20); v != 0 {
-					t.Errorf("20 = %d after A aborted, want 0", v)
-				}
-				if !x.ContainsKey(tx, 1) {
-					t.Error("B's insert of 1 is missing")
-				}
-			})
 		})
 	}
 }
 
-// TestReaderSeesValidatedWriter: a commit that has validated is ordered
-// before any later commit that invalidates its reads, so a reader may not
-// skip past it even before it publishes. C reads 60 in y (value 0),
-// inserts 10 into x, validates and stops before publishing. D then updates
-// 60 to 7 and commits. A reads 60 (7) and 10 (absent): committing A would
-// order it after D and before C, while C precedes D. C announced on x's
-// counter before taking its locks, so A cannot skip x and must abort.
-func TestReaderSeesValidatedWriter(t *testing.T) {
-	x, y := NewMap(), NewMap()
-	run(t, func(tx *Tx) { y.Put(tx, 60, 0) })
-	g := newGate(false)
-	finishC := commitBehind(t, g, func(c *Tx) {
-		if v, ok := y.Get(c, 60); !ok || v != 0 {
-			t.Errorf("C: Get(60) = %d,%v; want 0,true", v, ok)
-		}
-		x.Put(c, 10, 1)
-		c.Attach(g, func() any { return g })
-	})
-	run(t, func(tx *Tx) { y.Put(tx, 60, 7) })
+// writeSkewRound runs TestWriterCommitValidatesUnderLocks's schedule once
+// on fresh lists and returns the reason A's commit aborted with.
+func writeSkewRound(t *testing.T, kind keyedKind, two bool) abort.Reason {
+	x, y := kind.mk(), kind.mk()
+	if !two {
+		y = x
+	}
+	// 10 keeps 20's bottom-level predecessor apart from 1's.
+	run(t, func(tx *Tx) { y.add(tx, 10); y.add(tx, 20) })
+	var want uint64
+	run(t, func(tx *Tx) { want, _ = y.get(tx, 20) })
 
 	a := NewTx(nil)
 	a.Pin()
 	defer a.Unpin()
-	chaos.ExpectAbort(t, abort.Conflict, func() {
-		v, _ := y.Get(a, 60)
-		has10 := x.ContainsKey(a, 10)
-		a.Commit()
-		t.Errorf("A committed 60=%d and 10 present=%v before C published", v, has10)
-	})
-	a.Rollback()
-	finishC()
-}
+	if has(x, a, 1) {
+		t.Fatal("A: key 1 present before anyone added it")
+	}
+	y.change(a, 20)
 
-// TestSkipTxLinearWork counts the entries validation re-checks in one
-// 1024-op transaction running alone. Post-validating every entry after
-// every op re-checks k²/2 of them (over half a million); with the commit
-// counter no post-validation of a list nothing was published in checks
-// anything, a writer's commit checks each entry once and a write-free
-// commit none.
-func TestSkipTxLinearWork(t *testing.T) {
-	const k = 1024
-	m := NewMap()
+	g := newGate(false)
+	finishB := commitBehind(t, g, func(b *Tx) {
+		if v, ok := y.get(b, 20); !ok || v != want {
+			t.Errorf("B: get(20) = %d,%v; want %d,true", v, ok, want)
+		}
+		x.add(b, 1)
+		b.Attach(g, func() any { return g })
+	})
+	r, aborted := abortOf(a.Commit)
+	if !aborted {
+		t.Fatal("A committed beside B: write skew")
+	}
+	a.Rollback()
+	finishB()
 	run(t, func(tx *Tx) {
-		for i := int64(0); i < k; i += 2 {
-			m.Put(tx, i, 0)
+		if v, ok := y.get(tx, 20); !ok || v != want {
+			t.Errorf("get(20) = %d,%v after A aborted, want %d,true", v, ok, want)
+		}
+		if !has(x, tx, 1) {
+			t.Error("B's insert of 1 is missing")
 		}
 	})
-	for _, writes := range []bool{false, true} {
+	return r
+}
+
+// abortOf runs f and reports the reason it aborted with, if it did.
+func abortOf(f func()) (r abort.Reason, aborted bool) {
+	defer func() {
+		switch p := recover().(type) {
+		case nil:
+		case abort.Signal:
+			r, aborted = p.Reason, true
+		default:
+			panic(p)
+		}
+	}()
+	f()
+	return 0, false
+}
+
+// TestReaderSeesValidatedWriter: a commit that has validated is ordered
+// before any later commit that invalidates its reads, so a reader may not
+// skip past it even before it publishes. C reads 60 in y, inserts 10 into
+// x, validates and stops before publishing. D then changes 60 and commits.
+// A reads 60 (changed) and 10 (absent): committing A would order it after D
+// and before C, while C precedes D. C announced on x's counter before
+// taking its locks, so A cannot skip x and must abort.
+func TestReaderSeesValidatedWriter(t *testing.T) {
+	for _, kind := range keyedKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			x, y := kind.mk(), kind.mk()
+			run(t, func(tx *Tx) { y.add(tx, 60) })
+			g := newGate(false)
+			finishC := commitBehind(t, g, func(c *Tx) {
+				if !has(y, c, 60) {
+					t.Error("C: 60 absent; want present")
+				}
+				x.add(c, 10)
+				c.Attach(g, func() any { return g })
+			})
+			run(t, func(tx *Tx) { y.change(tx, 60) })
+
+			a := NewTx(nil)
+			a.Pin()
+			defer a.Unpin()
+			chaos.ExpectAbort(t, abort.Conflict, func() {
+				v, ok := y.get(a, 60)
+				has10 := has(x, a, 10)
+				a.Commit()
+				t.Errorf("A committed 60=%d,%v and 10 present=%v before C published", v, ok, has10)
+			})
+			a.Rollback()
+			finishC()
+		})
+	}
+}
+
+// txLinearWork counts the entries validation re-checks in one 1024-op
+// transaction running alone over a list made by mk. Post-validating every
+// entry after every op re-checks k²/2 of them (over half a million); with
+// the commit counter no post-validation of a list nothing was published in
+// checks anything, and a write-free commit checks nothing either. A
+// writer's commit checks each entry once, in the list it writes and in a
+// list it only read alike: that validation is unconditional.
+func txLinearWork(t *testing.T, mk func() keyed) {
+	const k = 1024
+	s, other := mk(), mk()
+	run(t, func(tx *Tx) {
+		for i := int64(0); i < k; i += 2 {
+			s.add(tx, i)
+		}
+	})
+	for _, c := range []struct {
+		name           string
+		writes, writer bool // writes in s; a write elsewhere
+		want           int
+	}{
+		{"reader", false, false, 0},
+		{"writer", true, true, k},
+		{"writer elsewhere", false, true, k},
+	} {
 		tx := NewTx(nil)
 		tx.Pin()
 		for i := int64(0); i < k; i++ {
-			if writes && i%2 == 0 {
-				m.Put(tx, i, 1)
+			if c.writes && i%2 == 0 {
+				s.change(tx, i)
 			} else {
-				m.Get(tx, i)
+				has(s, tx, i)
 			}
+		}
+		if c.writer && !c.writes {
+			other.add(tx, 1)
 		}
 		tx.Commit()
 		tx.Unpin()
-		limit := 0
-		if writes {
-			limit = k
-		}
-		if got := m.peekState(tx).checks; got > limit {
-			t.Errorf("writes=%v: %d entry checks for %d ops, want at most %d", writes, got, k, limit)
+		if got := s.view(tx).checks; got != c.want {
+			t.Errorf("%s: %d entry checks for %d ops, want %d", c.name, got, k, c.want)
 		}
 	}
 }
+
+// TestSkipTxLinearWork is txLinearWork over both skip-list structures.
+func TestSkipTxLinearWork(t *testing.T) {
+	for _, kind := range skipKinds {
+		t.Run(kind.name, func(t *testing.T) { txLinearWork(t, kind.mk) })
+	}
+}
+
+// TestListTxLinearWork is txLinearWork over ListSet.
+func TestListTxLinearWork(t *testing.T) { txLinearWork(t, listKind.mk) }

@@ -118,9 +118,9 @@ func (v skipView) Contains(k int64) bool {
 // TestOpacityOTBSkipTxns is TestOpacityOTBListSetTxns over the skip lists,
 // whose post-validation and write-free commits skip a list no commit has
 // touched since the read set was last known valid, and whose ops return
-// only what held at one instant with the read set. It runs standalone and
-// under both integration contexts, whose validators do not skip but whose
-// ops keep the one-instant rule.
+// only what their own post-validation proved held at one instant with the
+// read set. It runs standalone and under both integration contexts, whose
+// validators do not skip but do see each op's new entries.
 func TestOpacityOTBSkipTxns(t *testing.T) {
 	norec, tl2 := integrate.NewOTBNOrec(), integrate.NewOTBTL2()
 	for i, d := range []struct {

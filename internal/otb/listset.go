@@ -83,6 +83,8 @@ type ListSet struct {
 	// optimization (presentOnly entries) so every read entry validates full
 	// adjacency — the ablation of Section 3.2.1's "optimized validation".
 	fullValidation bool
+
+	commits commitCounter
 }
 
 // NewListSet creates an empty set. Keys exclude the int64 sentinels.
@@ -131,10 +133,19 @@ type listState struct {
 	locked   []*lnode
 	lockSnap []uint64 // scratch: sampled lock versions during validation
 	toLock   []*lnode // scratch: PreCommit's lock targets
+
+	view counterView // the transaction's view of the list's commit counter
+}
+
+func newListState() any {
+	st := &listState{}
+	st.Reset()
+	return st
 }
 
 // Reset recycles the state for a new transaction.
 func (st *listState) Reset() {
+	st.view.reset()
 	st.reads = st.reads[:0]
 	st.writes = st.writes[:0]
 	st.locked = st.locked[:0]
@@ -143,7 +154,7 @@ func (st *listState) Reset() {
 }
 
 func (s *ListSet) state(tx *Tx) *listState {
-	return tx.Attach(s, func() any { return &listState{} }).(*listState)
+	return tx.Attach(s, newListState).(*listState)
 }
 
 // peekState returns the transaction's state for s without attaching.
@@ -163,7 +174,10 @@ func (s *ListSet) Remove(tx *Tx, key int64) bool { return s.op(tx, key, opRemove
 func (s *ListSet) Contains(tx *Tx, key int64) bool { return s.op(tx, key, opContains) }
 
 // op implements Algorithm 1: local write-set check, unmonitored traversal,
-// post-validation, then recording of semantic reads and writes.
+// recording of semantic reads and writes, then post-validation. Algorithm 1
+// post-validates before it records; here the op's own entries are recorded
+// first, as NOrec validates the value it has just read, so that the
+// validation proves the outcome held at one instant with every other entry.
 func (s *ListSet) op(tx *Tx, key int64, kind opKind) bool {
 	checkKey(key)
 	st := s.state(tx)
@@ -190,40 +204,38 @@ func (s *ListSet) op(tx *Tx, key int64, kind opKind) bool {
 	}
 
 	// Step 2: unmonitored traversal, exactly as in the lazy list.
+	start := s.commits.load()
 	pred := s.head
 	curr := pred.next.Load()
 	for curr.key < key {
 		pred = curr
 		curr = curr.next.Load()
 	}
-
-	// Step 3: post-validate the whole transaction (opacity).
-	tx.PostValidate()
-
-	// Step 4: compute the outcome and record semantic entries.
 	present := curr.key == key && !curr.marked.Load()
-	presentOnly := present && !s.fullValidation
-	switch kind {
-	case opContains:
-		st.reads = append(st.reads, listRead{pred: pred, curr: curr, presentOnly: presentOnly})
-		return present
-	case opAdd:
-		if present {
-			st.reads = append(st.reads, listRead{pred: pred, curr: curr, presentOnly: presentOnly})
-			return false
-		}
-		st.reads = append(st.reads, listRead{pred: pred, curr: curr})
-		st.writes = append(st.writes, listWrite{pred: pred, curr: curr, key: key, isAdd: true})
-		return true
-	default: // opRemove
-		if !present {
-			st.reads = append(st.reads, listRead{pred: pred, curr: curr})
-			return false
-		}
+	st.view.traversed(start, len(st.reads) > 0)
+
+	// Step 3: compute the outcome and record semantic entries.
+	var ok bool
+	switch {
+	case present && kind == opRemove:
 		st.reads = append(st.reads, listRead{pred: pred, curr: curr})
 		st.writes = append(st.writes, listWrite{pred: pred, curr: curr, key: key, isAdd: false})
-		return true
+		ok = true
+	case present:
+		st.reads = append(st.reads, listRead{pred: pred, curr: curr, presentOnly: !s.fullValidation})
+		ok = kind == opContains
+	case kind == opAdd:
+		st.reads = append(st.reads, listRead{pred: pred, curr: curr})
+		st.writes = append(st.writes, listWrite{pred: pred, curr: curr, key: key, isAdd: true})
+		ok = true
+	default:
+		st.reads = append(st.reads, listRead{pred: pred, curr: curr})
 	}
+
+	// Step 4: post-validate the whole transaction, the new entries included
+	// (opacity).
+	tx.PostValidate()
+	return ok
 }
 
 func (st *listState) findWrite(key int64) int {
@@ -324,6 +336,7 @@ func (s *ListSet) ValidateWithoutLocks(tx *Tx) bool {
 	if st == nil {
 		return true
 	}
+	st.view.checks += len(st.reads)
 	for i := range st.reads {
 		if !st.reads[i].check() {
 			tx.tr.ValidateFail(TraceKey(st.reads[i].curr.key))
@@ -333,16 +346,17 @@ func (s *ListSet) ValidateWithoutLocks(tx *Tx) bool {
 	return true
 }
 
-// PreCommit acquires the semantic locks covering the write set: pred for
-// adds, pred and curr for removes (the lazy-list locking rule), collected
-// with repeats, then ordered by slab slot (unique per node; TryLock-or-abort
-// never waits, so any fixed order will do) and deduplicated. Any busy lock
-// aborts.
+// PreCommit announces the commit on the list's counter, then acquires the
+// semantic locks covering the write set: pred for adds, pred and curr for
+// removes (the lazy-list locking rule), collected with repeats, then
+// ordered by slab slot (unique per node; TryLock-or-abort never waits, so
+// any fixed order will do) and deduplicated. Any busy lock aborts.
 func (s *ListSet) PreCommit(tx *Tx) {
 	st := s.peekState(tx)
 	if st == nil || len(st.writes) == 0 {
 		return
 	}
+	s.commits.announce(&st.view)
 	st.toLock = st.toLock[:0]
 	for i := range st.writes {
 		st.toLock = append(st.toLock, st.writes[i].pred)
@@ -373,6 +387,7 @@ func (s *ListSet) OnCommit(tx *Tx) {
 		return
 	}
 	slices.SortFunc(st.writes, func(a, b listWrite) int { return cmp.Compare(b.key, a.key) })
+	s.commits.announce(&st.view) // a context that skips PreCommit (OTB-NOrec) announces here
 	for i := range st.writes {
 		w := &st.writes[i]
 		pred := w.pred
@@ -396,6 +411,7 @@ func (s *ListSet) OnCommit(tx *Tx) {
 			tx.retire(curr, s.nodes.Free)
 		}
 	}
+	s.commits.settle(&st.view)
 }
 
 // PostCommit releases all semantic locks, bumping their versions so
@@ -424,6 +440,7 @@ func (s *ListSet) OnAbort(tx *Tx) {
 		n.lock.UnlockUnchanged()
 	}
 	st.locked = st.locked[:0]
+	s.commits.settle(&st.view)
 }
 
 // Dirty reports whether the transaction has pending writes on this set.

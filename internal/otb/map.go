@@ -37,9 +37,11 @@ func (m *Map) Get(tx *Tx, key int64) (uint64, bool) {
 	curr, val := m.locate(tx, st, key, &preds, &succs)
 	if curr == nil {
 		st.readAbsent(&preds, &succs)
-		return 0, false
+	} else {
+		m.readPresent(st, curr, val, &preds, &succs)
 	}
-	return m.readPresent(st, curr, val, &preds, &succs), true
+	tx.PostValidate()
+	return val, curr != nil
 }
 
 // ContainsKey reports within tx whether key is mapped.
@@ -66,11 +68,12 @@ func (m *Map) Put(tx *Tx, key int64, val uint64) bool {
 	curr, old := m.locate(tx, st, key, &preds, &succs)
 	if curr == nil {
 		st.insert(key, val, &preds, &succs)
-		return true
+	} else {
+		m.readPresent(st, curr, old, &preds, &succs)
+		st.writes = append(st.writes, skipWrite{kind: skipUpdate, key: key, val: val, victim: curr})
 	}
-	m.readPresent(st, curr, old, &preds, &succs)
-	st.writes = append(st.writes, skipWrite{kind: skipUpdate, key: key, val: val, victim: curr})
-	return false
+	tx.PostValidate()
+	return curr == nil
 }
 
 // Delete unmaps key within tx, returning false if absent.
@@ -86,23 +89,27 @@ func (m *Map) Delete(tx *Tx, key int64) bool {
 			st.deleteWrite(i) // eliminate the pending insert
 			return true
 		default:
-			// Pending update of a live node: re-locate (validated) and turn
-			// the entry into a delete with fresh, commit-validated preds.
+			// Pending update of a live node: locate it again and turn the
+			// entry into a delete with fresh, commit-validated preds. A
+			// traversal that no longer finds the node read it removed, and
+			// the entry the update rests on can only fail.
 			if curr, _ := m.locate(tx, st, key, &preds, &succs); curr != w.victim {
 				tx.tr.NoteKey(TraceKey(key))
 				abort.Retry(abort.Conflict)
 			}
 			st.writes[i] = st.remove(w.victim, &preds, &succs)
+			tx.PostValidate()
 			return true
 		}
 	}
 	curr, _ := m.locate(tx, st, key, &preds, &succs)
 	if curr == nil {
 		st.readAbsent(&preds, &succs)
-		return false
+	} else {
+		st.writes = append(st.writes, st.remove(curr, &preds, &succs))
 	}
-	st.writes = append(st.writes, st.remove(curr, &preds, &succs))
-	return true
+	tx.PostValidate()
+	return curr != nil
 }
 
 // Snapshot returns the live key/value pairs (tests and snapshots; not

@@ -79,25 +79,8 @@ type skipList struct {
 	// does not guard the node's value.
 	fullValidation bool
 
-	_ spin.Pad // keeps commits off head's line, which every traversal reads
-	// commits is the list's commit counter. A commit with writes here adds
-	// commitStart before it takes its first lock (PreCommit, which every
-	// structure of the transaction runs before any publishes) and
-	// subtracts 1 after its last store here, so the high half counts
-	// commits begun and the low half those still locking, validating or
-	// publishing. Two equal readings mean no commit began or ended in
-	// between; a reading is quiescent when its low half is 0.
-	commits atomic.Uint64
-	_       [spin.CacheLineSize - 8]byte
+	commits commitCounter
 }
-
-const (
-	commitStart = 1<<32 | 1 // one more commit begun, one more in flight
-	inFlight    = 1<<32 - 1 // mask of the low half
-	// unknownSince is skipState.since when no quiescent reading is known
-	// to cover the read set. It is not quiescent, so it never passes as one.
-	unknownSince = 1
-)
 
 // init makes s an empty list bounded by the int64 sentinels.
 func (s *skipList) init() {
@@ -205,13 +188,7 @@ type skipState struct {
 	toLock   []*snode     // scratch: PreCommit's lock targets
 	order    []writeRef   // scratch: OnCommit's publication order
 
-	// since is a quiescent reading of the list's commit counter at which
-	// every recorded read entry is known valid, or unknownSince.
-	since     uint64
-	announced bool // the commit has moved the counter; OnCommit settles it
-	// checks counts the entries validation has re-checked in this
-	// transaction: the work the commit counter saves.
-	checks int
+	view counterView // the transaction's view of the list's commit counter
 }
 
 func newSkipState() any {
@@ -222,7 +199,7 @@ func newSkipState() any {
 
 // Reset recycles the state for a new transaction.
 func (st *skipState) Reset() {
-	st.since, st.announced, st.checks = unknownSince, false, 0
+	st.view.reset()
 	st.reads = st.reads[:0]
 	st.writes = st.writes[:0]
 	st.readLevels = st.readLevels[:0]
@@ -294,61 +271,45 @@ func (s *skipList) find(key int64, preds, succs *[maxLevel]*snode) int {
 	return found
 }
 
-// maxRetraversals bounds how often locate traverses again because commits
-// kept landing between its traversal and the end of its post-validation;
-// then the transaction aborts, so contention management sees it.
-const maxRetraversals = 8
-
 // locate runs the unmonitored probabilistic traversal for key, waits out a
-// found node another commit is still linking (as in the lazy skip list),
-// reads the outcome (key's node and value, or nil when absent) and
-// post-validates the whole transaction. preds/succs hold the traversal.
+// found node another commit is still linking (as in the lazy skip list) and
+// reads the outcome: key's node and value, or nil when absent. preds/succs
+// hold the traversal. The op records its entries from them and only then
+// post-validates, so that validation proves the outcome and every other
+// entry held at one instant.
 //
-// The outcome is read before post-validation and returned only if the
-// list's commit counter still reads, quiescent, what it read before the
-// traversal, as a NOrec read returns only if the sequence lock has not
-// moved. Then nothing was published in the list from the traversal to the
-// end of post-validation, which checked every other entry at an instant
-// inside that span: the outcome and every entry held at one instant.
-// Otherwise the op traverses again. Without the check an attempt could
-// return a traversal older than the state its entries were validated in,
-// or a node marked after the validation, and so observe a state that
-// never existed; this holds under every validator, the integration
-// contexts' included.
+// An absent outcome rests on the bottom-level pair preds[0] → succs[0],
+// which proves absence only if succs[0] does not hold key. It does when the
+// traversal found key's node marked higher up: at the bottom it reached
+// either that node, and the entry can only fail, or one a later commit
+// inserted for key, and the entry would pass with key present. Both abort
+// here.
 func (s *skipList) locate(tx *Tx, st *skipState, key int64, preds, succs *[maxLevel]*snode) (curr *snode, val uint64) {
-	for tries := 0; ; {
-		start := s.commits.Load()
-		found := s.find(key, preds, succs)
-		curr, val = nil, 0
-		if found != -1 {
-			var b spin.Backoff
-			for !succs[found].fullyLinked.Load() {
-				b.Wait()
-			}
-			if n := succs[found]; !n.marked.Load() {
-				curr, val = n, n.val.Load()
-			}
+	start := s.commits.load()
+	found := s.find(key, preds, succs)
+	if found != -1 {
+		var b spin.Backoff
+		for !succs[found].fullyLinked.Load() {
+			b.Wait()
 		}
-		tx.PostValidate()
-		if c := s.commits.Load(); c == start && c&inFlight == 0 {
-			return curr, val
-		}
-		if tries++; tries == maxRetraversals {
+		if n := succs[found]; !n.marked.Load() {
+			curr, val = n, n.val.Load()
+		} else if succs[0].key == key {
 			tx.tr.NoteKey(TraceKey(key))
 			abort.Retry(abort.Conflict)
 		}
 	}
+	st.view.traversed(start, len(st.reads) > 0)
+	return curr, val
 }
 
-// readPresent records that key's node curr was seen present and returns
-// the value it held.
-func (s *skipList) readPresent(st *skipState, curr *snode, v uint64, preds, succs *[maxLevel]*snode) uint64 {
+// readPresent records that key's node curr was seen present holding v.
+func (s *skipList) readPresent(st *skipState, curr *snode, v uint64, preds, succs *[maxLevel]*snode) {
 	if s.fullValidation {
 		st.guard(curr, curr.topLevel, preds, succs)
 	} else {
 		st.reads = append(st.reads, skipRead{kind: skipPresent, curr: curr, val: v})
 	}
-	return v
 }
 
 // readAbsent records that the key was seen absent between preds[0] and
@@ -408,25 +369,29 @@ func (s *SkipSet) op(tx *Tx, key int64, kind opKind) bool {
 		}
 	}
 
-	// Steps 2 and 3: unmonitored traversal, then post-validation.
+	// Step 2: unmonitored traversal.
 	var preds, succs [maxLevel]*snode
 	curr, val := s.locate(tx, st, key, &preds, &succs)
 
-	// Step 4: outcome and semantic entries.
+	// Step 3: outcome and semantic entries.
+	var ok bool
 	switch {
 	case curr != nil && kind == opRemove:
 		st.writes = append(st.writes, st.remove(curr, &preds, &succs))
-		return true
+		ok = true
 	case curr != nil:
 		s.readPresent(st, curr, val, &preds, &succs)
-		return kind == opContains
+		ok = kind == opContains
 	case kind == opAdd:
 		st.insert(key, 0, &preds, &succs)
-		return true
+		ok = true
 	default:
 		st.readAbsent(&preds, &succs)
-		return false
 	}
+
+	// Step 4: post-validation, the new entries included.
+	tx.PostValidate()
+	return ok
 }
 
 func (st *skipState) findWrite(key int64) int {
@@ -519,35 +484,13 @@ func (st *skipState) sample(tx *Tx, n *snode, held bool) bool {
 	return true
 }
 
-// revalidate is ValidateWithLocks for standalone post-validation and a
-// write-free commit. It skips the check when the commit counter still reads
-// since: then no commit has locked or published anything in the list since
-// every entry was last known valid, and a full validation could only pass.
-// The entry an op records after this validation is covered too: locate
-// returns only a traversal that began at the reading validated here.
-func (s *skipList) revalidate(tx *Tx, st *skipState) bool {
-	v := s.commits.Load()
-	quiescent := v&inFlight == 0
-	if quiescent && v == st.since {
-		return true
-	}
-	if !s.ValidateWithLocks(tx) {
-		return false
-	}
-	st.since = unknownSince
-	if quiescent {
-		st.since = v
-	}
-	return true
-}
-
 // ValidateWithoutLocks re-checks only the semantic conditions.
 func (s *skipList) ValidateWithoutLocks(tx *Tx) bool {
 	st := s.peekState(tx)
 	if st == nil {
 		return true
 	}
-	st.checks += len(st.reads)
+	st.view.checks += len(st.reads)
 	for i := range st.reads {
 		if e := &st.reads[i]; !st.check(e) {
 			tx.tr.ValidateFail(TraceKey(st.traceNode(e).key))
@@ -577,7 +520,7 @@ func (s *skipList) PreCommit(tx *Tx) {
 	if st == nil || len(st.writes) == 0 {
 		return
 	}
-	s.announce(st)
+	s.commits.announce(&st.view)
 	st.toLock = st.toLock[:0]
 	for i := range st.writes {
 		w := &st.writes[i]
@@ -616,7 +559,7 @@ func (s *skipList) OnCommit(tx *Tx) {
 		st.order = append(st.order, writeRef{st.writes[i].key, i})
 	}
 	slices.SortFunc(st.order, func(a, b writeRef) int { return cmp.Compare(b.key, a.key) })
-	s.announce(st) // a context that skips PreCommit (OTB-NOrec) announces here
+	s.commits.announce(&st.view) // a context that skips PreCommit (OTB-NOrec) announces here
 	for _, r := range st.order {
 		w := &st.writes[r.i]
 		switch w.kind {
@@ -646,29 +589,7 @@ func (s *skipList) OnCommit(tx *Tx) {
 			tx.retire(w.victim, freeSNode)
 		}
 	}
-	s.settle(st)
-}
-
-// announce moves the commit counter for a commit with writes in the list,
-// once, before it takes its first lock; the low half then shows the commit
-// in flight. Announcing before validation, not just before publication, is
-// what makes a skip sound: a commit that has validated holds locks that
-// only a full validation's lock samples would see, and it may already be
-// ordered before a later commit that a skipping reader has seen.
-func (s *skipList) announce(st *skipState) {
-	if len(st.writes) > 0 && !st.announced {
-		s.commits.Add(commitStart)
-		st.announced = true
-	}
-}
-
-// settle takes an announced commit out of the counter's in-flight half:
-// after its last store, or when it aborts.
-func (s *skipList) settle(st *skipState) {
-	if st.announced {
-		s.commits.Add(^uint64(0))
-		st.announced = false
-	}
+	s.commits.settle(&st.view)
 }
 
 // retraverse advances from the saved predecessor to the current (pred,
@@ -706,7 +627,7 @@ func (s *skipList) OnAbort(tx *Tx) {
 		n.lock.UnlockUnchanged()
 	}
 	st.locked = st.locked[:0]
-	s.settle(st)
+	s.commits.settle(&st.view)
 }
 
 // Dirty reports whether the transaction has pending writes on this list.

@@ -364,3 +364,34 @@ func TestLargeTxOwnership(t *testing.T) {
 	md = next
 	verify("round 2")
 }
+
+// TestAbsentNeedsBottomLevelProof: a traversal can find key's node marked
+// at an upper level and then, at the bottom, reach a node a later commit
+// inserted for the same key. The absent entry preds[0] → succs[0] then
+// validates, though the key is present, and an insert recorded from it
+// would link a duplicate. The list below is that traversal's view in one
+// state: 5's old tower, marked, still on level 1, and a new node for 5 on
+// level 0. The op must abort, not return 5 absent.
+func TestAbsentNeedsBottomLevelProof(t *testing.T) {
+	s := NewSkipSet()
+	tail := s.head.next[0].Load()
+	old := newSNode(5, 1)
+	old.next[0].Store(tail)
+	old.next[1].Store(tail)
+	old.fullyLinked.Store(true)
+	old.marked.Store(true)
+	s.head.next[1].Store(old)
+	fresh := newSNode(5, 0)
+	fresh.next[0].Store(tail)
+	fresh.fullyLinked.Store(true)
+	s.head.next[0].Store(fresh)
+
+	tx := NewTx(nil)
+	tx.Pin()
+	defer tx.Unpin()
+	chaos.ExpectAbort(t, abort.Conflict, func() {
+		has5 := s.Contains(tx, 5)
+		t.Errorf("Contains(5) = %v from a traversal that saw two nodes for 5", has5)
+	})
+	tx.Rollback()
+}

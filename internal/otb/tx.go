@@ -156,16 +156,19 @@ func (tx *Tx) ValidateAllWithLocks() bool {
 }
 
 // revalidateAll is ValidateAllWithLocks for standalone post-validation and
-// for the commit of a transaction with no semantic writes: a skip list whose
+// for the commit of a transaction with no semantic writes: a list whose
 // commit counter shows that no commit has locked or published in it since
 // its read set was last known valid is skipped. A writer's commit validates
 // in full, under its locks.
 func (tx *Tx) revalidateAll() bool {
 	for i, ds := range tx.attached {
 		var ok bool
-		if l, counted := ds.(*skipList); counted {
-			ok = l.revalidate(tx, tx.states[i].(*skipState))
-		} else {
+		switch l := ds.(type) {
+		case *skipList:
+			ok = l.commits.revalidate(tx, ds, &tx.states[i].(*skipState).view)
+		case *ListSet:
+			ok = l.commits.revalidate(tx, ds, &tx.states[i].(*listState).view)
+		default:
 			ok = ds.ValidateWithLocks(tx)
 		}
 		if !ok {
@@ -292,12 +295,12 @@ func (tx *Tx) Reset() {
 	tx.states = tx.states[:0]
 }
 
-// PostValidate runs after every operation: it validates the semantic read
-// sets of all attached structures (guaranteeing opacity, as NOrec does at
-// the memory level), aborting on failure. Like NOrec, it skips a skip list
-// whose commit counter has not moved since its read set was last known
-// valid. Integration contexts install a replacement strategy via
-// SetValidator.
+// PostValidate runs after every operation has recorded its entries: it
+// validates the semantic read sets of all attached structures, the new
+// entries included (guaranteeing opacity, as NOrec does at the memory
+// level), aborting on failure. Like NOrec, it skips a list whose commit
+// counter has not moved since its read set was last known valid.
+// Integration contexts install a replacement strategy via SetValidator.
 func (tx *Tx) PostValidate() {
 	fpValidateMid.Hit()
 	if tx.validator != nil {
@@ -315,7 +318,7 @@ func (tx *Tx) PostValidate() {
 // all write sets, release. Any failure aborts (the rollback path releases
 // acquired locks via OnAbort). A transaction with semantic writes validates
 // every read set in full under its locks; one without takes no lock, and
-// its validation skips the skip lists nothing has been published in.
+// its validation skips the lists nothing has been published in.
 func (tx *Tx) Commit() {
 	fpCommitPreLock.Hit()
 	tx.PreCommitAll()

@@ -123,26 +123,28 @@ type Local struct {
 	s *shard
 }
 
-// Stamp is a start time captured by Start; the zero Stamp means "telemetry
-// was disabled at Start", and the matching observe call does nothing.
+// Stamp is a start time captured by Start: monotonic nanoseconds since
+// clockBase, plus one. The zero Stamp means "telemetry was disabled at
+// Start", and the matching observe call does nothing.
 type Stamp int64
+
+// clockBase anchors Stamps. It carries a monotonic reading, so time.Since
+// reads only the monotonic clock: one clock read, and no wall-clock step
+// can make a latency negative.
+var clockBase = time.Now()
+
+func now() Stamp { return Stamp(time.Since(clockBase)) + 1 }
 
 // Start returns a timestamp for latency recording, or zero when disabled.
 func (l *Local) Start() Stamp {
 	if l == nil || !l.m.enabled() {
 		return 0
 	}
-	return Stamp(time.Now().UnixNano())
+	return now()
 }
 
 // since returns the elapsed nanoseconds for a stamp taken by Start.
-func since(s Stamp) int64 {
-	d := time.Now().UnixNano() - int64(s)
-	if d < 0 {
-		return 0
-	}
-	return d
-}
+func since(s Stamp) int64 { return int64(now() - s) }
 
 // Commit records one committed transaction and, if start is a live stamp,
 // its whole-transaction latency.

@@ -335,8 +335,7 @@ func (r *batchRecorder) Exec(ctx context.Context, ops []Op, res []OpResult) erro
 
 // TestSnapshotApplyBatches restores a snapshot of a few thousand map keys
 // and checks that OpenDurable re-executes it in transactions of at most 64
-// ops: post-validation makes a transaction's cost quadratic in
-// its size, so restore must not hand the store one big batch.
+// ops, never as one transaction of the whole dump.
 func TestSnapshotApplyBatches(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	opts := DurabilityOptions{Dir: dir, Fsync: wal.SyncNever, SnapshotEvery: -1}
