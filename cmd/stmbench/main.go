@@ -122,7 +122,6 @@ func writeJSON(path string, res jsonResult, snap []telemetry.MeterSnapshot) erro
 var stmAlgorithms = map[string]func() stm.Algorithm{
 	"NOrec":    func() stm.Algorithm { return norec.New() },
 	"TL2":      func() stm.Algorithm { return tl2.New() },
-	"TL2S":     func() stm.Algorithm { return tl2.NewSharded() },
 	"TML":      func() stm.Algorithm { return tml.New() },
 	"RingSW":   func() stm.Algorithm { return ringsw.New() },
 	"InvalSTM": func() stm.Algorithm { return invalstm.New() },

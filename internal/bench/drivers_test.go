@@ -7,6 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/boosting"
 	"repro/internal/conc"
+	"repro/internal/integrate"
 	"repro/internal/mvotb"
 	"repro/internal/otb"
 	"repro/internal/race"
@@ -15,16 +16,19 @@ import (
 // TestTxDriverAllocFree pins the generic transactional driver at zero
 // allocations per transaction: the pooled body closes over its run once, so
 // neither the driver nor the runtimes' pooled descriptors allocate in the
-// steady state. The multi-version driver is checked on both of its routes.
+// steady state. The multi-version driver is checked on both of its routes,
+// the integrated OTB-NOrec and OTB-TL2 contexts on the same two batches.
 func TestTxDriverAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race-mode sync.Pool drops Puts at random; pooled paths cannot be allocation-free")
 	}
 	rt := mvotb.New(mvotb.Options{GCInterval: time.Hour})
 	drivers := map[string]bench.SetDriver{
-		"otb":      bench.NewOTBDriver(otb.NewListSet()),
-		"boosting": bench.NewBoostedDriver(boosting.NewSet(conc.NewLazyList(), 64)),
-		"mvotb":    bench.NewMVOTBDriver(rt, rt.NewSet(64)),
+		"otb":       bench.NewOTBDriver(otb.NewListSet()),
+		"boosting":  bench.NewBoostedDriver(boosting.NewSet(conc.NewLazyList(), 64)),
+		"mvotb":     bench.NewMVOTBDriver(rt, rt.NewSet(64)),
+		"otb-norec": bench.NewIntegratedDriver(integrate.NewOTBNOrec(), otb.NewListSet()),
+		"otb-tl2":   bench.NewIntegratedDriver(integrate.NewOTBTL2(), otb.NewListSet()),
 	}
 	reads := []bench.SetOp{{Kind: bench.OpContains, Key: 3}, {Kind: bench.OpContains, Key: 4}}
 	// An updating batch that installs nothing (the key is present), so the

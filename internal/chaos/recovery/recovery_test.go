@@ -29,6 +29,9 @@ import (
 // owning runtime survives it.
 type scenario struct {
 	fp string
+	// runtime names the runtime when a second one shares fp: the integrated
+	// contexts fire their base STM's commit failpoint.
+	runtime string
 	// recovered marks faults the runtime recovers out of the caller's
 	// sight (server-side drops): the panic must NOT reach the caller, and
 	// firing is observed through the hit counter instead.
@@ -38,6 +41,14 @@ type scenario struct {
 	// some failpoints need to become reachable, e.g. clock movement for
 	// NOrec's validation), and a teardown.
 	mk func(t *testing.T) (run func(k int64), stir func(k int64), stop func())
+}
+
+// name is the scenario's subtest name: fp, tagged with runtime if set.
+func (sc scenario) name() string {
+	if sc.runtime == "" {
+		return sc.fp
+	}
+	return sc.fp + "@" + sc.runtime
 }
 
 // mkCells allocates n zeroed cells.
@@ -145,7 +156,7 @@ func htmSoftware() (func(int64), func(int64), func()) {
 }
 
 // scenarios covers every registered failpoint (TestEveryFailpointHasScenario
-// enforces the bijection).
+// enforces it), one scenario per failpoint and runtime.
 var scenarios = []scenario{
 	{fp: "otb.validate.mid", mk: func(t *testing.T) (func(int64), func(int64), func()) { return otbSet() }},
 	{fp: "otb.commit.pre-lock", mk: func(t *testing.T) (func(int64), func(int64), func()) { return otbSet() }},
@@ -159,8 +170,10 @@ var scenarios = []scenario{
 	{fp: "ringsw.commit.locked", mk: func(t *testing.T) (func(int64), func(int64), func()) { return memAlg(ringsw.New()) }},
 	{fp: "invalstm.commit.locked", mk: func(t *testing.T) (func(int64), func(int64), func()) { return memAlg(invalstm.New()) }},
 	{fp: "glock.commit.pre", mk: func(t *testing.T) (func(int64), func(int64), func()) { return memAlg(glock.New()) }},
-	{fp: "otbnorec.commit.locked", mk: func(t *testing.T) (func(int64), func(int64), func()) { return integrateAlg(integrate.NewOTBNOrec()) }},
-	{fp: "otbtl2.commit.locked", mk: func(t *testing.T) (func(int64), func(int64), func()) { return integrateAlg(integrate.NewOTBTL2()) }},
+	{fp: "norec.commit.locked", runtime: "OTB-NOrec", mk: func(t *testing.T) (func(int64), func(int64), func()) { return integrateAlg(integrate.NewOTBNOrec()) }},
+	// OTB-TL2 fires it with both the orecs and the semantic locks held, the
+	// deepest lock nesting in the repository: recovery unwinds both layers.
+	{fp: "tl2.commit.locked", runtime: "OTB-TL2", mk: func(t *testing.T) (func(int64), func(int64), func()) { return integrateAlg(integrate.NewOTBTL2()) }},
 	{fp: "rtc.commit.pre", mk: func(t *testing.T) (func(int64), func(int64), func()) { return memAlg(rtc.New(rtc.Options{})) }},
 	{fp: "rtc.server.drop", recovered: true, mk: func(t *testing.T) (func(int64), func(int64), func()) { return memAlg(rtc.New(rtc.Options{})) }},
 	{fp: "rinval.commit.pre", mk: func(t *testing.T) (func(int64), func(int64), func()) { return memAlg(rinval.New(rinval.V1)) }},
@@ -197,7 +210,7 @@ func TestCrashRecovery(t *testing.T) {
 	failpoint.DisarmAll()
 	for _, sc := range scenarios {
 		sc := sc
-		t.Run(sc.fp, func(t *testing.T) {
+		t.Run(sc.name(), func(t *testing.T) {
 			defer leak.Check(t)()
 			fp, ok := failpoint.Lookup(sc.fp)
 			if !ok {
@@ -267,18 +280,20 @@ func TestCrashRecovery(t *testing.T) {
 // TestEveryFailpointHasScenario pins the suite to the registry: a new
 // failpoint cannot be added without a crash-recovery scenario.
 func TestEveryFailpointHasScenario(t *testing.T) {
-	covered := make(map[string]int)
+	covered := make(map[string]bool)
+	named := make(map[string]bool)
 	for _, sc := range scenarios {
-		covered[sc.fp]++
-		if covered[sc.fp] > 1 {
-			t.Errorf("duplicate scenario for failpoint %s", sc.fp)
+		covered[sc.fp] = true
+		if named[sc.name()] {
+			t.Errorf("duplicate scenario %s", sc.name())
 		}
+		named[sc.name()] = true
 		if _, ok := failpoint.Lookup(sc.fp); !ok {
 			t.Errorf("scenario %s names an unregistered failpoint", sc.fp)
 		}
 	}
 	for _, name := range failpoint.Names() {
-		if covered[name] == 0 {
+		if !covered[name] {
 			t.Errorf("failpoint %s has no crash-recovery scenario", name)
 		}
 	}

@@ -119,10 +119,6 @@ type Handle struct {
 // runner's.
 func (h *Handle) Trace() *trace.Local { return h.tr }
 
-// Hint is the descriptor's shard affinity, shared by the core's counters and
-// any sharded clock the runtime ticks.
-func (h *Handle) Hint() uint32 { return h.hint }
-
 // Span is the start of a transaction as Start stamped it.
 type Span struct {
 	tel  telemetry.Stamp

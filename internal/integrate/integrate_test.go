@@ -278,3 +278,41 @@ func TestOpacityAcrossLayers(t *testing.T) {
 		})
 	}
 }
+
+// TestOpacityCrossLayerSchedule is TestOpacityAcrossLayers' interleaving
+// made deterministic: the reader reads the counter, a writer then commits
+// an insert together with the counter update, and only then does the
+// reader look the key up. The set now holds the key while the counter the
+// reader saw is 0; the lookup's validation must notice that the counter
+// has moved and abort, or the reader observes a state that never existed.
+func TestOpacityCrossLayerSchedule(t *testing.T) {
+	for _, alg := range algorithms() {
+		t.Run(alg.Name(), func(t *testing.T) {
+			defer alg.Stop()
+			set := otb.NewListSet()
+			size := mem.NewCell(0)
+			attempts := 0
+			alg.Atomic(func(ctx *integrate.Ctx) {
+				attempts++
+				n := ctx.Read(size)
+				if attempts == 1 {
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						alg.Atomic(func(ctx *integrate.Ctx) {
+							set.Add(ctx.Sem(), 1)
+							ctx.Write(size, ctx.Read(size)+1)
+						})
+					}()
+					<-done
+				}
+				if set.Contains(ctx.Sem(), 1) && n == 0 {
+					t.Errorf("attempt %d observed key 1 present with size=0", attempts)
+				}
+			})
+			if attempts != 2 {
+				t.Errorf("reader committed after %d attempts, want 2 (the first aborts)", attempts)
+			}
+		})
+	}
+}

@@ -16,8 +16,8 @@ import (
 // These tests pin the allocation-free STM commit fast path (ISSUE 6): a
 // steady-state write transaction — begin, read with validation, buffered
 // write, lock/validate/publish commit, descriptor recycling — must not
-// allocate for NOrec and TL2 (both clock flavors). They run under -short so
-// the CI smoke lane enforces them on every PR.
+// allocate for NOrec and TL2. They run under -short so the CI smoke lane
+// enforces them on every PR.
 
 const allocWarmup = 200
 
@@ -67,8 +67,6 @@ func TestNOrecReadTxAllocFree(t *testing.T)  { readTxAllocFree(t, norec.New()) }
 func TestTL2WriteTxAllocFree(t *testing.T) { writeTxAllocFree(t, tl2.New()) }
 func TestTL2ReadTxAllocFree(t *testing.T)  { readTxAllocFree(t, tl2.New()) }
 
-func TestTL2ShardedWriteTxAllocFree(t *testing.T) { writeTxAllocFree(t, tl2.NewSharded()) }
-
 // RTC and RInval clients are descriptor-driven like the rest since ISSUE 17.
 // Measured with this same body at the parent commit: 4.00 allocs/tx each
 // (the closure API's adapter plus three escaping closures); the bar is the
@@ -98,6 +96,5 @@ func benchWriteTx(b *testing.B, alg stm.Algorithm) {
 	}
 }
 
-func BenchmarkNOrecWriteTx(b *testing.B)      { benchWriteTx(b, norec.New()) }
-func BenchmarkTL2WriteTx(b *testing.B)        { benchWriteTx(b, tl2.New()) }
-func BenchmarkTL2ShardedWriteTx(b *testing.B) { benchWriteTx(b, tl2.NewSharded()) }
+func BenchmarkNOrecWriteTx(b *testing.B) { benchWriteTx(b, norec.New()) }
+func BenchmarkTL2WriteTx(b *testing.B)   { benchWriteTx(b, tl2.New()) }

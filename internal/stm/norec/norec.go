@@ -12,6 +12,11 @@
 //   - Commit (writers): CAS the timestamp from the snapshot to odd,
 //     re-validating on failure; publish the redo log; release (even).
 //     Read-only transactions commit without any shared-memory writes.
+//
+// A layer that extends NOrec (package integrate's OTB-NOrec) drives Tx, the
+// protocol half of the descriptor, with an stm.Semantic: validation then
+// co-validates the semantic read sets, and a commit publishes them under the
+// global lock.
 package norec
 
 import (
@@ -32,9 +37,14 @@ var (
 	// action is recoverable.
 	fpValidateMid = failpoint.New("norec.validate.mid")
 	// fpCommitLocked fires with the global sequence lock held, before the
-	// redo log is published; recovery must restore the pre-lock timestamp.
+	// redo log (or any semantic write) is published; recovery must restore
+	// the pre-lock timestamp.
 	fpCommitLocked = failpoint.New("norec.commit.locked")
 )
+
+// clockTraceKey tags flight-recorder lock events for the global commit
+// lock, which has no per-cell identity.
+const clockTraceKey = 1<<60 | 3
 
 // STM is a NOrec instance. Transactions from different STM instances are
 // not synchronized with each other.
@@ -45,20 +55,25 @@ type STM struct {
 	// not steal it from committers.
 	clock spin.SeqLock
 	_     [spin.CacheLineSize - 8]byte
+	name  string
 	ctr   spin.Counters
 	*cm.Core
 	pool sync.Pool
 }
 
 // New creates a NOrec instance.
-func New() *STM {
-	s := &STM{Core: cm.NewCore("NOrec")}
-	s.pool.New = func() any { return &tx{s: s, h: s.NewHandle()} }
+func New() *STM { return NewNamed("NOrec") }
+
+// NewNamed creates a NOrec instance metered and traced under name, for a
+// layer that runs its own descriptors over NewTx.
+func NewNamed(name string) *STM {
+	s := &STM{name: name, Core: cm.NewCore(name)}
+	s.pool.New = func() any { return &tx{Tx: Tx{s: s, h: s.NewHandle()}} }
 	return s
 }
 
 // Name implements stm.Algorithm.
-func (s *STM) Name() string { return "NOrec" }
+func (s *STM) Name() string { return s.name }
 
 // Counters implements stm.Algorithm.
 func (s *STM) Counters() *spin.Counters { return &s.ctr }
@@ -66,20 +81,33 @@ func (s *STM) Counters() *spin.Counters { return &s.ctr }
 // Stop implements stm.Algorithm. NOrec has no background goroutines.
 func (s *STM) Stop() {}
 
-// Clock exposes the global sequence lock for layers that extend NOrec
-// (the OTB integration context).
-func (s *STM) Clock() *spin.SeqLock { return &s.clock }
-
-// tx is a NOrec transaction descriptor, reused across attempts; it
-// implements cm.Tx.
-type tx struct {
+// Tx is the protocol half of a NOrec descriptor, reused across attempts:
+// snapshot, read and write sets, validation, commit and rollback. It
+// implements stm.Tx, and cm.Tx but for Run, which the descriptor embedding
+// it supplies.
+type Tx struct {
 	s          *STM
 	h          cm.Handle
 	snapshot   uint64
 	holdsClock bool // global lock held (commit in progress)
 	reads      []stm.ReadEntry
 	writes     stm.WriteSet
-	fn         func(stm.Tx)
+	// sem is the extending layer's semantic transaction, nil in plain NOrec.
+	// With semanticLocks its commit also takes the semantic locks the global
+	// lock makes redundant (the abl.locks ablation).
+	sem           stm.Semantic
+	semanticLocks bool
+}
+
+// NewTx returns a descriptor whose validation and commit also cover sem.
+func (s *STM) NewTx(sem stm.Semantic, semanticLocks bool) *Tx {
+	return &Tx{s: s, h: s.NewHandle(), sem: sem, semanticLocks: semanticLocks}
+}
+
+// tx is a plain NOrec descriptor: the protocol plus the body.
+type tx struct {
+	Tx
+	fn func(stm.Tx)
 }
 
 // Atomic implements stm.Algorithm.
@@ -93,37 +121,46 @@ func (s *STM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
 	t.fn = fn
 	defer func() {
 		t.fn = nil
-		t.reads = t.reads[:0]
-		t.writes.Reset()
+		t.Reset()
 		s.pool.Put(t)
 	}()
 	return t.h.Run(ctx, nil, t)
 }
 
-// Begin implements cm.Tx: start one attempt.
-func (t *tx) Begin() {
+// Run implements cm.Tx.
+func (t *tx) Run() { t.fn(&t.Tx) }
+
+// Handle is the descriptor's lifecycle handle, which runs it.
+func (t *Tx) Handle() *cm.Handle { return &t.h }
+
+// Reset empties the read and write sets.
+func (t *Tx) Reset() {
 	t.reads = t.reads[:0]
 	t.writes.Reset()
+}
+
+// Begin implements cm.Tx: start one attempt.
+func (t *Tx) Begin() {
+	t.Reset()
 	t.snapshot = t.s.clock.WaitUnlocked(&t.s.ctr)
 }
 
-// Run implements cm.Tx.
-func (t *tx) Run() { t.fn(t) }
-
 // Rollback implements cm.Tx: release the global lock if this attempt died
-// holding it (an armed failpoint or foreign panic between lock and publish).
-// Nothing was published, so the pre-lock timestamp is restored — concurrent
-// readers saw only an odd (locked) clock and re-validate against unchanged
-// memory.
-func (t *tx) Rollback(abort.Reason) {
+// holding it (an armed failpoint, a busy semantic lock or a foreign panic
+// between lock and publish). Nothing was published — every abort point of
+// the commit precedes the first publication, and OnCommitAll cannot fail —
+// so the pre-lock timestamp is restored: concurrent readers saw only an odd
+// (locked) clock and re-validate against unchanged memory.
+func (t *Tx) Rollback(abort.Reason) {
 	if t.holdsClock {
 		t.holdsClock = false
 		t.s.clock.UnlockUnchanged()
+		t.h.Trace().Unlock(clockTraceKey)
 	}
 }
 
 // Read implements stm.Tx with NOrec's post-read validation loop.
-func (t *tx) Read(c *mem.Cell) uint64 {
+func (t *Tx) Read(c *mem.Cell) uint64 {
 	if v, ok := t.writes.Get(c); ok {
 		return v
 	}
@@ -137,14 +174,25 @@ func (t *tx) Read(c *mem.Cell) uint64 {
 }
 
 // Write implements stm.Tx; writes are buffered until commit.
-func (t *tx) Write(c *mem.Cell, v uint64) {
+func (t *Tx) Write(c *mem.Cell, v uint64) {
 	t.writes.Put(c, v)
 }
 
-// validate re-checks every read value against memory, retrying until it
-// observes a quiescent (even, unchanged) timestamp. It returns the
-// validated timestamp, or aborts the transaction on a value mismatch.
-func (t *tx) validate() uint64 {
+// Validate is Read's check without a read: it re-validates until the
+// snapshot is current. The semantic layer runs it after every operation
+// (the paper's onOperationValidate, identical to onReadAccess).
+func (t *Tx) Validate() {
+	for t.snapshot != t.s.clock.Load() {
+		t.snapshot = t.validate()
+	}
+}
+
+// validate re-checks every read value against memory, and every semantic
+// read set without semantic locks (the global lock is the only
+// synchronizer), retrying until it observes a quiescent (even, unchanged)
+// timestamp. It returns the validated timestamp, or aborts the transaction
+// on a mismatch.
+func (t *Tx) validate() uint64 {
 	start := t.s.Profile().Now()
 	defer t.s.Profile().AddValidation(start)
 	fpValidateMid.Hit()
@@ -162,6 +210,9 @@ func (t *tx) validate() uint64 {
 				abort.Retry(abort.Conflict)
 			}
 		}
+		if t.sem != nil && !t.sem.ValidateAllWithoutLocks() {
+			abort.Retry(abort.Conflict)
+		}
 		if ts == t.s.clock.Load() {
 			t.h.Trace().Validated()
 			return ts
@@ -169,11 +220,13 @@ func (t *tx) validate() uint64 {
 	}
 }
 
-// Commit implements cm.Tx: publish the redo log under the global lock.
-// Read-only transactions return immediately: their incremental validation
-// already serialized them at the last validated snapshot.
-func (t *tx) Commit() {
-	if t.writes.Len() == 0 {
+// Commit implements cm.Tx: publish the redo log, and the semantic write
+// sets, under the global lock. Read-only transactions return immediately:
+// their incremental validation already serialized them at the last
+// validated snapshot.
+func (t *Tx) Commit() {
+	sem := t.sem
+	if t.writes.Len() == 0 && (sem == nil || !sem.HasSemanticWrites()) {
 		return
 	}
 	// The commit timer is paused around validate so validation time is not
@@ -186,10 +239,29 @@ func (t *tx) Commit() {
 		start = t.s.Profile().Now()
 	}
 	t.holdsClock = true
+	t.h.Trace().Lock(clockTraceKey)
+	// Every semantic entry was validated at or after the snapshot the lock
+	// was taken at; the semantic read sets are checked once more where
+	// nothing can commit, so commit-time semantic validation stays
+	// unconditional.
+	if sem != nil && !sem.ValidateAllWithoutLocks() {
+		abort.Retry(abort.Conflict)
+	}
 	fpCommitLocked.Hit()
+	if t.semanticLocks {
+		sem.PreCommitAll()
+	}
 	t.writes.Publish()
+	if sem != nil {
+		// PreCommit is skipped — the global lock subsumes the semantic
+		// locks, the paper's OTB-NOrec optimization — but OnCommit still
+		// creates inserted nodes locked, and PostCommit releases them.
+		sem.OnCommitAll()
+		sem.PostCommitAll()
+	}
 	t.s.clock.Unlock()
 	t.holdsClock = false
+	t.h.Trace().Unlock(clockTraceKey)
 	t.s.Profile().AddCommit(start)
 }
 

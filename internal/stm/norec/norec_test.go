@@ -28,9 +28,9 @@ func TestReadYourOwnWrites(t *testing.T) {
 func TestReadOnlyCommitsWithoutClockBump(t *testing.T) {
 	s := New()
 	c := mem.NewCell(5)
-	before := s.Clock().Load()
+	before := s.clock.Load()
 	s.Atomic(func(tx stm.Tx) { tx.Read(c) })
-	if after := s.Clock().Load(); after != before {
+	if after := s.clock.Load(); after != before {
 		t.Fatalf("read-only transaction moved the clock %d -> %d", before, after)
 	}
 }
@@ -38,9 +38,9 @@ func TestReadOnlyCommitsWithoutClockBump(t *testing.T) {
 func TestWriterBumpsClockByTwo(t *testing.T) {
 	s := New()
 	c := mem.NewCell(0)
-	before := s.Clock().Load()
+	before := s.clock.Load()
 	s.Atomic(func(tx stm.Tx) { tx.Write(c, 1) })
-	after := s.Clock().Load()
+	after := s.clock.Load()
 	if after != before+2 {
 		t.Fatalf("writer moved the clock %d -> %d, want +2", before, after)
 	}

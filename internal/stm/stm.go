@@ -63,6 +63,27 @@ type AlgorithmCtx interface {
 	AtomicCtx(ctx context.Context, fn func(Tx)) error
 }
 
+// Semantic is the transactional-data-structure side of a Chapter 4
+// integration (implemented by *otb.Tx): the OTB-DS hooks NOrec and TL2 call
+// at their own validation and commit points when a layer extends them. Plain
+// STM transactions carry none.
+type Semantic interface {
+	// HasSemanticWrites reports pending semantic writes; a transaction with
+	// neither these nor memory writes commits read-only.
+	HasSemanticWrites() bool
+	// ValidateAllWithoutLocks checks the semantic read sets only, for an STM
+	// whose own lock already excludes every semantic writer.
+	ValidateAllWithoutLocks() bool
+	// ValidateAllWithLocks also fails on semantic locks held by others.
+	ValidateAllWithLocks() bool
+	// PreCommitAll acquires the semantic locks, aborting if one is busy.
+	PreCommitAll()
+	// OnCommitAll publishes the semantic write sets. It cannot fail.
+	OnCommitAll()
+	// PostCommitAll releases the semantic locks.
+	PostCommitAll()
+}
+
 // ReadEntry records one transactional read for value-based validation.
 type ReadEntry struct {
 	Cell *mem.Cell

@@ -17,7 +17,7 @@ import (
 // algorithms returns fresh instances of every STM under test.
 func algorithms() []stm.Algorithm {
 	return []stm.Algorithm{
-		norec.New(), tl2.New(), tl2.NewSharded(), tml.New(), ringsw.New(),
+		norec.New(), tl2.New(), tml.New(), ringsw.New(),
 		invalstm.New(), glock.New(),
 	}
 }

@@ -20,16 +20,3 @@ func TestOpacityTL2(t *testing.T) {
 	}
 	lincheck.StressSTM(t, s, cfg)
 }
-
-// TestOpacityTL2Sharded runs the same opacity check against the
-// sharded-clock variant, whose commit path always validates reads (the
-// wv == rv+1 skip is unsound without a totally ordered clock).
-func TestOpacityTL2Sharded(t *testing.T) {
-	s := tl2.NewSharded()
-	defer s.Stop()
-	cfg := lincheck.DefaultSTMConfig(103)
-	if testing.Short() {
-		cfg = cfg.Scaled(2)
-	}
-	lincheck.StressSTM(t, s, cfg)
-}

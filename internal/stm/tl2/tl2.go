@@ -8,15 +8,15 @@
 //   - Read: sample the cell's orec before and after the read; abort if the
 //     orec is locked, changed, or newer than rv.
 //   - Commit (writers): lock the write-set orecs in a global order,
-//     increment the clock to obtain wv, validate the read-set orecs, publish
-//     the redo log, then release the orecs stamped with wv.
+//     increment the clock to obtain wv, validate the read-set orecs unless
+//     wv == rv+1 (no commit intervened), publish the redo log, then release
+//     the orecs stamped with wv.
 //
-// Two clock flavors are provided. New uses the classic single fetch-add
-// clock, which admits the "wv == rv+1 ⇒ skip read validation" fast path.
-// NewSharded (algorithm name "TL2S") spreads the clock across
-// cache-line-padded shards so committers do not serialize on one line; a
-// sharded clock cannot order two concurrent ticks, so the skip is unsound
-// and TL2S always validates its read set (see DESIGN.md).
+// A layer that extends TL2 (package integrate's OTB-TL2) drives Tx, the
+// protocol half of the descriptor, with an stm.Semantic: the commit then
+// interleaves the semantic locks, validation and publication with the orec
+// protocol, and Revalidate lets the layer re-establish one snapshot across
+// memory and semantic reads.
 package tl2
 
 import (
@@ -32,9 +32,11 @@ import (
 	"repro/internal/stm"
 )
 
-// fpCommitLocked fires with the write-set orecs locked, before anything is
-// published; recovery must restore the pre-lock orec versions. (The clock
-// may already have advanced — harmless: TL2 readers tolerate clock skips.)
+// fpCommitLocked fires with the write-set orecs — and, in an extended
+// transaction, the semantic locks — held, before anything is published;
+// recovery must restore the pre-lock orec versions and release the semantic
+// locks. (The clock may already have advanced — harmless: TL2 readers
+// tolerate clock skips.)
 var fpCommitLocked = failpoint.New("tl2.commit.locked")
 
 // orecBits sets the ownership-record table size (2^orecBits stripes).
@@ -55,28 +57,23 @@ func orecVersion(v uint64) uint64 { return v >> 1 }
 
 // STM is a TL2 instance.
 type STM struct {
-	name    string
-	clock   atomic.Uint64
-	_       [spin.CacheLineSize - 8]byte // keep clock off the orecs' lines
-	sharded *spin.ShardedClock           // nil: use the global clock
-	orecs   []orec
-	ctr     spin.Counters
+	name  string
+	clock atomic.Uint64
+	_     [spin.CacheLineSize - 8]byte // keep clock off the orecs' lines
+	orecs []orec
+	ctr   spin.Counters
 	*cm.Core
 	pool sync.Pool
 }
 
 // New creates a TL2 instance with its own global clock and orec table.
-func New() *STM { return newSTM("TL2", nil) }
+func New() *STM { return NewNamed("TL2") }
 
-// NewSharded creates a TL2 instance whose version clock is sharded across
-// cache lines (algorithm name "TL2S"). Sharded transactions always validate
-// their read sets at commit: the wv == rv+1 skip requires the clock to
-// totally order commits, which a sharded clock does not.
-func NewSharded() *STM { return newSTM("TL2S", new(spin.ShardedClock)) }
-
-func newSTM(name string, sc *spin.ShardedClock) *STM {
-	s := &STM{name: name, sharded: sc, orecs: make([]orec, orecCount), Core: cm.NewCore(name)}
-	s.pool.New = func() any { return &tx{s: s, h: s.NewHandle()} }
+// NewNamed creates a TL2 instance metered and traced under name, for a layer
+// that runs its own descriptors over NewTx.
+func NewNamed(name string) *STM {
+	s := &STM{name: name, orecs: make([]orec, orecCount), Core: cm.NewCore(name)}
+	s.pool.New = func() any { return &tx{Tx: Tx{s: s, h: s.NewHandle()}} }
 	return s
 }
 
@@ -88,23 +85,6 @@ func (s *STM) Counters() *spin.Counters { return &s.ctr }
 
 // Stop implements stm.Algorithm; TL2 has no background goroutines.
 func (s *STM) Stop() {}
-
-// clockLoad samples the version clock (either flavor).
-func (s *STM) clockLoad() uint64 {
-	if s.sharded != nil {
-		return s.sharded.Load()
-	}
-	return s.clock.Load()
-}
-
-// clockTick obtains a fresh write version. hint pins a sharded committer to
-// its own cache line; the global clock ignores it.
-func (s *STM) clockTick(hint uint32) uint64 {
-	if s.sharded != nil {
-		return s.sharded.Tick(hint)
-	}
-	return s.clock.Add(1)
-}
 
 // orecIdx maps a cell to its ownership-record index by hashing the cell id.
 func orecIdx(c *mem.Cell) int {
@@ -121,10 +101,11 @@ func (s *STM) orecFor(c *mem.Cell) *orec {
 // high tag bit keeps stripe keys disjoint from cell ids in conflict tables.
 func orecTraceKey(idx int) uint64 { return uint64(idx) | 1<<62 }
 
-// tx is a TL2 transaction descriptor. It implements cm.Tx and carries
-// scratch slices (reads, locked, seen) that amortize to zero steady-state
-// allocation.
-type tx struct {
+// Tx is the protocol half of a TL2 descriptor, reused across attempts. It
+// implements stm.Tx, and cm.Tx but for Run, which the descriptor embedding
+// it supplies; its scratch slices (reads, locked, seen) amortize to zero
+// steady-state allocation.
+type Tx struct {
 	s      *STM
 	h      cm.Handle
 	rv     uint64
@@ -132,13 +113,25 @@ type tx struct {
 	writes stm.WriteSet
 	locked []lockedOrec
 	seen   []lockedOrec // lockWriteSet scratch: distinct orecs, sorted by idx
-	fn     func(stm.Tx)
+	sem    stm.Semantic // the extending layer's semantic transaction; nil in plain TL2
 }
 
 type lockedOrec struct {
 	o   *orec
 	idx int    // table index, the global locking order
 	old uint64 // pre-lock value, restored on abort
+}
+
+// NewTx returns a descriptor whose commit also locks, validates and
+// publishes sem.
+func (s *STM) NewTx(sem stm.Semantic) *Tx {
+	return &Tx{s: s, h: s.NewHandle(), sem: sem}
+}
+
+// tx is a plain TL2 descriptor: the protocol plus the body.
+type tx struct {
+	Tx
+	fn func(stm.Tx)
 }
 
 // Atomic implements stm.Algorithm.
@@ -152,33 +145,44 @@ func (s *STM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
 	t.fn = fn
 	defer func() {
 		t.fn = nil
-		t.reset()
+		t.Reset()
 		s.pool.Put(t)
 	}()
 	return t.h.Run(ctx, nil, t)
 }
 
-// Begin implements cm.Tx: start one attempt.
-func (t *tx) Begin() {
-	t.reset()
-	t.rv = t.s.clockLoad()
-}
-
 // Run implements cm.Tx.
-func (t *tx) Run() { t.fn(t) }
+func (t *tx) Run() { t.fn(&t.Tx) }
 
-// Rollback implements cm.Tx: restore the orecs a failed commit had locked.
-func (t *tx) Rollback(abort.Reason) { t.releaseLocked(true) }
+// Handle is the descriptor's lifecycle handle, which runs it.
+func (t *Tx) Handle() *cm.Handle { return &t.h }
 
-func (t *tx) reset() {
+// Reset empties the read and write sets and the lock scratch.
+func (t *Tx) Reset() {
 	t.reads = t.reads[:0]
 	t.writes.Reset()
 	t.locked = t.locked[:0]
 	t.seen = t.seen[:0]
 }
 
+// Begin implements cm.Tx: start one attempt.
+func (t *Tx) Begin() {
+	t.Reset()
+	t.rv = t.s.clock.Load()
+}
+
+// Rollback implements cm.Tx: restore the orecs a failed commit had locked
+// to their pre-lock versions (nothing was published).
+func (t *Tx) Rollback(abort.Reason) {
+	for _, l := range t.locked {
+		l.o.v.Store(l.old)
+		t.h.Trace().Unlock(orecTraceKey(l.idx))
+	}
+	t.locked = t.locked[:0]
+}
+
 // Read implements stm.Tx with TL2's pre/post orec sampling.
-func (t *tx) Read(c *mem.Cell) uint64 {
+func (t *Tx) Read(c *mem.Cell) uint64 {
 	if v, ok := t.writes.Get(c); ok {
 		return v
 	}
@@ -195,33 +199,61 @@ func (t *tx) Read(c *mem.Cell) uint64 {
 }
 
 // Write implements stm.Tx; writes are buffered until commit.
-func (t *tx) Write(c *mem.Cell, v uint64) {
+func (t *Tx) Write(c *mem.Cell, v uint64) {
 	t.writes.Put(c, v)
 }
 
+// Revalidate checks that every cell read so far still holds its value now,
+// aborting if not, and extends rv to the clock it sampled first, so the
+// read set and whatever the caller validated just before hold at one
+// instant. It is free while no writer has committed since rv.
+func (t *Tx) Revalidate() {
+	now := t.s.clock.Load()
+	if now == t.rv {
+		return
+	}
+	t.validateReads()
+	t.rv = now
+}
+
 // Commit implements cm.Tx: TL2's lock / clock / validate / publish / release
-// sequence.
-func (t *tx) Commit() {
-	if t.writes.Len() == 0 {
+// sequence, with the semantic layer's hooks between its steps.
+func (t *Tx) Commit() {
+	sem := t.sem
+	if t.writes.Len() == 0 && (sem == nil || !sem.HasSemanticWrites()) {
+		// Read-only: every memory read was checked against rv, and an
+		// extending layer has validated both layers after its last read.
 		return
 	}
 	start := t.s.Profile().Now()
 	t.lockWriteSet()
+	if sem != nil {
+		sem.PreCommitAll()
+	}
 	fpCommitLocked.Hit()
-	wv := t.s.clockTick(t.h.Hint())
+	wv := t.s.clock.Add(1)
 	t.s.Profile().AddCommit(start)
-	// The classic skip — no other transaction committed between rv and wv,
-	// so the read set cannot have changed — needs the clock to totally order
-	// commits. The sharded clock does not, so TL2S always validates.
-	if t.s.sharded != nil || wv != t.rv+1 {
+	// The classic skip: no other transaction committed between rv and wv,
+	// so the read set cannot have changed.
+	if wv != t.rv+1 {
 		t.validateReads()
+	}
+	if sem != nil && !sem.ValidateAllWithLocks() {
+		abort.Retry(abort.Conflict)
 	}
 	start = t.s.Profile().Now()
 	t.writes.Publish()
+	if sem != nil {
+		sem.OnCommitAll()
+	}
 	for _, l := range t.locked {
 		l.o.v.Store(wv << 1)
+		t.h.Trace().Unlock(orecTraceKey(l.idx))
 	}
 	t.locked = t.locked[:0]
+	if sem != nil {
+		sem.PostCommitAll()
+	}
 	t.s.Profile().AddCommit(start)
 }
 
@@ -230,7 +262,7 @@ func (t *tx) Commit() {
 // transaction, releasing what was acquired. The dedup-and-sort runs on the
 // descriptor's scratch slice with an insertion sort: write sets are small
 // and sort.Slice's reflection allocates.
-func (t *tx) lockWriteSet() {
+func (t *Tx) lockWriteSet() {
 	t.seen = t.seen[:0]
 	for _, e := range t.writes.Entries() {
 		idx := orecIdx(e.Cell)
@@ -265,7 +297,7 @@ func (t *tx) lockWriteSet() {
 
 // validateReads checks every read-set orec: it must be unlocked (or locked
 // by this transaction) with a version no newer than rv.
-func (t *tx) validateReads() {
+func (t *Tx) validateReads() {
 	start := t.s.Profile().Now()
 	defer t.s.Profile().AddValidation(start)
 	for _, o := range t.reads {
@@ -273,11 +305,13 @@ func (t *tx) validateReads() {
 		if orecLocked(v) {
 			old, mine := t.ownedOld(o)
 			if !mine || orecVersion(old) > t.rv {
+				t.h.Trace().ValidateFail(0) // orec identity only; no cell to name
 				abort.Retry(abort.Conflict)
 			}
 			continue
 		}
 		if orecVersion(v) > t.rv {
+			t.h.Trace().ValidateFail(0)
 			abort.Retry(abort.Conflict)
 		}
 	}
@@ -286,27 +320,13 @@ func (t *tx) validateReads() {
 
 // ownedOld reports whether this transaction holds o, returning the pre-lock
 // value if so.
-func (t *tx) ownedOld(o *orec) (uint64, bool) {
+func (t *Tx) ownedOld(o *orec) (uint64, bool) {
 	for _, l := range t.locked {
 		if l.o == o {
 			return l.old, true
 		}
 	}
 	return 0, false
-}
-
-// releaseLocked unlocks any orecs held by an aborting transaction. With
-// restore=true the pre-lock versions are put back (no writes were
-// published).
-func (t *tx) releaseLocked(restore bool) {
-	for _, l := range t.locked {
-		if restore {
-			l.o.v.Store(l.old)
-		} else {
-			l.o.v.Store(l.old &^ 1)
-		}
-	}
-	t.locked = t.locked[:0]
 }
 
 var _ stm.Algorithm = (*STM)(nil)

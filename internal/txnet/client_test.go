@@ -184,11 +184,18 @@ func TestClientUnavailableDuringDrain(t *testing.T) {
 	// Park one transaction so the drain has something to cancel.
 	rc := dialRaw(t, s.Addr())
 	rc.hello(0)
-	inflight := make(chan response, 1)
+	// The helper delivers on every path, its error included; the test
+	// goroutine reports it.
+	inflight := make(chan error, 1)
 	go func() {
-		inflight <- rc.txn(1, 0, Op{Code: OpAdd, Struct: 0, Key: 1})
+		_, err := rc.roundTrip(appendTxn(nil, rc.sess, 1, 0, 0, 0, 0, []Op{{Code: OpAdd, Struct: 0, Key: 1}}))
+		inflight <- err
 	}()
-	<-st.waiting
+	select {
+	case <-st.waiting:
+	case err := <-inflight:
+		t.Fatalf("parked transaction answered before reaching the store: %v", err)
+	}
 
 	c := newTestClient(t, s.Addr())
 	done := make(chan error, 1)
@@ -202,7 +209,9 @@ func TestClientUnavailableDuringDrain(t *testing.T) {
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("want ErrUnavailable, got %v", err)
 	}
-	<-inflight
+	if err := <-inflight; err != nil {
+		t.Errorf("parked transaction: %v", err)
+	}
 	<-done
 }
 

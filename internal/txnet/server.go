@@ -361,6 +361,8 @@ type connState struct {
 	ops     []Op
 	results []OpResult
 	resp    []byte
+	// inflight marks a request admitted into the drain's in-flight set.
+	inflight bool
 }
 
 // handleFrame dispatches one request and writes its response. It recovers
@@ -431,12 +433,24 @@ func (s *Server) handleFrame(cs *connState, frame []byte) (err error) {
 		// An injected panic between here and finish leaves the span open;
 		// abandon (a no-op after finish) closes it on that path.
 		defer obs.abandon()
+		// An admitted request stays in the drain's in-flight set until its
+		// response is written: Shutdown closes connections once the set
+		// empties, and must not cut a StatusShutdown answer off.
+		defer s.leave(cs)
 		cs.resp = s.execTxn(req, cs, &obs)
 		werr := s.writeResp(cs.w, cs.resp)
 		obs.finish(s, &req, Status(cs.resp[frameHdr]), werr == nil)
 		return werr
 	default:
 		return fmt.Errorf("txnet: unknown message type %d", frame[0])
+	}
+}
+
+// leave takes an admitted request out of the in-flight set.
+func (s *Server) leave(cs *connState) {
+	if cs.inflight {
+		cs.inflight = false
+		s.reqWG.Done()
 	}
 }
 
@@ -479,7 +493,7 @@ func (s *Server) execTxn(req txnReq, cs *connState, o *reqObs) []byte {
 	}
 	s.reqWG.Add(1)
 	s.inflightMu.Unlock()
-	defer s.reqWG.Done()
+	cs.inflight = true // handleFrame leaves once the response is written
 
 	admitted := s.adm.acquire(s.ctx)
 	o.stamp(trace.StageAdmission)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -44,18 +45,28 @@ func (r *rawConn) hello(id uint64) response {
 
 func (r *rawConn) send(frame []byte) response {
 	r.t.Helper()
+	resp, err := r.roundTrip(frame)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return resp
+}
+
+// roundTrip is send returning its error instead of failing the test, for
+// helper goroutines, where t.Fatal must not be called.
+func (r *rawConn) roundTrip(frame []byte) (response, error) {
 	if _, err := r.c.Write(frame); err != nil {
-		r.t.Fatalf("write: %v", err)
+		return response{}, fmt.Errorf("write: %w", err)
 	}
 	frame, err := readFrame(r.br, nil)
 	if err != nil {
-		r.t.Fatalf("read: %v", err)
+		return response{}, fmt.Errorf("read: %w", err)
 	}
 	resp, err := parseResponse(frame)
 	if err != nil {
-		r.t.Fatalf("parse: %v", err)
+		return response{}, fmt.Errorf("parse: %w", err)
 	}
-	return resp
+	return resp, nil
 }
 
 func (r *rawConn) txn(seq uint64, deadline time.Duration, ops ...Op) response {
