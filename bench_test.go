@@ -7,6 +7,7 @@ package repro
 
 import (
 	"math/rand/v2"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -144,6 +145,84 @@ func BenchmarkReadOnlyTx(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// walkLists caches BenchmarkListWalk's churned lists: building one costs
+// about as much as the measurement, and testing.B calls the benchmark
+// function once per b.N it tries.
+var walkLists = map[string]struct {
+	d    bench.SetDriver
+	keys []int64
+}{}
+
+// BenchmarkListWalk prices one hop of the list walk that dominates
+// net-set-point, on both sides of the paper's list comparison: 8 192 keys in
+// a 16 384 range, preloaded in seeded random order in 64-op transactions,
+// then churned by 200 k single-op 80/10/10 transactions — the server list
+// of that workload. It measures single-Contains transactions on one
+// goroutine and reports ns per next-pointer hop: a lookup of k loads
+// 1 + (keys below k) next pointers.
+func BenchmarkListWalk(b *testing.B) {
+	const keyRange, preload, batch, churn = 16384, 8192, 64, 200_000
+	for _, se := range []struct {
+		name string
+		mk   func() (bench.SetDriver, func() []int64)
+	}{
+		{"OptimisticBoosted", func() (bench.SetDriver, func() []int64) {
+			s := otb.NewListSet()
+			return bench.NewOTBDriver(s), s.Keys
+		}},
+		{"Lazy", func() (bench.SetDriver, func() []int64) {
+			l := conc.NewLazyList()
+			return bench.NewLazyDriver(l), l.Keys
+		}},
+	} {
+		b.Run(se.name, func(b *testing.B) {
+			list, ok := walkLists[se.name]
+			if !ok {
+				d, keys := se.mk()
+				rng := rand.New(rand.NewPCG(21, 4))
+				perm := rng.Perm(keyRange)[:preload]
+				ops := make([]bench.SetOp, batch)
+				for i := 0; i < preload; i += batch {
+					for j, k := range perm[i : i+batch] {
+						ops[j] = bench.SetOp{Kind: bench.OpAdd, Key: int64(k)}
+					}
+					d.RunTx(ops)
+				}
+				ops = ops[:1]
+				for range churn {
+					ops[0].Key = rng.Int64N(keyRange)
+					switch op := rng.IntN(10); {
+					case op < 8:
+						ops[0].Kind = bench.OpContains
+					case op == 8:
+						ops[0].Kind = bench.OpAdd
+					default:
+						ops[0].Kind = bench.OpRemove
+					}
+					d.RunTx(ops)
+				}
+				list.d, list.keys = d, keys()
+				walkLists[se.name] = list
+			}
+			rng := rand.New(rand.NewPCG(1, 2))
+			queries, hopsOf := make([]int64, 4096), make([]int, 4096)
+			for i := range queries {
+				k := rng.Int64N(keyRange)
+				queries[i], hopsOf[i] = k, 1+sort.Search(len(list.keys), func(j int) bool { return list.keys[j] >= k })
+			}
+			ops := []bench.SetOp{{Kind: bench.OpContains}}
+			hops := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ops[0].Key = queries[i%len(queries)]
+				list.d.RunTx(ops)
+				hops += hopsOf[i%len(queries)]
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
+		})
 	}
 }
 

@@ -6,8 +6,8 @@
 // same way.
 //
 // The helpers are deliberately runtime-agnostic: they speak abort.Signal
-// (the universal abort protocol) and spin.VersionedLock (the universal
-// semantic lock), never a specific STM's types.
+// (the universal abort protocol) and mem.Word (the lists' semantic lock),
+// never a specific STM's types.
 package chaos
 
 import (
@@ -16,16 +16,17 @@ import (
 	"testing"
 
 	"repro/internal/abort"
-	"repro/internal/spin"
+	"repro/internal/mem"
 )
 
-// HoldVersionedLock acquires l as a foreign holder — standing in for a
-// concurrent transaction parked between PreCommit and OnCommit — and returns
-// the release function. The caller's transaction must then observe the lock
-// busy. It fails the test if the lock is already held.
-func HoldVersionedLock(t testing.TB, l *spin.VersionedLock) (release func()) {
+// HoldLock acquires a list node's semantic lock as a foreign holder —
+// standing in for a concurrent transaction parked between PreCommit and
+// OnCommit — and returns the release function. The caller's transaction
+// must then observe the lock busy. It fails the test if the lock is already
+// held.
+func HoldLock(t testing.TB, l *mem.Word) (release func()) {
 	t.Helper()
-	if _, ok := l.TryLock(); !ok {
+	if !l.TryLock() {
 		t.Fatal("chaos: could not take foreign lock")
 	}
 	return l.UnlockUnchanged

@@ -148,15 +148,15 @@ type FP struct {
 // registry maps names to registered points; pendingEnv holds FAILPOINTS=
 // specs whose points are not registered yet (package init order is
 // unspecified, so env arming must tolerate any registration order).
-var registry struct {
+// The maps are made in the declaration, so New works from any package-level
+// variable initializer, this package's own included.
+var registry = struct {
 	mu         sync.Mutex
 	points     map[string]*FP
 	pendingEnv map[string]Spec
-}
+}{points: make(map[string]*FP), pendingEnv: make(map[string]Spec)}
 
 func init() {
-	registry.points = make(map[string]*FP)
-	registry.pendingEnv = make(map[string]Spec)
 	if env := os.Getenv("FAILPOINTS"); env != "" {
 		if err := Apply(env); err != nil {
 			fmt.Fprintln(os.Stderr, "failpoint: ignoring invalid FAILPOINTS:", err)

@@ -1,14 +1,35 @@
 package failpoint
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/abort"
 )
 
+// The test points are registered once per process, as production points
+// are: New panics on a duplicate name, so registering inside a test
+// function would fail the second run of -count=2.
+var (
+	noopPoint  = New("test.noop.point")
+	nthPoint   = New("test.nth.point")
+	everyPoint = New("test.every.point")
+	probPoint  = New("test.prob.point")
+	delayPoint = New("test.delay.point")
+	applyPoint = New("test.apply.point")
+	namesPoint = New("test.names.point")
+)
+
+// runs numbers the names that a test must register itself (to check what
+// registration does), so that each run registers a fresh one.
+var runs atomic.Int64
+
+func freshName(prefix string) string { return fmt.Sprintf("%s.%d", prefix, runs.Add(1)) }
+
 func TestDisarmedIsNoop(t *testing.T) {
-	fp := New("test.noop.point")
+	fp := noopPoint
 	defer Disarm(fp.Name())
 	for i := 0; i < 1000; i++ {
 		fp.Hit()
@@ -19,7 +40,7 @@ func TestDisarmedIsNoop(t *testing.T) {
 }
 
 func TestNthTrigger(t *testing.T) {
-	fp := New("test.nth.point")
+	fp := nthPoint
 	defer fp.Disarm()
 	fp.Arm(Spec{Action: Panic, Nth: 3})
 	hitPanicked := func() (panicked bool) {
@@ -47,7 +68,7 @@ func TestNthTrigger(t *testing.T) {
 }
 
 func TestEveryTrigger(t *testing.T) {
-	fp := New("test.every.point")
+	fp := everyPoint
 	defer fp.Disarm()
 	fp.Arm(Spec{Action: Abort, Every: 4})
 	fired := 0
@@ -70,7 +91,7 @@ func TestEveryTrigger(t *testing.T) {
 }
 
 func TestProbDeterministicPerSeed(t *testing.T) {
-	fp := New("test.prob.point")
+	fp := probPoint
 	defer fp.Disarm()
 	run := func(seed uint64) []int {
 		fp.Arm(Spec{Action: Abort, Prob: 0.3, Seed: seed})
@@ -105,7 +126,7 @@ func TestProbDeterministicPerSeed(t *testing.T) {
 }
 
 func TestDelayAndYield(t *testing.T) {
-	fp := New("test.delay.point")
+	fp := delayPoint
 	defer fp.Disarm()
 	fp.Arm(Spec{Action: Delay, Delay: 5 * time.Millisecond})
 	start := time.Now()
@@ -118,7 +139,7 @@ func TestDelayAndYield(t *testing.T) {
 }
 
 func TestApplySyntax(t *testing.T) {
-	fp := New("test.apply.point")
+	fp := applyPoint
 	defer DisarmAll()
 	if err := Apply("test.apply.point=panic@nth:2"); err != nil {
 		t.Fatal(err)
@@ -137,10 +158,11 @@ func TestApplySyntax(t *testing.T) {
 	}()
 
 	// Arming before registration (FAILPOINTS= consumed at process start).
-	if err := Apply("test.apply.late=delay:2ms"); err != nil {
+	lateName := freshName("test.apply.late")
+	if err := Apply(lateName + "=delay:2ms"); err != nil {
 		t.Fatal(err)
 	}
-	late := New("test.apply.late")
+	late := New(lateName)
 	if !late.Armed() {
 		t.Fatal("pending env spec not applied at registration")
 	}
@@ -156,7 +178,7 @@ func TestApplySyntax(t *testing.T) {
 }
 
 func TestNamesAndLookup(t *testing.T) {
-	fp := New("test.names.point")
+	fp := namesPoint
 	found := false
 	for _, n := range Names() {
 		if n == fp.Name() {
@@ -175,11 +197,12 @@ func TestNamesAndLookup(t *testing.T) {
 }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
-	New("test.dup.point")
+	name := freshName("test.dup.point")
+	New(name)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate New did not panic")
 		}
 	}()
-	New("test.dup.point")
+	New(name)
 }

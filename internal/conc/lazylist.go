@@ -2,7 +2,6 @@ package conc
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mem"
@@ -14,13 +13,30 @@ import (
 // readers can skip over logically deleted nodes. Nodes come from the list's
 // slab, which places each insert next to its predecessor in memory; unlinked
 // nodes return to it through epoch-based reclamation, so the steady-state
-// add/remove path does not allocate. 32 bytes: the slot fits the padding.
+// add/remove path does not allocate. The node is 16 bytes, what a traversal
+// reads; its lock and mark are one mem.Word in the slab page's header (the
+// lock is a spin lock, held only across a validation and two stores).
 type listNode struct {
-	key    int64
-	next   atomic.Pointer[listNode]
-	marked atomic.Bool
-	mu     sync.Mutex
-	mem.Slot
+	key  int64
+	next atomic.Pointer[listNode]
+}
+
+// word returns the node's lock-and-mark word.
+func (n *listNode) word() *mem.Word { return mem.WordOf(n) }
+
+// marked reports whether the node is logically deleted.
+func (n *listNode) marked() bool { return mem.IsMarked(n.word().Load()) }
+
+// lockPair locks pred, then curr (key order, so lockers cannot deadlock).
+func lockPair(pred, curr *listNode) {
+	pred.word().Lock()
+	curr.word().Lock()
+}
+
+// unlockPair releases lockPair's locks.
+func unlockPair(pred, curr *listNode) {
+	curr.word().Unlock()
+	pred.word().Unlock()
 }
 
 // newNode allocates a node for key in front of succ, next to pred (else succ)
@@ -29,7 +45,7 @@ type listNode struct {
 func (l *LazyList) newNode(key int64, pred, succ *listNode) *listNode {
 	n := l.nodes.Alloc(pred, succ)
 	n.key = key
-	n.marked.Store(false)
+	n.word().Reuse()
 	n.next.Store(succ)
 	return n
 }
@@ -42,7 +58,7 @@ func (l *LazyList) newNode(key int64, pred, succ *listNode) *listNode {
 // collector.
 type LazyList struct {
 	head  *listNode
-	nodes *mem.Slab[listNode, *listNode]
+	nodes *mem.Slab[listNode]
 }
 
 // NewLazyList creates an empty set.
@@ -68,7 +84,7 @@ func (l *LazyList) locate(key int64) (pred, curr *listNode) {
 // validate checks, with locks held, that pred and curr are unmarked and
 // still adjacent.
 func validate(pred, curr *listNode) bool {
-	return !pred.marked.Load() && !curr.marked.Load() && pred.next.Load() == curr
+	return !pred.marked() && !curr.marked() && pred.next.Load() == curr
 }
 
 // Add inserts key, returning false if it was already present.
@@ -77,21 +93,17 @@ func (l *LazyList) Add(key int64) bool {
 	defer g.Exit()
 	for {
 		pred, curr := l.locate(key)
-		pred.mu.Lock()
-		curr.mu.Lock()
+		lockPair(pred, curr)
 		if validate(pred, curr) {
 			if curr.key == key {
-				curr.mu.Unlock()
-				pred.mu.Unlock()
+				unlockPair(pred, curr)
 				return false
 			}
 			pred.next.Store(l.newNode(key, pred, curr))
-			curr.mu.Unlock()
-			pred.mu.Unlock()
+			unlockPair(pred, curr)
 			return true
 		}
-		curr.mu.Unlock()
-		pred.mu.Unlock()
+		unlockPair(pred, curr)
 	}
 }
 
@@ -103,23 +115,19 @@ func (l *LazyList) Remove(key int64) bool {
 	defer g.Exit()
 	for {
 		pred, curr := l.locate(key)
-		pred.mu.Lock()
-		curr.mu.Lock()
+		lockPair(pred, curr)
 		if validate(pred, curr) {
 			if curr.key != key {
-				curr.mu.Unlock()
-				pred.mu.Unlock()
+				unlockPair(pred, curr)
 				return false
 			}
-			curr.marked.Store(true) // logical deletion
+			curr.word().Mark() // logical deletion
 			pred.next.Store(curr.next.Load())
-			curr.mu.Unlock()
-			pred.mu.Unlock()
+			unlockPair(pred, curr)
 			g.Retire(curr, l.nodes.Free)
 			return true
 		}
-		curr.mu.Unlock()
-		pred.mu.Unlock()
+		unlockPair(pred, curr)
 	}
 }
 
@@ -131,7 +139,7 @@ func (l *LazyList) Contains(key int64) bool {
 	for curr.key < key {
 		curr = curr.next.Load()
 	}
-	ok := curr.key == key && !curr.marked.Load()
+	ok := curr.key == key && !curr.marked()
 	g.Exit()
 	return ok
 }
@@ -143,7 +151,7 @@ func (l *LazyList) Len() int {
 	defer g.Exit()
 	n := 0
 	for curr := l.head.next.Load(); curr.key != math.MaxInt64; curr = curr.next.Load() {
-		if !curr.marked.Load() {
+		if !curr.marked() {
 			n++
 		}
 	}
@@ -156,7 +164,7 @@ func (l *LazyList) Keys() []int64 {
 	defer g.Exit()
 	var out []int64
 	for curr := l.head.next.Load(); curr.key != math.MaxInt64; curr = curr.next.Load() {
-		if !curr.marked.Load() {
+		if !curr.marked() {
 			out = append(out, curr.key)
 		}
 	}

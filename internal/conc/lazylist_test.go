@@ -8,17 +8,17 @@ import (
 	"repro/internal/race"
 )
 
-// TestListNodeSize: the lazy list's node is 32 bytes (its slab slot lives in
-// what was padding), so it shares the OTB list's slab geometry — boosting's
-// side of the paper's comparison gets the same allocator.
+// TestListNodeSize: the lazy list's node is 16 bytes (lock and mark live in
+// the slab's word table), so it shares the OTB list's slab geometry —
+// boosting's side of the paper's comparison gets the same allocator.
 func TestListNodeSize(t *testing.T) {
 	if n := unsafe.Sizeof(listNode{}); n != mem.SlotSize {
 		t.Fatalf("unsafe.Sizeof(listNode{}) = %d, want %d", n, mem.SlotSize)
 	}
 	l := NewLazyList()
 	tail := l.head.next.Load()
-	if tail.Slot.Index()/mem.BlockSlots != l.head.Slot.Index()/mem.BlockSlots {
-		t.Errorf("sentinels in slots %d and %d, want one block", tail.Slot.Index(), l.head.Slot.Index())
+	if mem.SlotOf(tail)/mem.BlockSlots != mem.SlotOf(l.head)/mem.BlockSlots {
+		t.Errorf("sentinels in slots %d and %d, want one block", mem.SlotOf(tail), mem.SlotOf(l.head))
 	}
 }
 

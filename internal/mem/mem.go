@@ -5,11 +5,15 @@
 // Every Cell is an atomic word, so value-based validation (NOrec, RTC,
 // RInval) is data-race-free in Go while preserving the algorithms'
 // semantics. Cells carry an allocation id used (instead of their address)
-// to index ownership-record tables and to feed bloom filters, avoiding any
-// use of unsafe pointer arithmetic.
+// to index ownership-record tables and to feed bloom filters.
 //
 // The package also holds Slab, the node allocator of the OTB and lazy
-// linked lists, which keeps key neighbours in one cache block.
+// linked lists, which keeps key neighbours in one cache block and each
+// node's lock-and-mark Word in its page's header. Finding that header is
+// the package's one use of unsafe pointer arithmetic (slab.go, locate): a
+// node's address is masked down to its 8 KB page, which stays inside the
+// one Go object that holds the node, and the slab panics on a chunk that is
+// not 8 KB aligned.
 package mem
 
 import "sync/atomic"

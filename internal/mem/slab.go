@@ -5,48 +5,166 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/spin"
 )
 
 // Slab geometry. A block is the 128-byte adjacent-line prefetch pair, so a
-// walk that steps to a neighbour in the same block pays no new miss; a chunk
-// is 32 KB, one Go object in the runtime's largest small size class, whose
-// spans are page-aligned — so every block is 128-byte aligned. Both numbers
-// were measured on the OTB list (DESIGN "List nodes"); they are not options.
+// walk that steps to a neighbour in the same block pays no new miss; a node
+// is 16 bytes (key and next), so eight share a block. Everything else a
+// node needs (lock, mark, slot) lives in its page's header, where no walk
+// reads it. A page is the runtime's 8 KB page: a header of word blocks, then
+// node blocks. A chunk is four pages, one 32 KB Go object in the runtime's
+// largest small size class, whose spans are page-aligned. The numbers were
+// measured on the OTB list (DESIGN "List nodes"); they are not options.
 const (
 	// SlotSize is the size every slab node must have.
-	SlotSize = 32
+	SlotSize = 16
 	// BlockSlots is the number of slots sharing one 128-byte block.
-	BlockSlots = 4
+	BlockSlots = blockBytes / SlotSize
 	// ChunkSlots is the number of slots the slab grows by.
-	ChunkSlots     = BlockSlots * blocksPerChunk
-	blocksPerChunk = 256
-	fullMask       = 1<<BlockSlots - 1
+	ChunkSlots = chunkPages * pageSlots
+
+	pageSize     = 8192
+	pageSlots    = pageBlocks * BlockSlots
+	blockBytes   = 128
+	headerBlocks = 13 // a word per slot and the page's first slot index
+	pageBlocks   = pageSize/blockBytes - headerBlocks
+	headerBytes  = headerBlocks * blockBytes
+	chunkPages   = 4
+	chunkBlocks  = chunkPages * pageBlocks
+	fullMask     = 1<<BlockSlots - 1
 )
 
-// Slot is a node's fixed position in its Slab: node types embed it (it is
-// four bytes, so it fits the padding of a 32-byte list node). The slab
-// writes it once when it makes the chunk; it never changes, so it is also a
-// stable, unique identity among the slab's nodes (the OTB list orders its
-// semantic locks by it).
-type Slot struct{ i uint32 }
+// Word is a slab node's lock-and-mark word, kept in its page's header so
+// that a walk, which reads only key and next, never loads it. Bit 0 is the
+// lock (a locked word is odd), bit 1 the mark (logically deleted), and bits
+// 2–31 a version that every publishing unlock advances, modulo 2³⁰. One
+// load reads mark and version together. A reused slot keeps its version.
+type Word struct{ v atomic.Uint32 }
 
-// Index returns the slot's slab-wide index: chunk, then block, then slot.
-func (s *Slot) Index() uint32 { return s.i }
+const (
+	wordLocked  = 1
+	wordMarked  = 2
+	wordVersion = 4
+)
 
-func (s *Slot) slabSlot() *Slot { return s }
+// IsLocked reports whether a sampled word is locked.
+func IsLocked(v uint32) bool { return v&wordLocked != 0 }
 
-// Node constrains a slab's element type: a pointer to a 32-byte struct that
-// embeds Slot.
-type Node[T any] interface {
-	*T
-	slabSlot() *Slot
+// IsMarked reports whether a sampled word is marked.
+func IsMarked(v uint32) bool { return v&wordMarked != 0 }
+
+// Load samples the word.
+func (w *Word) Load() uint32 { return w.v.Load() }
+
+// TryLock takes the lock if it is free, without waiting.
+func (w *Word) TryLock() bool {
+	v := w.v.Load()
+	return v&wordLocked == 0 && w.v.CompareAndSwap(v, v|wordLocked)
 }
 
-// chunk is one allocation unit: the node memory as a single Go object, and
-// one free mask per block (bit i set = slot i free).
+// Lock spins (yielding) until it takes the lock.
+func (w *Word) Lock() {
+	var b spin.Backoff
+	for !w.TryLock() {
+		b.Wait()
+	}
+}
+
+// Unlock releases the lock and advances the version, so that a validation
+// holding an older sample sees the change. It panics if the lock is free.
+func (w *Word) Unlock() {
+	v := w.v.Load()
+	if v&wordLocked == 0 {
+		panic("mem: Unlock of unlocked Word")
+	}
+	w.v.Store(v&^wordLocked + wordVersion)
+}
+
+// UnlockUnchanged releases the lock and leaves the version as it was, for
+// a holder that published nothing. It panics if the lock is free.
+func (w *Word) UnlockUnchanged() {
+	v := w.v.Load()
+	if v&wordLocked == 0 {
+		panic("mem: UnlockUnchanged of unlocked Word")
+	}
+	w.v.Store(v &^ wordLocked)
+}
+
+// Mark sets the mark bit.
+func (w *Word) Mark() { w.v.Or(wordMarked) }
+
+// Reuse clears the mark of a recycled slot and keeps its version.
+func (w *Word) Reuse() { w.v.And(^uint32(wordMarked)) }
+
+// pageHeader is the first 13 blocks of a page: one word per slot, and the
+// slab-wide index of the page's first slot.
+type pageHeader struct {
+	words [pageSlots]Word
+	first uint32
+	_     [headerBytes - pageSlots*4 - 4]byte
+}
+
+// page is one 8 KB runtime page of a chunk: its header, then its node
+// blocks, each 128-byte aligned because the page is.
+type page[T any] struct {
+	pageHeader
+	blocks [pageBlocks][BlockSlots]T
+}
+
+// locate finds the header of the page holding the slab node at p, and the
+// node's offset within the page, by masking p's address down to the page.
+// This is the package's one use of pointer arithmetic, and its rule: p
+// points into a chunk's pages, one Go object that newChunk checked is 8 KB
+// aligned, so the page start lies inside the same object (checkptr-clean).
+func locate(p unsafe.Pointer) (*pageHeader, uintptr) {
+	h := (*pageHeader)(unsafe.Pointer(uintptr(p) &^ (pageSize - 1)))
+	return h, (uintptr(p)&(pageSize-1) - headerBytes) / SlotSize
+}
+
+// WordOf returns the lock-and-mark word of n, which must be a node of a
+// Slab[T].
+func WordOf[T any](n *T) *Word {
+	h, i := locate(unsafe.Pointer(n))
+	return &h.words[i]
+}
+
+// SlotOf returns the slab-wide slot index of n, which must be a node of a
+// Slab[T]: chunk, then page, then block, then slot. It never changes, so it
+// is a stable, unique identity among the slab's nodes (the OTB list orders
+// its semantic locks by it).
+func SlotOf[T any](n *T) uint32 {
+	h, i := locate(unsafe.Pointer(n))
+	return h.first + uint32(i)
+}
+
+// chunk is one allocation unit: four pages as a single Go object, and one
+// free mask per node block (bit i set = slot i free).
 type chunk[T any] struct {
-	slots *[ChunkSlots]T
-	free  [blocksPerChunk]atomic.Uint32
+	pages *[chunkPages]page[T]
+	free  [chunkBlocks]atomic.Uint32
+}
+
+// newChunk makes a chunk of pages whose first slot has index base. It
+// panics unless pages is 8 KB aligned: locate relies on it.
+func newChunk[T any](pages *[chunkPages]page[T], base uint32) *chunk[T] {
+	if uintptr(unsafe.Pointer(pages))%pageSize != 0 {
+		panic("mem: slab chunk is not 8 KB aligned")
+	}
+	c := &chunk[T]{pages: pages}
+	for p := range pages {
+		pages[p].first = base + uint32(p)*pageSlots
+	}
+	for b := range c.free {
+		c.free[b].Store(fullMask)
+	}
+	return c
+}
+
+// node returns the slot'th node of block b of the chunk.
+func (c *chunk[T]) node(b, slot uint32) *T {
+	return &c.pages[b/pageBlocks].blocks[b%pageBlocks][slot]
 }
 
 // Slab is a per-structure node allocator that keeps key neighbours in one
@@ -60,11 +178,11 @@ type chunk[T any] struct {
 // Claims are a CAS on the block's free mask; the mutex guards only the
 // empty-block stack and growth. Free is the epoch-reclamation callback, so
 // a slot is reused only after every traversal that could reach its old node
-// has unpinned. A reused slot keeps whatever its last node left: callers
-// reset what they need (the OTB list keeps the lock version, which must stay
-// monotone). The slab never shrinks: capacity stays ≤ 2 × peak live + one
-// chunk.
-type Slab[T any, P Node[T]] struct {
+// has unpinned. A reused slot keeps whatever its last node left, its Word
+// included: callers reset what they need (Word.Reuse keeps the version,
+// which must stay monotone). The slab never shrinks: capacity stays ≤ 2 ×
+// peak live + one chunk.
+type Slab[T any] struct {
 	chunks atomic.Pointer[[]*chunk[T]]
 	live   atomic.Int64
 	cursor atomic.Uint32 // block where the partial-block scan resumes
@@ -79,11 +197,11 @@ type Slab[T any, P Node[T]] struct {
 }
 
 // NewSlab creates an empty slab. It panics unless T is SlotSize bytes.
-func NewSlab[T any, P Node[T]]() *Slab[T, P] {
-	if unsafe.Sizeof(*new(T)) != SlotSize {
-		panic("mem: slab nodes must be 32 bytes")
+func NewSlab[T any]() *Slab[T] {
+	if unsafe.Sizeof(*new(T)) != SlotSize || unsafe.Sizeof(page[T]{}) != pageSize {
+		panic("mem: slab nodes must be 16 bytes")
 	}
-	s := &Slab[T, P]{}
+	s := &Slab[T]{}
 	s.chunks.Store(new([]*chunk[T]))
 	s.Free = s.free
 	return s
@@ -91,12 +209,12 @@ func NewSlab[T any, P Node[T]]() *Slab[T, P] {
 
 // Alloc claims a slot next to pred (or, failing that, succ) in memory.
 // pred and succ may be nil; if not, they must be live nodes of this slab
-// (so their blocks are never wholly free). The node's fields hold whatever
-// its previous occupant left.
-func (s *Slab[T, P]) Alloc(pred, succ P) P {
-	for _, near := range [2]P{pred, succ} {
+// (so their blocks are never wholly free). The node and its Word hold
+// whatever the slot's previous occupant left.
+func (s *Slab[T]) Alloc(pred, succ *T) *T {
+	for _, near := range [2]*T{pred, succ} {
 		if near != nil {
-			if n := s.claim(near.slabSlot().i/BlockSlots, false); n != nil {
+			if n := s.claim(SlotOf(near)/BlockSlots, false); n != nil {
 				return n
 			}
 		}
@@ -129,9 +247,9 @@ func (s *Slab[T, P]) Alloc(pred, succ P) P {
 
 // claim takes the lowest free slot of block b, or returns nil if the block
 // is full (or, with partialOnly, wholly free — those belong to the stack).
-func (s *Slab[T, P]) claim(b uint32, partialOnly bool) P {
-	c := (*s.chunks.Load())[b/blocksPerChunk]
-	m := &c.free[b%blocksPerChunk]
+func (s *Slab[T]) claim(b uint32, partialOnly bool) *T {
+	c := (*s.chunks.Load())[b/chunkBlocks]
+	m := &c.free[b%chunkBlocks]
 	for {
 		old := m.Load()
 		if old == 0 || partialOnly && old == fullMask {
@@ -140,14 +258,14 @@ func (s *Slab[T, P]) claim(b uint32, partialOnly bool) P {
 		i := uint32(bits.TrailingZeros32(old))
 		if m.CompareAndSwap(old, old&^(1<<i)) {
 			s.live.Add(1)
-			return P(&c.slots[b%blocksPerChunk*BlockSlots+i])
+			return c.node(b%chunkBlocks, i)
 		}
 	}
 }
 
 // claimPartial scans the blocks round-robin from where the last scan
 // succeeded for one with a free slot.
-func (s *Slab[T, P]) claimPartial() P {
+func (s *Slab[T]) claimPartial() *T {
 	nb := uint32(s.Cap() / BlockSlots)
 	start := s.cursor.Load()
 	for k := uint32(0); k < nb; k++ {
@@ -162,31 +280,24 @@ func (s *Slab[T, P]) claimPartial() P {
 
 // growLocked adds a chunk and stacks its blocks lowest-on-top. Caller holds
 // s.mu.
-func (s *Slab[T, P]) growLocked() {
+func (s *Slab[T]) growLocked() {
 	old := *s.chunks.Load()
-	c := &chunk[T]{slots: new([ChunkSlots]T)}
-	base := uint32(len(old)) * ChunkSlots
-	for i := range c.slots {
-		P(&c.slots[i]).slabSlot().i = base + uint32(i)
-	}
-	for b := range c.free {
-		c.free[b].Store(fullMask)
-	}
+	c := newChunk(new([chunkPages]page[T]), uint32(len(old))*ChunkSlots)
 	next := append(old[:len(old):len(old)], c)
 	s.chunks.Store(&next)
-	for b := blocksPerChunk - 1; b >= 0; b-- {
-		s.empty = append(s.empty, base/BlockSlots+uint32(b))
+	for b := chunkBlocks - 1; b >= 0; b-- {
+		s.empty = append(s.empty, uint32(len(old)*chunkBlocks+b))
 	}
 }
 
 // free is Free: it sets the slot's bit and stacks the block once it is
 // wholly free.
-func (s *Slab[T, P]) free(v any) {
-	i := P(v.(*T)).slabSlot().i
+func (s *Slab[T]) free(v any) {
+	i := SlotOf(v.(*T))
 	b := i / BlockSlots
 	bit := uint32(1) << (i % BlockSlots)
-	c := (*s.chunks.Load())[b/blocksPerChunk]
-	old := c.free[b%blocksPerChunk].Or(bit)
+	c := (*s.chunks.Load())[b/chunkBlocks]
+	old := c.free[b%chunkBlocks].Or(bit)
 	if old&bit != 0 {
 		panic("mem: slab slot freed twice")
 	}
@@ -199,14 +310,14 @@ func (s *Slab[T, P]) free(v any) {
 }
 
 // Live returns the number of claimed slots.
-func (s *Slab[T, P]) Live() int { return int(s.live.Load()) }
+func (s *Slab[T]) Live() int { return int(s.live.Load()) }
 
 // Cap returns the number of slots the slab holds, claimed or free.
-func (s *Slab[T, P]) Cap() int { return len(*s.chunks.Load()) * ChunkSlots }
+func (s *Slab[T]) Cap() int { return len(*s.chunks.Load()) * ChunkSlots }
 
 // InUse reports whether the slot with the given index is claimed (tests
 // audit free masks against a structure's reachable nodes with it).
-func (s *Slab[T, P]) InUse(slot uint32) bool {
+func (s *Slab[T]) InUse(slot uint32) bool {
 	c := (*s.chunks.Load())[slot/ChunkSlots]
 	return c.free[slot%ChunkSlots/BlockSlots].Load()&(1<<(slot%BlockSlots)) == 0
 }

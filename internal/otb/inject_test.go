@@ -19,7 +19,7 @@ func TestCommitAbortsWhenNodeLockedExternally(t *testing.T) {
 	if victim.key != 10 {
 		t.Fatalf("unexpected layout: first key %d", victim.key)
 	}
-	release := chaos.HoldVersionedLock(t, &victim.lock)
+	release := chaos.HoldLock(t, victim.word())
 
 	// Drive one attempt by hand: PreCommit must abort with LockBusy.
 	tx := NewTx(nil)

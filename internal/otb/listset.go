@@ -9,37 +9,43 @@ import (
 	"repro/internal/abort"
 	"repro/internal/mem"
 	"repro/internal/mem/epoch"
-	"repro/internal/spin"
 )
 
 // lnode is an OTB linked-list node: the lazy-list layout (key, next, marked)
 // plus a versioned semantic lock, which replaces the lazy list's mutex so
-// that validation can sample versions. It is 32 bytes, so four share one
-// 128-byte slab block, and the fields a traversal reads (key, next) come
-// first. Its slab slot is also its lock-acquisition order.
+// that validation can sample versions. The node itself is only what a
+// traversal reads, 16 bytes, so eight share one 128-byte slab block; lock,
+// mark and version are one mem.Word in the slab page's header. Its slab
+// slot is also its lock-acquisition order.
 type lnode struct {
-	key    int64
-	next   atomic.Pointer[lnode]
-	lock   spin.VersionedLock
-	marked atomic.Bool
-	mem.Slot
+	key  int64
+	next atomic.Pointer[lnode]
 }
+
+// word returns the node's lock-and-mark word.
+func (n *lnode) word() *mem.Word { return mem.WordOf(n) }
+
+// marked reports whether the node is logically deleted.
+func (n *lnode) marked() bool { return mem.IsMarked(n.word().Load()) }
+
+// slot returns the node's slab slot.
+func (n *lnode) slot() uint32 { return mem.SlotOf(n) }
 
 // lnodes is a list's node allocator (one per ListSet, one shared by a
 // HashSet's buckets).
-type lnodes = mem.Slab[lnode, *lnode]
+type lnodes = mem.Slab[lnode]
 
 // newNode allocates a node for key next to pred (else succ) in memory. Nodes
 // come back to the slab through epoch reclamation only (lnodes.Free is the
 // Retire callback), so a slot is never reused while any pinned transaction
 // could still reach its old node. A reused slot keeps its lock version
 // (monotone, so readers holding a stale sample of the node's previous life
-// fail validation instead of silently passing); key, next and marked are
+// fail validation instead of silently passing); key, next and the mark are
 // reset.
 func (s *ListSet) newNode(key int64, pred, succ *lnode) *lnode {
 	n := s.nodes.Alloc(pred, succ)
 	n.key = key
-	n.marked.Store(false)
+	n.word().Reuse()
 	n.next.Store(succ)
 	return n
 }
@@ -131,7 +137,7 @@ type listState struct {
 	// PreCommit in slot order (owns searches it during commit validation),
 	// then the nodes OnCommit creates.
 	locked   []*lnode
-	lockSnap []uint64 // scratch: sampled lock versions during validation
+	lockSnap []uint32 // scratch: sampled lock words during validation
 	toLock   []*lnode // scratch: PreCommit's lock targets
 
 	view counterView // the transaction's view of the list's commit counter
@@ -211,7 +217,7 @@ func (s *ListSet) op(tx *Tx, key int64, kind opKind) bool {
 		pred = curr
 		curr = curr.next.Load()
 	}
-	present := curr.key == key && !curr.marked.Load()
+	present := curr.key == key && !curr.marked()
 	st.view.traversed(start, len(st.reads) > 0)
 
 	// Step 3: compute the outcome and record semantic entries.
@@ -257,7 +263,7 @@ func (st *listState) deleteWrite(i int) {
 // the slot-ordered lock list PreCommit built. Only commit validation asks,
 // and it runs before OnCommit appends anything.
 func (st *listState) owns(n *lnode) bool {
-	_, ok := slices.BinarySearchFunc(st.locked, n.Slot.Index(), func(m *lnode, i uint32) int { return cmp.Compare(m.Slot.Index(), i) })
+	_, ok := slices.BinarySearchFunc(st.locked, n.slot(), func(m *lnode, i uint32) int { return cmp.Compare(m.slot(), i) })
 	return ok
 }
 
@@ -273,9 +279,9 @@ func (e *listRead) involved(buf []*lnode) []*lnode {
 // check re-evaluates the entry's semantic condition (Algorithm 2).
 func (e *listRead) check() bool {
 	if e.presentOnly {
-		return !e.curr.marked.Load()
+		return !e.curr.marked()
 	}
-	return !e.pred.marked.Load() && !e.curr.marked.Load() &&
+	return !e.pred.marked() && !e.curr.marked() &&
 		e.pred.next.Load() == e.curr
 }
 
@@ -297,8 +303,8 @@ func (s *ListSet) ValidateWithLocks(tx *Tx) bool {
 				st.lockSnap = append(st.lockSnap, ownedVersion)
 				continue
 			}
-			v := n.lock.Sample()
-			if spin.IsLocked(v) {
+			v := n.word().Load()
+			if mem.IsLocked(v) {
 				tx.tr.ValidateFail(TraceKey(n.key))
 				return false
 			}
@@ -316,7 +322,7 @@ func (s *ListSet) ValidateWithLocks(tx *Tx) bool {
 			if v == ownedVersion {
 				continue
 			}
-			if n.lock.Sample() != v {
+			if n.word().Load() != v {
 				tx.tr.ValidateFail(TraceKey(n.key))
 				return false
 			}
@@ -326,8 +332,9 @@ func (s *ListSet) ValidateWithLocks(tx *Tx) bool {
 }
 
 // ownedVersion marks a lock-snapshot slot belonging to a node this
-// transaction itself holds (valid by construction).
-const ownedVersion = ^uint64(0)
+// transaction itself holds (valid by construction). It is a locked word, so
+// no sample that phase 1 keeps can equal it.
+const ownedVersion = ^uint32(0)
 
 // ValidateWithoutLocks re-checks only the semantic conditions of the read
 // set.
@@ -364,10 +371,10 @@ func (s *ListSet) PreCommit(tx *Tx) {
 			st.toLock = append(st.toLock, st.writes[i].curr)
 		}
 	}
-	slices.SortFunc(st.toLock, func(a, b *lnode) int { return cmp.Compare(a.Slot.Index(), b.Slot.Index()) })
+	slices.SortFunc(st.toLock, func(a, b *lnode) int { return cmp.Compare(a.slot(), b.slot()) })
 	st.toLock = slices.Compact(st.toLock)
 	for _, n := range st.toLock {
-		if _, ok := n.lock.TryLock(); !ok {
+		if !n.word().TryLock() {
 			tx.Counters().IncCAS()
 			tx.tr.LockBusy(TraceKey(n.key))
 			abort.Retry(abort.LockBusy)
@@ -398,7 +405,7 @@ func (s *ListSet) OnCommit(tx *Tx) {
 		}
 		if w.isAdd {
 			n := s.newNode(w.key, pred, curr)
-			n.lock.TryLock() // created locked until the commit finishes
+			n.word().TryLock() // created locked until the commit finishes
 			pred.next.Store(n)
 			st.locked = append(st.locked, n)
 		} else {
@@ -406,7 +413,7 @@ func (s *ListSet) OnCommit(tx *Tx) {
 			// transaction can have unlinked it. Once unlinked it is retired:
 			// the epoch scheme returns its slot to the slab after every
 			// transaction that could still be traversing it has unpinned.
-			curr.marked.Store(true)
+			curr.word().Mark()
 			pred.next.Store(curr.next.Load())
 			tx.retire(curr, s.nodes.Free)
 		}
@@ -422,7 +429,7 @@ func (s *ListSet) PostCommit(tx *Tx) {
 		return
 	}
 	for _, n := range st.locked {
-		n.lock.Unlock()
+		n.word().Unlock()
 		tx.tr.Unlock(TraceKey(n.key))
 	}
 	st.locked = st.locked[:0]
@@ -437,7 +444,7 @@ func (s *ListSet) OnAbort(tx *Tx) {
 		return
 	}
 	for _, n := range st.locked {
-		n.lock.UnlockUnchanged()
+		n.word().UnlockUnchanged()
 	}
 	st.locked = st.locked[:0]
 	s.commits.settle(&st.view)
@@ -457,7 +464,7 @@ func (s *ListSet) Len() int {
 	defer g.Exit()
 	n := 0
 	for curr := s.head.next.Load(); curr.key != math.MaxInt64; curr = curr.next.Load() {
-		if !curr.marked.Load() {
+		if !curr.marked() {
 			n++
 		}
 	}
@@ -471,7 +478,7 @@ func (s *ListSet) Keys() []int64 {
 	defer g.Exit()
 	var out []int64
 	for curr := s.head.next.Load(); curr.key != math.MaxInt64; curr = curr.next.Load() {
-		if !curr.marked.Load() {
+		if !curr.marked() {
 			out = append(out, curr.key)
 		}
 	}
