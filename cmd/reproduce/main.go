@@ -2,7 +2,10 @@
 // evaluation sections. Each experiment prints the same rows and series the
 // paper plots. It then checks the paper's ratio claims about the figures it
 // generated, prints one row per claim, and exits 1 when any claim is below
-// its floor. The paper-shape gate is
+// its floor. Each point of the set and queue figures is measured in five
+// interleaved rounds of all its series (one with -quick), and a claim is
+// judged on the median of its per-round ratios; the row prints their
+// spread. The paper-shape gate is
 //
 //	reproduce -exp fig3.3,fig3.6,fig4.2 -threads 2 -warmup 100ms -measure 400ms -no-telemetry
 //
@@ -123,7 +126,7 @@ func main() {
 		held = bench.CheckClaims(&claims, f, swept) && held
 	}
 	if claims.Len() > 0 {
-		fmt.Printf("== paper-shape claims ==\n%-66s %7s %6s  verdict\n%s", "claim", "ratio", "floor", claims.String())
+		fmt.Printf("== paper-shape claims ==\n%-66s %7s %6s  verdict (spread of the per-round ratios)\n%s", "claim", "ratio", "floor", claims.String())
 		if !held {
 			fmt.Fprintln(os.Stderr, "reproduce: a paper-shape claim is below its floor")
 			os.Exit(1)

@@ -51,7 +51,7 @@ func main() {
 		debugAddr   = flag.String("debug-addr", "", "serve the live debug endpoint (trace snapshot, pprof, expvar) on this address")
 		statsEvery  = flag.Duration("stats-every", 0, "periodically log server stats to stderr (0 = off)")
 		walDir      = flag.String("wal-dir", "", "directory for the write-ahead log; enables durable mode with recovery on start")
-		fsyncPolicy = flag.String("fsync", "always", "WAL sync policy: always (ack after fsync), interval (background fsync), never (OS decides)")
+		fsyncPolicy = flag.String("fsync", "always", "WAL sync policy: always (ack after fsync), interval (background flush + fsync), never (no fsync; records stay in a 64 KB user-space buffer until it fills, a snapshot or a clean exit, so a process kill loses that acked tail)")
 		fsyncEvery  = flag.Duration("fsync-interval", 2*time.Millisecond, "background fsync cadence for -fsync interval")
 		snapEvery   = flag.Int("snapshot-every", txnet.DefaultSnapshotEvery, "snapshot the store+sessions after this many logged commits (<=0 disables)")
 		slowMS      = flag.Float64("slow-ms", 0, "log a structured per-stage breakdown for requests slower than this many milliseconds (0 = off)")

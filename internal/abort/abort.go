@@ -26,7 +26,10 @@ type Reason int
 const (
 	// Conflict is a read-set (memory or semantic) validation failure.
 	Conflict Reason = iota
-	// LockBusy means a required lock could not be acquired at commit.
+	// LockBusy means a required lock could not be acquired at commit, or
+	// that a validation found a lock another transaction held on something
+	// the read set depends on (that transaction is committing, so the entry
+	// may be about to change; the semantic check itself did not fail).
 	LockBusy
 	// Invalidated means a committing transaction explicitly doomed this one
 	// (InvalSTM / RInval).

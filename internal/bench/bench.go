@@ -21,6 +21,9 @@ type Config struct {
 	Threads []int         // goroutine counts to sweep
 	Warmup  time.Duration // per-point warmup
 	Measure time.Duration // per-point measurement window
+	// Rounds splits each point of the set and queue figures into this many
+	// interleaved rounds (see interleave); 0 or 1 measures each point once.
+	Rounds int
 }
 
 // Quick is the configuration used by tests: tiny windows, small sweep.
@@ -34,7 +37,34 @@ func Full() Config {
 		Threads: []int{1, 2, 4, 8, 16, 32, 48, 64},
 		Warmup:  200 * time.Millisecond,
 		Measure: time.Second,
+		Rounds:  5,
 	}
+}
+
+// interleave measures one point of each of n series in cfg.Rounds rounds:
+// round r runs every series in turn, each for Warmup/Rounds and then
+// Measure/Rounds, so that a disturbance of the host lands in one round of
+// every series rather than in the whole window of one. measure(i, c) sets
+// series i up afresh, runs it under c and returns its name and value. The
+// points are at x; each keeps its rounds, and Y is their mean.
+func interleave(cfg Config, x, n int, measure func(i int, c Config) (string, float64)) ([]string, []Point) {
+	k := max(cfg.Rounds, 1)
+	c := cfg
+	c.Warmup /= time.Duration(k)
+	c.Measure /= time.Duration(k)
+	names, pts := make([]string, n), make([]Point, n)
+	for i := range pts {
+		pts[i].X = x
+	}
+	for range k {
+		for i := range n {
+			var y float64
+			names[i], y = measure(i, c)
+			pts[i].Y += y / float64(k)
+			pts[i].Rounds = append(pts[i].Rounds, y)
+		}
+	}
+	return names, pts
 }
 
 // MemStats summarizes the allocation and garbage-collection behaviour of one
@@ -132,6 +162,9 @@ func TimedRun(threads, totalTxs int, work func(id int, rng *rand.Rand)) time.Dur
 type Point struct {
 	X int
 	Y float64
+	// Rounds holds the values of a point measured in interleaved rounds
+	// (interleave), of which Y is the mean.
+	Rounds []float64
 }
 
 // Series is one line of a plot.
@@ -145,6 +178,15 @@ type SubPlot struct {
 	Name   string
 	YLabel string
 	Series []Series
+}
+
+// addPoints appends the points interleave measured, one to each series,
+// naming the series.
+func (sp *SubPlot) addPoints(names []string, pts []Point) {
+	for i := range sp.Series {
+		sp.Series[i].Name = names[i]
+		sp.Series[i].Points = append(sp.Series[i].Points, pts[i])
+	}
 }
 
 // Figure is a reproduced paper figure or table.

@@ -48,6 +48,28 @@ func TestCheckClaims(t *testing.T) {
 	}
 }
 
+// TestClaimJudgesMedianRound: a claim over points measured in interleaved
+// rounds is judged on the median of the per-round ratios, so one disturbed
+// round cannot fail it, and its row prints their spread.
+func TestClaimJudgesMedianRound(t *testing.T) {
+	f := claimFigure()
+	a, b := &f.SubPlots[0].Series[0].Points[1], &f.SubPlots[0].Series[1].Points[1]
+	a.Rounds = []float64{30, 30, 30}
+	b.Rounds = []float64{15, 60, 15}
+	c := bench.Claim{Panel: "mix", Num: "A", Den: "B", Threads: 2, Floor: 2}
+	var sb strings.Builder
+	if !bench.CheckClaims(&sb, f, []bench.Claim{c}) {
+		t.Errorf("claim failed on one disturbed round of three:\n%s", sb.String())
+	}
+	if !strings.Contains(sb.String(), "2.00  ok  (3 rounds: 0.50–2.00)") {
+		t.Errorf("row %q does not print the median 2.00 and the spread 0.50–2.00", sb.String())
+	}
+	b.Rounds = []float64{15}
+	if _, err := c.Ratio(f); err == nil {
+		t.Error("series with 3 and 1 rounds gave a ratio, want an error")
+	}
+}
+
 func TestClaimZeroDenominatorIsAnError(t *testing.T) {
 	f := claimFigure()
 	f.SubPlots[0].Series[1].Points[1].Y = 0

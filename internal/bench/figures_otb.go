@@ -56,17 +56,13 @@ func setFigure(cfg Config, id, title string, size int, mixes []setMix,
 			WritePct:    mix.writePct,
 			OpsPerTx:    mix.opsPerTx,
 		}
-		sp := SubPlot{Name: mix.name, YLabel: "tx/sec"}
-		for _, mk := range drivers {
-			var s Series
-			for _, th := range cfg.Threads {
-				d := mk()
-				s.Name = d.Name()
-				y := runSetPoint(cfg, th, wl, d)
-				d.Stop()
-				s.Points = append(s.Points, Point{X: th, Y: y})
-			}
-			sp.Series = append(sp.Series, s)
+		sp := SubPlot{Name: mix.name, YLabel: "tx/sec", Series: make([]Series, len(drivers))}
+		for _, th := range cfg.Threads {
+			sp.addPoints(interleave(cfg, th, len(drivers), func(i int, c Config) (string, float64) {
+				d := drivers[i]()
+				defer d.Stop()
+				return d.Name(), runSetPoint(c, th, wl, d)
+			}))
 		}
 		fig.SubPlots = append(fig.SubPlots, sp)
 	}
@@ -140,17 +136,13 @@ func runPQPoint(cfg Config, threads, size, opsPerTx int, d PQDriver) float64 {
 func pqFigure(cfg Config, id, title string, size int, drivers []func() PQDriver) Figure {
 	fig := Figure{ID: id, Title: title, XLabel: "threads"}
 	for _, txSize := range []int{1, 5} {
-		sp := SubPlot{Name: sizeName(txSize), YLabel: "tx/sec"}
-		for _, mk := range drivers {
-			var s Series
-			for _, th := range cfg.Threads {
-				d := mk()
-				s.Name = d.Name()
-				y := runPQPoint(cfg, th, size, txSize, d)
-				d.Stop()
-				s.Points = append(s.Points, Point{X: th, Y: y})
-			}
-			sp.Series = append(sp.Series, s)
+		sp := SubPlot{Name: sizeName(txSize), YLabel: "tx/sec", Series: make([]Series, len(drivers))}
+		for _, th := range cfg.Threads {
+			sp.addPoints(interleave(cfg, th, len(drivers), func(i int, c Config) (string, float64) {
+				d := drivers[i]()
+				defer d.Stop()
+				return d.Name(), runPQPoint(c, th, size, txSize, d)
+			}))
 		}
 		fig.SubPlots = append(fig.SubPlots, sp)
 	}

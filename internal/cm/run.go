@@ -171,9 +171,13 @@ func (h *Handle) Abort(r abort.Reason) {
 }
 
 // Commit stamps the committed transaction and its whole latency.
-func (h *Handle) Commit(sp Span) {
+func (h *Handle) Commit(sp Span) { h.commitAt(sp, 0) }
+
+// commitAt is Commit at end, the clock reading the commit phase ended with
+// (0 to read the clock now).
+func (h *Handle) commitAt(sp Span, end telemetry.Stamp) {
 	h.c.commits.Inc(h.hint)
-	h.tel.Commit(sp.tel)
+	h.tel.CommitAt(sp.tel, end)
 	h.c.prof.AddTotal(sp.prof, true)
 }
 
@@ -235,12 +239,12 @@ func (h *Handle) Retry(ctx context.Context, stats *abort.Stats, t Tx, sp Span) e
 		if err != nil {
 			return err
 		}
-		r, committed := h.attempt(stats, t)
+		r, end, committed := h.attempt(stats, t)
 		if committed {
 			if stats != nil {
 				stats.Commits++
 			}
-			h.Commit(sp)
+			h.commitAt(sp, end)
 			return nil
 		}
 		// A context that expired during the aborted attempt is not paced;
@@ -265,10 +269,11 @@ func (h *Handle) Retry(ctx context.Context, stats *abort.Stats, t Tx, sp Span) e
 }
 
 // attempt runs one attempt, converting an abort Signal into the signal's
-// reason. Any other panic takes the same rollback with the Panicked reason —
+// reason. A committed attempt returns the clock reading its commit phase
+// ended with, which also ends the transaction's latency. Any other panic takes the same rollback with the Panicked reason —
 // the attempt may have been holding locks when it blew up, and Rollback is
 // the one place that knows how to release them — and is then re-raised.
-func (h *Handle) attempt(stats *abort.Stats, t Tx) (r abort.Reason, committed bool) {
+func (h *Handle) attempt(stats *abort.Stats, t Tx) (r abort.Reason, end telemetry.Stamp, committed bool) {
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -295,6 +300,5 @@ func (h *Handle) attempt(stats *abort.Stats, t Tx) (r abort.Reason, committed bo
 	h.tr.CommitBegin()
 	t.Commit()
 	h.tr.CommitEnd()
-	h.tel.CommitPhase(cs)
-	return 0, true
+	return 0, h.tel.CommitPhase(cs), true
 }

@@ -45,6 +45,7 @@ import (
 	"repro/internal/chaos/failpoint"
 	"repro/internal/cm"
 	"repro/internal/mem/epoch"
+	"repro/internal/otb"
 	"repro/internal/spin"
 	"repro/internal/telemetry"
 )
@@ -84,12 +85,13 @@ type snapSlot struct {
 }
 
 // Runtime owns the version clock, the snapshot registry and the background
-// sweeper, and is the otb.Datastructure its sets and maps attach to a
-// transaction — one attachment for all of them, so a transaction spanning
+// sweeper, and is the OTB structure its sets and maps attach to a
+// transaction (its per-transaction state implements otb.Datastructure) — one attachment for all of them, so a transaction spanning
 // several tables commits at one timestamp. (Tables of different runtimes may
 // meet in one transaction; each runtime then draws its own.)
 type Runtime struct {
 	clock spin.ShardedClock
+	slot  otb.Slot // how an updating transaction attaches the runtime
 	// Updaters are OTB transactions and record under OTB's meter; snapshot
 	// readers record under ro, "MVOTB-RO", so a read-mostly run can prove the
 	// snapshot path aborts zero times (its abort column is structurally
@@ -127,6 +129,7 @@ func New(opts Options) *Runtime {
 	if rt.gcEvery <= 0 {
 		rt.gcEvery = DefaultGCInterval
 	}
+	rt.slot = otb.NewSlot(func() otb.Datastructure { return &txState{rt: rt, hint: spin.NextShardHint()} })
 	rt.roPool.New = func() any {
 		x := &STx{rt: rt, slot: &snapSlot{}, h: rt.ro.NewHandle()}
 		rt.snapMu.Lock()

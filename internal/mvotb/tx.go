@@ -52,7 +52,9 @@ type writeEntry struct {
 // returns): the semantic read and write sets over every table of the runtime
 // — one attachment per runtime, not per table, so a transaction over a set
 // and a map still draws a single commit timestamp — plus the lock scratch.
+// Its methods are the runtime's otb.Datastructure hooks.
 type txState struct {
+	rt       *Runtime
 	reads    []readEntry
 	writes   []writeEntry
 	toLock   []*bucket // scratch: deduplicated lock targets
@@ -61,13 +63,11 @@ type txState struct {
 	hint     uint32    // clock shard hint, assigned once per pooled descriptor
 }
 
-var _ otb.Datastructure = (*Runtime)(nil)
-
-func newTxState() any { return &txState{hint: spin.NextShardHint()} }
+var _ otb.Datastructure = (*txState)(nil)
 
 // state attaches the runtime to tx (idempotent) and returns its state.
 func (rt *Runtime) state(tx *otb.Tx) *txState {
-	return tx.Attach(rt, newTxState).(*txState)
+	return tx.Attach(&rt.slot).(*txState)
 }
 
 // Reset recycles the state for a new transaction (otb.Tx calls it on
@@ -102,8 +102,8 @@ const ownedVersion = ^uint64(0)
 // (failing on foreign holders), re-check the semantic observations, then
 // confirm the sampled versions unchanged, which makes the read set validate
 // atomically.
-func (rt *Runtime) ValidateWithLocks(tx *otb.Tx) bool {
-	st, tr := rt.state(tx), tx.Trace()
+func (st *txState) ValidateWithLocks(tx *otb.Tx) bool {
+	tr := tx.Trace()
 	st.lockSnap = st.lockSnap[:0]
 	for i := range st.reads {
 		b := st.reads[i].b
@@ -137,8 +137,8 @@ func (rt *Runtime) ValidateWithLocks(tx *otb.Tx) bool {
 // ValidateWithoutLocks implements otb.Datastructure: the semantic conditions
 // only, for contexts that exclude writers by other means (OTB-NOrec's global
 // lock).
-func (rt *Runtime) ValidateWithoutLocks(tx *otb.Tx) bool {
-	return rt.state(tx).checkReads(tx.Trace())
+func (st *txState) ValidateWithoutLocks(tx *otb.Tx) bool {
+	return st.checkReads(tx.Trace())
 }
 
 // checkReads re-evaluates every semantic observation.
@@ -153,7 +153,7 @@ func (st *txState) checkReads(tr *trace.Local) bool {
 }
 
 // Dirty implements otb.Datastructure.
-func (rt *Runtime) Dirty(tx *otb.Tx) bool { return len(rt.state(tx).writes) > 0 }
+func (st *txState) Dirty(tx *otb.Tx) bool { return len(st.writes) > 0 }
 
 // lockWrites takes the bucket lock of every pending write in the global
 // order (ascending allocation id). A busy lock aborts the transaction unless
@@ -186,8 +186,7 @@ func (st *txState) lockWrites(tr *trace.Local, wait bool) {
 // PreCommit implements otb.Datastructure: lock the write set's buckets (of
 // every table of the runtime) in global order. A transaction that only read
 // takes no lock and is serialized by its commit-time validation alone.
-func (rt *Runtime) PreCommit(tx *otb.Tx) {
-	st := rt.state(tx)
+func (st *txState) PreCommit(tx *otb.Tx) {
 	if len(st.writes) == 0 {
 		return
 	}
@@ -203,15 +202,14 @@ func (rt *Runtime) PreCommit(tx *otb.Tx) {
 // updaters) gets the locks here instead, because snapshot readers
 // synchronize on the bucket locks alone; only the sweeper can hold one then,
 // briefly, so the wait cannot fail.
-func (rt *Runtime) OnCommit(tx *otb.Tx) {
-	st := rt.state(tx)
+func (st *txState) OnCommit(tx *otb.Tx) {
 	if len(st.writes) == 0 {
 		return
 	}
 	if len(st.locked) == 0 {
 		st.lockWrites(tx.Trace(), true)
 	}
-	ts := rt.clock.Tick(st.hint)
+	ts := st.rt.clock.Tick(st.hint)
 	for i := range st.writes {
 		st.writes[i].install(ts)
 	}
@@ -219,8 +217,7 @@ func (rt *Runtime) OnCommit(tx *otb.Tx) {
 
 // PostCommit implements otb.Datastructure: release the bucket locks, bumping
 // their versions so concurrent validations observe the commit.
-func (rt *Runtime) PostCommit(tx *otb.Tx) {
-	st := rt.state(tx)
+func (st *txState) PostCommit(tx *otb.Tx) {
 	for _, b := range st.locked {
 		b.lock.Unlock()
 		tx.Trace().Unlock(lockTraceKey(b))
@@ -231,8 +228,7 @@ func (rt *Runtime) PostCommit(tx *otb.Tx) {
 // OnAbort implements otb.Datastructure: release anything held with lock
 // versions unchanged — nothing was published (install cannot fail), so
 // concurrent readers are not spuriously invalidated.
-func (rt *Runtime) OnAbort(tx *otb.Tx) {
-	st := rt.state(tx)
+func (st *txState) OnAbort(tx *otb.Tx) {
 	for _, b := range st.locked {
 		b.lock.UnlockUnchanged()
 	}

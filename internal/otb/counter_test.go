@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/abort"
 	"repro/internal/chaos"
+	"repro/internal/spin"
 )
 
 // Tests of the lists' commit counters and of record-then-validate: what
@@ -34,7 +35,7 @@ func (s keyedSet) get(tx *Tx, k int64) (uint64, bool) { return 0, s.Contains(tx,
 func (s keyedSet) add(tx *Tx, k int64)                { s.Add(tx, k) }
 func (s keyedSet) remove(tx *Tx, k int64)             { s.Remove(tx, k) }
 func (s keyedSet) change(tx *Tx, k int64)             { s.Remove(tx, k) }
-func (s keyedSet) view(tx *Tx) *counterView           { return &s.peekState(tx).view }
+func (s keyedSet) view(tx *Tx) *counterView           { return &s.state(tx).view }
 
 type keyedMap struct{ *Map }
 
@@ -42,7 +43,7 @@ func (m keyedMap) get(tx *Tx, k int64) (uint64, bool) { return m.Get(tx, k) }
 func (m keyedMap) add(tx *Tx, k int64)                { m.Put(tx, k, uint64(k)) }
 func (m keyedMap) remove(tx *Tx, k int64)             { m.Delete(tx, k) }
 func (m keyedMap) change(tx *Tx, k int64)             { m.Put(tx, k, uint64(k)+1) }
-func (m keyedMap) view(tx *Tx) *counterView           { return &m.peekState(tx).view }
+func (m keyedMap) view(tx *Tx) *counterView           { return &m.state(tx).view }
 
 type keyedList struct{ *ListSet }
 
@@ -50,7 +51,7 @@ func (s keyedList) get(tx *Tx, k int64) (uint64, bool) { return 0, s.Contains(tx
 func (s keyedList) add(tx *Tx, k int64)                { s.Add(tx, k) }
 func (s keyedList) remove(tx *Tx, k int64)             { s.Remove(tx, k) }
 func (s keyedList) change(tx *Tx, k int64)             { s.Remove(tx, k) }
-func (s keyedList) view(tx *Tx) *counterView           { return &s.peekState(tx).view }
+func (s keyedList) view(tx *Tx) *counterView           { return &s.state(tx).view }
 
 type keyedKind struct {
 	name string
@@ -148,12 +149,15 @@ func TestOpOutcomeHoldsWithEntries(t *testing.T) {
 // locks held and nothing published. Attached between two lists, the second
 // stops it half published.
 type gate struct {
+	slot             Slot
 	onCommit         bool
 	reached, release chan struct{}
 }
 
 func newGate(onCommit bool) *gate {
-	return &gate{onCommit: onCommit, reached: make(chan struct{}), release: make(chan struct{})}
+	g := &gate{onCommit: onCommit, reached: make(chan struct{}), release: make(chan struct{})}
+	g.slot = NewSlot(func() Datastructure { return g })
+	return g
 }
 
 func (g *gate) stop() { close(g.reached); <-g.release }
@@ -213,10 +217,11 @@ func TestHalfPublishedCommitAborts(t *testing.T) {
 			g := newGate(true)
 			finish := commitBehind(t, g, func(c *Tx) {
 				x.add(c, 1)
-				c.Attach(g, func() any { return g })
+				c.Attach(&g.slot)
 				y.add(c, 2)
 			})
-			chaos.ExpectAbort(t, abort.Conflict, func() {
+			// C holds its locks, so A's validation finds one held.
+			chaos.ExpectAbort(t, abort.LockBusy, func() {
 				has1 := has(x, a, 1)
 				t.Errorf("A returned 1 present=%v with 2 absent; C was half published", has1)
 			})
@@ -246,14 +251,17 @@ func TestWriterCommitValidatesUnderLocks(t *testing.T) {
 					// A set's remove of 20 also locks 20's predecessors.
 					// Those include the head, which B locks for 1, when
 					// 20's tower outgrows 10's; then A aborts in PreCommit
-					// without validating, so the round is run again.
+					// without validating, so the round is run again. A
+					// validation that finds B's lock aborts with LockBusy
+					// too, so the rounds are told apart by PreCommit's
+					// failed lock attempt.
 					for round := 1; ; round++ {
-						r := writeSkewRound(t, kind, two)
-						if r == abort.Conflict {
-							break
-						}
+						r, inPreCommit := writeSkewRound(t, kind, two)
 						if r != abort.LockBusy || round == 20 {
-							t.Fatalf("round %d: A's commit aborted with %v, want %v", round, r, abort.Conflict)
+							t.Fatalf("round %d: A's commit aborted with %v, want %v", round, r, abort.LockBusy)
+						}
+						if !inPreCommit {
+							break
 						}
 					}
 				})
@@ -263,8 +271,9 @@ func TestWriterCommitValidatesUnderLocks(t *testing.T) {
 }
 
 // writeSkewRound runs TestWriterCommitValidatesUnderLocks's schedule once
-// on fresh lists and returns the reason A's commit aborted with.
-func writeSkewRound(t *testing.T, kind keyedKind, two bool) abort.Reason {
+// on fresh lists and returns the reason A's commit aborted with, and whether
+// it aborted in PreCommit, on a lock it failed to take.
+func writeSkewRound(t *testing.T, kind keyedKind, two bool) (abort.Reason, bool) {
 	x, y := kind.mk(), kind.mk()
 	if !two {
 		y = x
@@ -274,7 +283,8 @@ func writeSkewRound(t *testing.T, kind keyedKind, two bool) abort.Reason {
 	var want uint64
 	run(t, func(tx *Tx) { want, _ = y.get(tx, 20) })
 
-	a := NewTx(nil)
+	var ctr spin.Counters
+	a := NewTx(&ctr)
 	a.Pin()
 	defer a.Unpin()
 	if has(x, a, 1) {
@@ -288,7 +298,7 @@ func writeSkewRound(t *testing.T, kind keyedKind, two bool) abort.Reason {
 			t.Errorf("B: get(20) = %d,%v; want %d,true", v, ok, want)
 		}
 		x.add(b, 1)
-		b.Attach(g, func() any { return g })
+		b.Attach(&g.slot)
 	})
 	r, aborted := abortOf(a.Commit)
 	if !aborted {
@@ -304,7 +314,7 @@ func writeSkewRound(t *testing.T, kind keyedKind, two bool) abort.Reason {
 			t.Error("B's insert of 1 is missing")
 		}
 	})
-	return r
+	return r, ctr.CASFailures.Load() > 0
 }
 
 // abortOf runs f and reports the reason it aborted with, if it did.
@@ -340,14 +350,15 @@ func TestReaderSeesValidatedWriter(t *testing.T) {
 					t.Error("C: 60 absent; want present")
 				}
 				x.add(c, 10)
-				c.Attach(g, func() any { return g })
+				c.Attach(&g.slot)
 			})
 			run(t, func(tx *Tx) { y.change(tx, 60) })
 
 			a := NewTx(nil)
 			a.Pin()
 			defer a.Unpin()
-			chaos.ExpectAbort(t, abort.Conflict, func() {
+			// C holds its locks, so A's validation finds one held.
+			chaos.ExpectAbort(t, abort.LockBusy, func() {
 				v, ok := y.get(a, 60)
 				has10 := has(x, a, 10)
 				a.Commit()

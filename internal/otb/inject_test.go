@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/abort"
 	"repro/internal/chaos"
+	"repro/internal/mem"
+	"repro/internal/spin"
 )
 
 // TestCommitAbortsWhenNodeLockedExternally injects a held semantic lock on
@@ -140,4 +142,70 @@ func TestAbortInjectorForcesRetries(t *testing.T) {
 			t.Error("7 should have been inserted on the final attempt")
 		}
 	})
+}
+
+// TestValidationNamesLockBusy: a validation that finds a lock another
+// transaction holds on a node its read set rests on aborts with LockBusy,
+// and one whose semantic check fails with Conflict. A transaction reads 10
+// and inserts 40, whose predecessor is 30, so its commit takes 30's lock
+// and then validates the read of 10 under its locks.
+func TestValidationNamesLockBusy(t *testing.T) {
+	lists := []struct {
+		name string
+		mk   func() (keyed, func(k int64) *mem.Word)
+	}{
+		{"listset", func() (keyed, func(int64) *mem.Word) {
+			s := NewListSet()
+			return keyedList{s}, func(k int64) *mem.Word {
+				n := s.head
+				for n.key != k {
+					n = n.next.Load()
+				}
+				return n.word()
+			}
+		}},
+		{"skipset", func() (keyed, func(int64) *mem.Word) {
+			s := NewSkipSet()
+			return keyedSet{s}, func(k int64) *mem.Word {
+				n := s.core.Head
+				for n.Key != k {
+					n = n.Next(0).Load()
+				}
+				return &n.Word
+			}
+		}},
+	}
+	for _, l := range lists {
+		t.Run(l.name, func(t *testing.T) {
+			s, word := l.mk()
+			run(t, func(tx *Tx) { s.add(tx, 10); s.add(tx, 30); s.add(tx, 50) })
+
+			var ctr spin.Counters
+			tx := NewTx(&ctr)
+			tx.Pin()
+			if !has(s, tx, 10) {
+				t.Fatal("10 absent")
+			}
+			s.add(tx, 40)
+			release := chaos.HoldLock(t, word(10))
+			chaos.ExpectAbort(t, abort.LockBusy, tx.Commit)
+			tx.Rollback()
+			tx.Unpin()
+			release()
+			if n := ctr.CASFailures.Load(); n != 0 {
+				t.Errorf("PreCommit failed %d lock attempts; the lock should be met in validation", n)
+			}
+
+			// The same transaction with 10 removed under it fails its
+			// semantic check: Conflict.
+			tx = NewTx(nil)
+			tx.Pin()
+			defer tx.Unpin()
+			has(s, tx, 10)
+			s.add(tx, 40)
+			run(t, func(tx *Tx) { s.remove(tx, 10) })
+			chaos.ExpectAbort(t, abort.Conflict, tx.Commit)
+			tx.Rollback()
+		})
+	}
 }

@@ -85,6 +85,7 @@ const (
 type ListSet struct {
 	head  *lnode
 	nodes *lnodes
+	slot  Slot
 	// fullValidation disables the paper's per-operation validation
 	// optimization (presentOnly entries) so every read entry validates full
 	// adjacency — the ablation of Section 3.2.1's "optimized validation".
@@ -99,6 +100,7 @@ func NewListSet() *ListSet { return newListSetIn(mem.NewSlab[lnode]()) }
 // newListSetIn creates an empty set drawing its nodes from slab.
 func newListSetIn(slab *lnodes) *ListSet {
 	s := &ListSet{nodes: slab}
+	s.slot = NewSlot(func() Datastructure { return &listState{set: s} })
 	tail := s.newNode(math.MaxInt64, nil, nil)
 	s.head = s.newNode(math.MinInt64, nil, tail)
 	return s
@@ -129,8 +131,10 @@ type listWrite struct {
 	isAdd      bool
 }
 
-// listState is the per-transaction state for one ListSet.
+// listState is the per-transaction state for one ListSet, and the
+// Datastructure hooks that drive it.
 type listState struct {
+	set    *ListSet
 	reads  []listRead
 	writes []listWrite
 	// locked holds the nodes semantically locked by this transaction: after
@@ -141,12 +145,6 @@ type listState struct {
 	toLock   []*lnode // scratch: PreCommit's lock targets
 
 	view counterView // the transaction's view of the list's commit counter
-}
-
-func newListState() any {
-	st := &listState{}
-	st.Reset()
-	return st
 }
 
 // Reset recycles the state for a new transaction.
@@ -160,13 +158,7 @@ func (st *listState) Reset() {
 }
 
 func (s *ListSet) state(tx *Tx) *listState {
-	return tx.Attach(s, newListState).(*listState)
-}
-
-// peekState returns the transaction's state for s without attaching.
-func (s *ListSet) peekState(tx *Tx) *listState {
-	st, _ := tx.peek(s).(*listState)
-	return st
+	return tx.Attach(&s.slot).(*listState)
 }
 
 // Add inserts key within tx, returning false if already present.
@@ -289,9 +281,8 @@ func (e *listRead) check() bool {
 // involved locks (failing on foreign holders), re-check the semantic
 // conditions, then confirm the sampled versions are unchanged, which makes
 // the whole read set validate atomically.
-func (s *ListSet) ValidateWithLocks(tx *Tx) bool {
-	st := s.peekState(tx)
-	if st == nil || len(st.reads) == 0 {
+func (st *listState) ValidateWithLocks(tx *Tx) bool {
+	if len(st.reads) == 0 {
 		return true
 	}
 	var scratch [2]*lnode
@@ -305,13 +296,13 @@ func (s *ListSet) ValidateWithLocks(tx *Tx) bool {
 			}
 			v := n.word().Load()
 			if mem.IsLocked(v) {
-				tx.tr.ValidateFail(TraceKey(n.key))
+				tx.lockSeen(TraceKey(n.key))
 				return false
 			}
 			st.lockSnap = append(st.lockSnap, v)
 		}
 	}
-	if !s.ValidateWithoutLocks(tx) {
+	if !st.ValidateWithoutLocks(tx) {
 		return false
 	}
 	k := 0
@@ -338,11 +329,7 @@ const ownedVersion = ^uint32(0)
 
 // ValidateWithoutLocks re-checks only the semantic conditions of the read
 // set.
-func (s *ListSet) ValidateWithoutLocks(tx *Tx) bool {
-	st := s.peekState(tx)
-	if st == nil {
-		return true
-	}
+func (st *listState) ValidateWithoutLocks(tx *Tx) bool {
 	st.view.checks += len(st.reads)
 	for i := range st.reads {
 		if !st.reads[i].check() {
@@ -358,12 +345,11 @@ func (s *ListSet) ValidateWithoutLocks(tx *Tx) bool {
 // removes (the lazy-list locking rule), collected with repeats, then
 // ordered by slab slot (unique per node; TryLock-or-abort never waits, so
 // any fixed order will do) and deduplicated. Any busy lock aborts.
-func (s *ListSet) PreCommit(tx *Tx) {
-	st := s.peekState(tx)
-	if st == nil || len(st.writes) == 0 {
+func (st *listState) PreCommit(tx *Tx) {
+	if len(st.writes) == 0 {
 		return
 	}
-	s.commits.announce(&st.view)
+	st.set.commits.announce(&st.view)
 	st.toLock = st.toLock[:0]
 	for i := range st.writes {
 		st.toLock = append(st.toLock, st.writes[i].pred)
@@ -388,11 +374,11 @@ func (s *ListSet) PreCommit(tx *Tx) {
 // descending key order, each re-traversing from its saved pred so that
 // earlier publications by the same transaction are observed. Inserted nodes
 // are created locked and released in PostCommit.
-func (s *ListSet) OnCommit(tx *Tx) {
-	st := s.peekState(tx)
-	if st == nil || len(st.writes) == 0 {
+func (st *listState) OnCommit(tx *Tx) {
+	if len(st.writes) == 0 {
 		return
 	}
+	s := st.set
 	slices.SortFunc(st.writes, func(a, b listWrite) int { return cmp.Compare(b.key, a.key) })
 	s.commits.announce(&st.view) // a context that skips PreCommit (OTB-NOrec) announces here
 	for i := range st.writes {
@@ -423,11 +409,7 @@ func (s *ListSet) OnCommit(tx *Tx) {
 
 // PostCommit releases all semantic locks, bumping their versions so
 // concurrent validations observe the commit.
-func (s *ListSet) PostCommit(tx *Tx) {
-	st := s.peekState(tx)
-	if st == nil {
-		return
-	}
+func (st *listState) PostCommit(tx *Tx) {
 	for _, n := range st.locked {
 		n.word().Unlock()
 		tx.tr.Unlock(TraceKey(n.key))
@@ -438,23 +420,16 @@ func (s *ListSet) PostCommit(tx *Tx) {
 // OnAbort releases locks held by an aborting transaction. Nothing was
 // published (OnCommit cannot fail), so versions are restored unchanged to
 // avoid spuriously invalidating concurrent readers.
-func (s *ListSet) OnAbort(tx *Tx) {
-	st := s.peekState(tx)
-	if st == nil {
-		return
-	}
+func (st *listState) OnAbort(tx *Tx) {
 	for _, n := range st.locked {
 		n.word().UnlockUnchanged()
 	}
 	st.locked = st.locked[:0]
-	s.commits.settle(&st.view)
+	st.set.commits.settle(&st.view)
 }
 
 // Dirty reports whether the transaction has pending writes on this set.
-func (s *ListSet) Dirty(tx *Tx) bool {
-	st := s.peekState(tx)
-	return st != nil && len(st.writes) > 0
-}
+func (st *listState) Dirty(tx *Tx) bool { return len(st.writes) > 0 }
 
 // Len counts the unmarked elements (not linearizable; tests and reporting).
 // The traversal pins an epoch guard so concurrent removals cannot recycle
@@ -485,4 +460,4 @@ func (s *ListSet) Keys() []int64 {
 	return out
 }
 
-var _ Datastructure = (*ListSet)(nil)
+var _ Datastructure = (*listState)(nil)

@@ -1,6 +1,10 @@
 package otb
 
-import "repro/internal/abort"
+import (
+	"repro/internal/abort"
+	"repro/internal/conc"
+	"repro/internal/mem"
+)
 
 // Map is an optimistically boosted ordered map — one of the data structures
 // the paper's Chapter 7 proposes as future work ("more OTB data structures,
@@ -33,12 +37,12 @@ func (m *Map) Get(tx *Tx, key int64) (uint64, bool) {
 		}
 		return w.val, true
 	}
-	var preds, succs [maxLevel]*snode
-	curr, val := m.locate(tx, st, key, &preds, &succs)
+	var p conc.Path
+	curr, val := m.locate(tx, st, key, &p)
 	if curr == nil {
-		st.readAbsent(&preds, &succs)
+		st.readAbsent(&p)
 	} else {
-		m.readPresent(st, curr, val, &preds, &succs)
+		m.readPresent(st, curr, val, &p)
 	}
 	tx.PostValidate()
 	return val, curr != nil
@@ -64,12 +68,12 @@ func (m *Map) Put(tx *Tx, key int64, val uint64) bool {
 		w.val = val
 		return false
 	}
-	var preds, succs [maxLevel]*snode
-	curr, old := m.locate(tx, st, key, &preds, &succs)
+	var p conc.Path
+	curr, old := m.locate(tx, st, key, &p)
 	if curr == nil {
-		st.insert(key, val, &preds, &succs)
+		st.insert(val, &p)
 	} else {
-		m.readPresent(st, curr, old, &preds, &succs)
+		m.readPresent(st, curr, old, &p)
 		st.writes = append(st.writes, skipWrite{kind: skipUpdate, key: key, val: val, victim: curr})
 	}
 	tx.PostValidate()
@@ -79,7 +83,7 @@ func (m *Map) Put(tx *Tx, key int64, val uint64) bool {
 // Delete unmaps key within tx, returning false if absent.
 func (m *Map) Delete(tx *Tx, key int64) bool {
 	st := m.begin(tx, key)
-	var preds, succs [maxLevel]*snode
+	var p conc.Path
 	if i := st.findWrite(key); i >= 0 {
 		w := st.writes[i]
 		switch w.kind {
@@ -93,20 +97,20 @@ func (m *Map) Delete(tx *Tx, key int64) bool {
 			// entry into a delete with fresh, commit-validated preds. A
 			// traversal that no longer finds the node read it removed, and
 			// the entry the update rests on can only fail.
-			if curr, _ := m.locate(tx, st, key, &preds, &succs); curr != w.victim {
+			if curr, _ := m.locate(tx, st, key, &p); curr != w.victim {
 				tx.tr.NoteKey(TraceKey(key))
 				abort.Retry(abort.Conflict)
 			}
-			st.writes[i] = st.remove(w.victim, &preds, &succs)
+			st.writes[i] = st.remove(w.victim, &p)
 			tx.PostValidate()
 			return true
 		}
 	}
-	curr, _ := m.locate(tx, st, key, &preds, &succs)
+	curr, _ := m.locate(tx, st, key, &p)
 	if curr == nil {
-		st.readAbsent(&preds, &succs)
+		st.readAbsent(&p)
 	} else {
-		st.writes = append(st.writes, st.remove(curr, &preds, &succs))
+		st.writes = append(st.writes, st.remove(curr, &p))
 	}
 	tx.PostValidate()
 	return curr != nil
@@ -116,8 +120,6 @@ func (m *Map) Delete(tx *Tx, key int64) bool {
 // linearizable).
 func (m *Map) Snapshot() map[int64]uint64 {
 	out := make(map[int64]uint64)
-	m.walk(func(n *snode) bool { out[n.key] = n.val.Load(); return true })
+	m.walk(func(n *mem.Tower) bool { out[n.Key] = n.Val.Load(); return true })
 	return out
 }
-
-var _ Datastructure = (*Map)(nil)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/abort"
 	"repro/internal/conc"
+	"repro/internal/mem"
 	"repro/internal/spin"
 )
 
@@ -23,6 +24,7 @@ const pqAcquireAttempts = 1024
 // synchronization and no read validation.
 type HeapPQ struct {
 	id   uint64 // flight-recorder attribution key for the global lock
+	slot Slot
 	held atomic.Bool
 	pq   conc.SeqHeap // accessed only by the lock holder
 }
@@ -32,10 +34,19 @@ type HeapPQ struct {
 const pqKeyBit = 1 << 61
 
 // NewHeapPQ creates an empty queue.
-func NewHeapPQ() *HeapPQ { return &HeapPQ{id: nodeSeq.Add(1) | pqKeyBit} }
+func NewHeapPQ() *HeapPQ {
+	q := &HeapPQ{id: heapSeq.Add(1) | pqKeyBit}
+	q.slot = NewSlot(func() Datastructure { return &heapPQState{q: q} })
+	return q
+}
 
-// heapPQState is the per-transaction state for one HeapPQ.
+// heapSeq numbers heap queues for their trace keys.
+var heapSeq atomic.Uint64
+
+// heapPQState is the per-transaction state for one HeapPQ, and the
+// Datastructure hooks that drive it.
 type heapPQState struct {
+	q       *HeapPQ
 	redo    []int64 // buffered adds awaiting the lock
 	holds   bool
 	added   []int64 // adds applied under the lock (undo: remove one)
@@ -52,12 +63,7 @@ func (st *heapPQState) Reset() {
 }
 
 func (q *HeapPQ) state(tx *Tx) *heapPQState {
-	return tx.Attach(q, func() any { return &heapPQState{} }).(*heapPQState)
-}
-
-func (q *HeapPQ) peekState(tx *Tx) *heapPQState {
-	st, _ := tx.peek(q).(*heapPQState)
-	return st
+	return tx.Attach(&q.slot).(*heapPQState)
 }
 
 // Add enqueues key within tx (duplicates allowed). Before the transaction's
@@ -123,37 +129,32 @@ func (q *HeapPQ) flushRedo(st *heapPQState) {
 
 // PreCommit acquires the lock for add-only transactions so their redo log
 // can be published.
-func (q *HeapPQ) PreCommit(tx *Tx) {
-	st := q.peekState(tx)
-	if st == nil || st.holds || len(st.redo) == 0 {
+func (st *heapPQState) PreCommit(tx *Tx) {
+	if st.holds || len(st.redo) == 0 {
 		return
 	}
-	q.ensureHeld(tx, st)
+	st.q.ensureHeld(tx, st)
 }
 
 // OnCommit is a no-op: effects are applied when the lock is taken.
-func (q *HeapPQ) OnCommit(tx *Tx) {}
+func (st *heapPQState) OnCommit(tx *Tx) {}
 
 // PostCommit releases the global lock and discards the undo trail.
-func (q *HeapPQ) PostCommit(tx *Tx) {
-	st := q.peekState(tx)
-	if st == nil || !st.holds {
+func (st *heapPQState) PostCommit(tx *Tx) {
+	if !st.holds {
 		return
 	}
 	st.added = st.added[:0]
 	st.removed = st.removed[:0]
 	st.holds = false
-	q.held.Store(false)
-	tx.tr.Unlock(q.id)
+	st.q.held.Store(false)
+	tx.tr.Unlock(st.q.id)
 }
 
 // OnAbort rolls back any effects applied under the lock (in reverse) and
 // releases it.
-func (q *HeapPQ) OnAbort(tx *Tx) {
-	st := q.peekState(tx)
-	if st == nil {
-		return
-	}
+func (st *heapPQState) OnAbort(tx *Tx) {
+	q := st.q
 	st.redo = st.redo[:0]
 	if !st.holds {
 		return
@@ -172,22 +173,19 @@ func (q *HeapPQ) OnAbort(tx *Tx) {
 
 // Dirty reports whether the transaction has pending or applied effects on
 // this queue.
-func (q *HeapPQ) Dirty(tx *Tx) bool {
-	st := q.peekState(tx)
-	return st != nil && (st.holds || len(st.redo) > 0)
-}
+func (st *heapPQState) Dirty(tx *Tx) bool { return st.holds || len(st.redo) > 0 }
 
 // ValidateWithLocks is trivially true: the global lock admits no concurrent
 // readers to invalidate.
-func (q *HeapPQ) ValidateWithLocks(tx *Tx) bool { return true }
+func (st *heapPQState) ValidateWithLocks(tx *Tx) bool { return true }
 
 // ValidateWithoutLocks is trivially true.
-func (q *HeapPQ) ValidateWithoutLocks(tx *Tx) bool { return true }
+func (st *heapPQState) ValidateWithoutLocks(tx *Tx) bool { return true }
 
 // Len returns the number of queued keys (reporting only; unsynchronized).
 func (q *HeapPQ) Len() int { return q.pq.Len() }
 
-var _ Datastructure = (*HeapPQ)(nil)
+var _ Datastructure = (*heapPQState)(nil)
 
 // SkipPQ is the fully optimistic skip-list priority queue (Algorithm 6): a
 // thin wrapper over the OTB SkipSet plus, per transaction, a local
@@ -195,43 +193,39 @@ var _ Datastructure = (*HeapPQ)(nil)
 // lastRemovedMin cursor. No locks are taken before commit, and Min is
 // lock-free.
 type SkipPQ struct {
-	set *SkipSet
+	set  *SkipSet
+	slot Slot
 }
 
 // NewSkipPQ creates an empty queue. Keys are unique, as in the paper's
 // implementation.
-func NewSkipPQ() *SkipPQ { return &SkipPQ{set: NewSkipSet()} }
+func NewSkipPQ() *SkipPQ {
+	q := &SkipPQ{set: NewSkipSet()}
+	q.slot = NewSlot(func() Datastructure { return &skipPQState{lastRemoved: q.set.core.Head, head: q.set.core.Head} })
+	return q
+}
 
 // Keys returns the unmarked keys in ascending order. Pinned like Len;
 // meant for quiescent callers (tests, snapshots).
 func (q *SkipPQ) Keys() []int64 { return q.set.Keys() }
 
-// skipPQState is the per-transaction state for one SkipPQ.
+// skipPQState is the per-transaction state for one SkipPQ. Its hooks do
+// nothing: the wrapped set, attached to the same transaction, carries the
+// queue's reads and writes.
 type skipPQState struct {
 	local       conc.SeqHeap
-	lastRemoved *snode
-}
-
-// skipPQStateFor binds a recyclable state to its queue so reset can restore
-// the cursor to the head.
-type skipPQStateFor struct {
-	skipPQState
-	q *SkipPQ
+	lastRemoved *mem.Tower
+	head        *mem.Tower // where the cursor restarts
 }
 
 // Reset recycles the state for a new transaction.
-func (st *skipPQStateFor) Reset() {
+func (st *skipPQState) Reset() {
 	st.local.Clear()
-	st.lastRemoved = st.q.set.head
+	st.lastRemoved = st.head
 }
 
 func (q *SkipPQ) state(tx *Tx) *skipPQState {
-	st := tx.Attach(q, func() any {
-		s := &skipPQStateFor{q: q}
-		s.lastRemoved = q.set.head
-		return s
-	}).(*skipPQStateFor)
-	return &st.skipPQState
+	return tx.Attach(&q.slot).(*skipPQState)
 }
 
 // Add enqueues key within tx, returning false if already queued.
@@ -246,9 +240,9 @@ func (q *SkipPQ) Add(tx *Tx, key int64) bool {
 
 // firstLive returns the first present shared node after from, or nil when
 // the rest of the structure is empty.
-func (q *SkipPQ) firstLive(from *snode) *snode {
-	for curr := from.next[0].Load(); curr.key != math.MaxInt64; curr = curr.next[0].Load() {
-		if curr.fullyLinked.Load() && !curr.marked.Load() {
+func (q *SkipPQ) firstLive(from *mem.Tower) *mem.Tower {
+	for curr := from.Next(0).Load(); curr.Key != math.MaxInt64; curr = curr.Next(0).Load() {
+		if curr.Linked() && !curr.Marked() {
 			return curr
 		}
 	}
@@ -263,16 +257,16 @@ func (q *SkipPQ) RemoveMin(tx *Tx) (int64, bool) {
 	st := q.state(tx)
 	localMin, lok := st.local.Min()
 	shared := q.firstLive(st.lastRemoved)
-	if lok && (shared == nil || localMin < shared.key) {
+	if lok && (shared == nil || localMin < shared.Key) {
 		if shared != nil {
 			// Pin the shared minimum in the read set so a smaller insertion
 			// by another transaction invalidates us.
-			if !q.set.Contains(tx, shared.key) {
-				tx.tr.NoteKey(TraceKey(shared.key))
+			if !q.set.Contains(tx, shared.Key) {
+				tx.tr.NoteKey(TraceKey(shared.Key))
 				abort.Retry(abort.Conflict)
 			}
 			if q.firstLive(st.lastRemoved) != shared {
-				tx.tr.NoteKey(TraceKey(shared.key))
+				tx.tr.NoteKey(TraceKey(shared.Key))
 				abort.Retry(abort.Conflict)
 			}
 		}
@@ -288,16 +282,16 @@ func (q *SkipPQ) RemoveMin(tx *Tx) (int64, bool) {
 	if shared == nil {
 		return 0, false
 	}
-	if !q.set.Remove(tx, shared.key) {
-		tx.tr.NoteKey(TraceKey(shared.key))
+	if !q.set.Remove(tx, shared.Key) {
+		tx.tr.NoteKey(TraceKey(shared.Key))
 		abort.Retry(abort.Conflict)
 	}
 	if q.firstLive(st.lastRemoved) != shared {
-		tx.tr.NoteKey(TraceKey(shared.key))
+		tx.tr.NoteKey(TraceKey(shared.Key))
 		abort.Retry(abort.Conflict)
 	}
 	st.lastRemoved = shared
-	return shared.key, true
+	return shared.Key, true
 }
 
 // Min returns the smallest queued key within tx without removing it. It is
@@ -306,10 +300,10 @@ func (q *SkipPQ) Min(tx *Tx) (int64, bool) {
 	st := q.state(tx)
 	localMin, lok := st.local.Min()
 	shared := q.firstLive(st.lastRemoved)
-	if lok && (shared == nil || localMin < shared.key) {
+	if lok && (shared == nil || localMin < shared.Key) {
 		if shared != nil {
-			if !q.set.Contains(tx, shared.key) {
-				tx.tr.NoteKey(TraceKey(shared.key))
+			if !q.set.Contains(tx, shared.Key) {
+				tx.tr.NoteKey(TraceKey(shared.Key))
 				abort.Retry(abort.Conflict)
 			}
 		}
@@ -318,41 +312,27 @@ func (q *SkipPQ) Min(tx *Tx) (int64, bool) {
 	if shared == nil {
 		return 0, false
 	}
-	if !q.set.Contains(tx, shared.key) {
-		tx.tr.NoteKey(TraceKey(shared.key))
+	if !q.set.Contains(tx, shared.Key) {
+		tx.tr.NoteKey(TraceKey(shared.Key))
 		abort.Retry(abort.Conflict)
 	}
 	if q.firstLive(st.lastRemoved) != shared {
-		tx.tr.NoteKey(TraceKey(shared.key))
+		tx.tr.NoteKey(TraceKey(shared.Key))
 		abort.Retry(abort.Conflict)
 	}
-	return shared.key, true
+	return shared.Key, true
 }
 
-// PreCommit, OnCommit, PostCommit and OnAbort delegate entirely to the
-// wrapped set, which is attached to the same transaction; the queue itself
-// holds no shared state beyond it.
-func (q *SkipPQ) PreCommit(tx *Tx) {}
-
-// OnCommit implements Datastructure (no queue-local shared state).
-func (q *SkipPQ) OnCommit(tx *Tx) {}
-
-// PostCommit implements Datastructure.
-func (q *SkipPQ) PostCommit(tx *Tx) {}
-
-// OnAbort implements Datastructure.
-func (q *SkipPQ) OnAbort(tx *Tx) {}
-
-// Dirty is false: the wrapped set carries the queue's writes.
-func (q *SkipPQ) Dirty(tx *Tx) bool { return false }
-
-// ValidateWithLocks is true: the wrapped set validates the queue's reads.
-func (q *SkipPQ) ValidateWithLocks(tx *Tx) bool { return true }
-
-// ValidateWithoutLocks is true for the same reason.
-func (q *SkipPQ) ValidateWithoutLocks(tx *Tx) bool { return true }
+// The hooks of a SkipPQ are no-ops (see skipPQState).
+func (st *skipPQState) PreCommit(*Tx)                 {}
+func (st *skipPQState) OnCommit(*Tx)                  {}
+func (st *skipPQState) PostCommit(*Tx)                {}
+func (st *skipPQState) OnAbort(*Tx)                   {}
+func (st *skipPQState) Dirty(*Tx) bool                { return false }
+func (st *skipPQState) ValidateWithLocks(*Tx) bool    { return true }
+func (st *skipPQState) ValidateWithoutLocks(*Tx) bool { return true }
 
 // Len returns the number of queued keys (reporting only).
 func (q *SkipPQ) Len() int { return q.set.Len() }
 
-var _ Datastructure = (*SkipPQ)(nil)
+var _ Datastructure = (*skipPQState)(nil)

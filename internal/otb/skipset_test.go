@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/abort"
 	"repro/internal/chaos"
+	"repro/internal/mem"
 )
 
 func TestSkipSetSequentialSemantics(t *testing.T) {
@@ -191,7 +192,7 @@ func TestSkipTowerHeights(t *testing.T) {
 		})
 	}
 	var counts [maxLevel]int
-	s.walk(func(node *snode) bool { counts[node.topLevel]++; return true })
+	s.walk(func(node *mem.Tower) bool { counts[node.Top()]++; return true })
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -213,6 +214,27 @@ func TestSkipTowerHeights(t *testing.T) {
 		if counts[level] != 0 {
 			t.Errorf("%d towers reach level %d of %d", counts[level], level, maxLevel)
 		}
+	}
+	// The size classes: 1 level with p = 3/4, 2–4 levels with 1/4 − 4^-4,
+	// 5–20 levels with 4^-4.
+	var classes [3]int
+	top := 0
+	for level, c := range counts {
+		classes[min(level, 1)+min(level/4, 1)] += c
+		if c > 0 {
+			top = level
+		}
+	}
+	for class, p := range []float64{0.75, 0.25 - 1.0/256, 1.0 / 256} {
+		want, sd := n*p, math.Sqrt(n*p*(1-p))
+		if got := float64(classes[class]); math.Abs(got-want) > 6*sd+1 {
+			t.Errorf("size class %d holds %d towers, want %.0f ± %.0f", class, classes[class], want, 6*sd+1)
+		}
+	}
+	// The live height covers the tallest tower, and no more: it rises only
+	// when a taller tower is linked.
+	if h := s.core.Height(); h != top+1 {
+		t.Errorf("live height %d, want %d (tallest tower tops level %d)", h, top+1, top)
 	}
 }
 
@@ -347,7 +369,8 @@ func TestLargeTxOwnership(t *testing.T) {
 		t.Fatalf("Put(%d) inserted; the key should be present", top)
 	}
 	tx2.PreCommitAll()
-	chaos.ExpectAbort(t, abort.Conflict, tx.Commit)
+	// Its commit validation finds the lock held: LockBusy.
+	chaos.ExpectAbort(t, abort.LockBusy, tx.Commit)
 	tx.Rollback()
 	tx.Unpin()
 	if !tx2.ValidateAllWithLocks() {
@@ -372,19 +395,23 @@ func TestLargeTxOwnership(t *testing.T) {
 // would link a duplicate. The list below is that traversal's view in one
 // state: 5's old tower, marked, still on level 1, and a new node for 5 on
 // level 0. The op must abort, not return 5 absent.
+//
+// The towers are linked by hand, under the core's height rule: the live
+// height rises to cover old's level 1 before old is linked there.
 func TestAbsentNeedsBottomLevelProof(t *testing.T) {
 	s := NewSkipSet()
-	tail := s.head.next[0].Load()
-	old := newSNode(5, 1)
-	old.next[0].Store(tail)
-	old.next[1].Store(tail)
-	old.fullyLinked.Store(true)
-	old.marked.Store(true)
-	s.head.next[1].Store(old)
-	fresh := newSNode(5, 0)
-	fresh.next[0].Store(tail)
-	fresh.fullyLinked.Store(true)
-	s.head.next[0].Store(fresh)
+	tail := s.core.Head.Next(0).Load()
+	old := mem.NewTower(5, 1)
+	old.Next(0).Store(tail)
+	old.Next(1).Store(tail)
+	old.SetLinked()
+	old.Word.Mark()
+	s.core.Raise(1)
+	s.core.Head.Next(1).Store(old)
+	fresh := mem.NewTower(5, 0)
+	fresh.Next(0).Store(tail)
+	fresh.SetLinked()
+	s.core.Head.Next(0).Store(fresh)
 
 	tx := NewTx(nil)
 	tx.Pin()

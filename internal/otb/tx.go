@@ -55,7 +55,9 @@ var (
 
 // Datastructure is the OTB-DS interface of Chapter 4: the sub-routines an
 // STM context calls to drive a boosted structure through commit and
-// validation. Every OTB structure in this package implements it.
+// validation. Every OTB structure in this package implements it on its
+// per-transaction state, the value Attach returns, so that a hook has the
+// transaction's read and write sets on that structure without a lookup.
 type Datastructure interface {
 	// PreCommit acquires the semantic locks covering the transaction's
 	// write set, aborting (via panic) if any is busy.
@@ -87,12 +89,16 @@ type Datastructure interface {
 // per-transaction semantic read/write sets, and coordinates validation and
 // two-phase-locked commit across all of them.
 type Tx struct {
-	attached []Datastructure
-	states   []any                 // states[i] is the state of attached[i]
-	cache    map[Datastructure]any // every state this descriptor has made, for reuse
+	attached []Datastructure // the states attached in this attempt
+	slots    []slotEntry     // every state this descriptor has made, by Slot
+	used     int             // occupied entries of slots
+	attempt  uint64          // this attempt's number, for slotEntry.attempt
 	ctr      *spin.Counters
 	eg       *epoch.Guard // epoch pin covering the current attempt; may be nil
 	tr       *trace.Local // flight-recorder handle; may be nil
+	// busy is set when a validation fails on a lock another transaction
+	// holds; invalid reads it to name the abort.
+	busy bool
 
 	// validator, when non-nil, replaces the default post-validation
 	// strategy (ValidateWithLocks on every attached structure). The
@@ -105,7 +111,7 @@ type Tx struct {
 // should use Atomic instead; NewTx is exported for the integration layer,
 // which embeds the semantic transaction inside an STM context.
 func NewTx(ctr *spin.Counters) *Tx {
-	return &Tx{cache: make(map[Datastructure]any), ctr: ctr}
+	return &Tx{slots: make([]slotEntry, 8), attempt: 1, ctr: ctr}
 }
 
 // SetValidator replaces the post-validation strategy (the paper's
@@ -161,13 +167,13 @@ func (tx *Tx) ValidateAllWithLocks() bool {
 // its read set was last known valid is skipped. A writer's commit validates
 // in full, under its locks.
 func (tx *Tx) revalidateAll() bool {
-	for i, ds := range tx.attached {
+	for _, ds := range tx.attached {
 		var ok bool
-		switch l := ds.(type) {
-		case *skipList:
-			ok = l.commits.revalidate(tx, ds, &tx.states[i].(*skipState).view)
-		case *ListSet:
-			ok = l.commits.revalidate(tx, ds, &tx.states[i].(*listState).view)
+		switch st := ds.(type) {
+		case *skipState:
+			ok = st.list.commits.revalidate(tx, st, &st.view)
+		case *listState:
+			ok = st.set.commits.revalidate(tx, st, &st.view)
 		default:
 			ok = ds.ValidateWithLocks(tx)
 		}
@@ -252,47 +258,85 @@ func UnpinnedRetires() uint64 { return unpinnedRetires.Load() }
 // attaches its state from outside this package).
 type txState interface{ Reset() }
 
-// Attach registers ds with the transaction (idempotent) and returns its
-// per-transaction state, creating it with mk on first touch. States are
-// cached across transactions on the same descriptor and reset on re-attach.
-func (tx *Tx) Attach(ds Datastructure, mk func() any) any {
-	if st := tx.peek(ds); st != nil {
-		return st
-	}
-	st, ok := tx.cache[ds]
-	if !ok {
-		st = mk()
-		tx.cache[ds] = st
-	} else if r, ok := st.(txState); ok {
-		r.Reset()
-	}
-	tx.attached = append(tx.attached, ds)
-	tx.states = append(tx.states, st)
-	return st
+// Slot is a structure's identity to the transactions that attach it, and
+// how they make its per-transaction state.
+type Slot struct {
+	id    uint32
+	state func() Datastructure
 }
 
-// peek returns the state of ds if this transaction has attached it, else nil.
-// The commit and validation hooks of the structures in this package reach
-// their state through it: a scan of a slice that holds one or two entries,
-// where the cache would hash an interface key on every call.
-func (tx *Tx) peek(ds Datastructure) any {
-	for i, a := range tx.attached {
-		if a == ds {
-			return tx.states[i]
+var slotSeq atomic.Uint32
+
+// NewSlot returns the slot of a structure whose per-transaction state mk
+// makes; Attach calls it once per transaction descriptor.
+func NewSlot(mk func() Datastructure) Slot { return Slot{id: slotSeq.Add(1), state: mk} }
+
+// slotEntry is a descriptor's state for one structure. It is attached in
+// the attempt numbered attempt.
+type slotEntry struct {
+	slot    *Slot
+	st      Datastructure
+	attempt uint64
+}
+
+// Attach registers the structure of slot s with the transaction
+// (idempotent) and returns its per-transaction state, made on the
+// descriptor's first touch and reset on the first touch of each attempt.
+// The lookup is a probe of an open-addressed table keyed by the slot's id,
+// so an op finds its state in O(1), and the hooks, which are methods of the
+// state, need no lookup at all.
+func (tx *Tx) Attach(s *Slot) Datastructure {
+	e := tx.entry(s)
+	if e.attempt != tx.attempt {
+		if e.st == nil {
+			e.st = s.state()
+		}
+		if r, ok := e.st.(txState); ok {
+			r.Reset()
+		}
+		e.attempt = tx.attempt
+		tx.attached = append(tx.attached, e.st)
+	}
+	return e.st
+}
+
+// entry returns s's entry in tx.slots, claiming one if the descriptor has
+// not met s. The table stays at most half full.
+func (tx *Tx) entry(s *Slot) *slotEntry {
+	mask := uint32(len(tx.slots) - 1)
+	for i := s.id & mask; ; i = (i + 1) & mask {
+		e := &tx.slots[i]
+		if e.slot == s {
+			return e
+		}
+		if e.slot == nil {
+			if 2*(tx.used+1) > len(tx.slots) {
+				old := tx.slots
+				tx.slots, tx.used = make([]slotEntry, 2*len(old)), 0
+				for _, o := range old {
+					if o.slot != nil {
+						*tx.entry(o.slot) = o
+					}
+				}
+				return tx.entry(s)
+			}
+			tx.used++
+			e.slot = s
+			return e
 		}
 	}
-	return nil
 }
 
-// Attached returns the structures touched by this transaction in
-// first-touch order.
+// Attached returns the states of the structures touched by this
+// transaction, in first-touch order.
 func (tx *Tx) Attached() []Datastructure { return tx.attached }
 
 // Reset clears the transaction for reuse. Cached per-structure states are
 // retained and reset lazily on their next Attach.
 func (tx *Tx) Reset() {
 	tx.attached = tx.attached[:0]
-	tx.states = tx.states[:0]
+	tx.attempt++
+	tx.busy = false
 }
 
 // PostValidate runs after every operation has recorded its entries: it
@@ -308,9 +352,28 @@ func (tx *Tx) PostValidate() {
 		return
 	}
 	if !tx.revalidateAll() {
-		abort.Retry(abort.Conflict)
+		tx.invalid()
 	}
 	tx.tr.Validated()
+}
+
+// lockSeen records that a validation failed on a lock another
+// transaction holds over the node with trace key k.
+func (tx *Tx) lockSeen(k uint64) {
+	tx.tr.ValidateFail(k)
+	tx.busy = true
+}
+
+// invalid aborts a transaction whose validation failed: abort.LockBusy if
+// it failed on another transaction's lock, abort.Conflict if a semantic
+// check or a lock version did.
+func (tx *Tx) invalid() {
+	r := abort.Conflict
+	if tx.busy {
+		r = abort.LockBusy
+	}
+	tx.busy = false
+	abort.Retry(r)
 }
 
 // Commit runs the standalone two-phase commit across all attached
@@ -330,7 +393,7 @@ func (tx *Tx) Commit() {
 		valid = tx.revalidateAll()
 	}
 	if !valid {
-		abort.Retry(abort.Conflict)
+		tx.invalid()
 	}
 	tx.tr.Validated()
 	tx.OnCommitAll()

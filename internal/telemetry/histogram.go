@@ -14,12 +14,42 @@ import (
 // clamp into the last bucket.
 const NumBuckets = 48
 
+// counts is the bucket counts and running sum of a histogram: a meter
+// shard's latency histogram, and the core of Histogram.
+type counts struct {
+	buckets [NumBuckets]atomic.Uint64
+	sum     atomic.Int64 // total observed nanoseconds, for the mean
+}
+
+const countsSize = (NumBuckets + 1) * 8
+
+func (c *counts) observe(ns int64) {
+	c.buckets[bucketOf(ns)].Add(1)
+	c.sum.Add(ns)
+}
+
+func (c *counts) reset() {
+	for i := range c.buckets {
+		c.buckets[i].Store(0)
+	}
+	c.sum.Store(0)
+}
+
+// addTo adds the counts and sum into s.
+func (c *counts) addTo(s *HistogramSnapshot) {
+	for i := range c.buckets {
+		n := c.buckets[i].Load()
+		s.Counts[i] += n
+		s.Total += n
+	}
+	s.SumNS += c.sum.Load()
+}
+
 // Histogram is a lock-free power-of-two-bucket latency histogram. Observe
 // is a single atomic add on the bucket plus one on the running sum; there
 // is no lock anywhere, so recording goroutines never wait on readers.
 type Histogram struct {
-	buckets [NumBuckets]atomic.Uint64
-	sum     atomic.Int64 // total observed nanoseconds, for the mean
+	counts
 	// exemplars holds one recent traced observation per bucket (last
 	// writer wins). The two words are stored independently — a torn pair
 	// can mismatch duration and trace id by one observation, which is
@@ -68,19 +98,15 @@ func BucketHigh(i int) int64 {
 }
 
 // Observe records one duration of ns nanoseconds.
-func (h *Histogram) Observe(ns int64) {
-	h.buckets[bucketOf(ns)].Add(1)
-	h.sum.Add(ns)
-}
+func (h *Histogram) Observe(ns int64) { h.observe(ns) }
 
 // ObserveEx records one duration and, when traceID is nonzero, stamps it as
 // the bucket's exemplar so the OpenMetrics exposition can point a slow
 // bucket at a concrete trace.
 func (h *Histogram) ObserveEx(ns int64, traceID uint64) {
-	b := bucketOf(ns)
-	h.buckets[b].Add(1)
-	h.sum.Add(ns)
+	h.observe(ns)
 	if traceID != 0 {
+		b := bucketOf(ns)
 		h.exemplars[b].ns.Store(ns)
 		h.exemplars[b].trace.Store(traceID)
 	}
@@ -88,27 +114,23 @@ func (h *Histogram) ObserveEx(ns int64, traceID uint64) {
 
 // Reset zeroes the histogram.
 func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
+	h.reset()
+	for i := range h.exemplars {
 		h.exemplars[i].ns.Store(0)
 		h.exemplars[i].trace.Store(0)
 	}
-	h.sum.Store(0)
 }
 
 // Snapshot copies the bucket counts, sum and exemplars.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		s.Counts[i] = c
-		s.Total += c
+	h.addTo(&s)
+	for i := range h.exemplars {
 		s.Exemplars[i] = Exemplar{
 			NS:      h.exemplars[i].ns.Load(),
 			TraceID: h.exemplars[i].trace.Load(),
 		}
 	}
-	s.SumNS = h.sum.Load()
 	return s
 }
 

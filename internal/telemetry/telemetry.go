@@ -15,7 +15,8 @@
 //     cache-line-padded shard, assigned round-robin at descriptor creation.
 //     Descriptors are pooled per-P (sync.Pool), so a shard is effectively
 //     goroutine-local while a transaction runs and increments are
-//     uncontended atomic adds on a private cache line.
+//     uncontended atomic adds on a private cache line. The latency
+//     histograms are sharded the same way.
 //  3. Readers never stop writers. Snapshot sums the shards with relaxed
 //     atomic loads; Reset zeroes them the same way. Both are wait-free with
 //     respect to recording.
@@ -38,20 +39,22 @@ import (
 	"repro/internal/abort"
 )
 
-// shardPad pads a shard to two cache lines so adjacent shards never share
-// one (the counter block itself is just under one line).
+// shardPad pads a shard to a multiple of two cache lines so adjacent shards
+// never share one.
 const shardPad = 128
 
-// shard is one cache-line-padded counter block. All fields are updated with
-// relaxed atomics by the (usually single) goroutine whose descriptors hold
-// the shard, and summed by Snapshot.
+// shard is one cache-line-padded block of counters and latency histograms.
+// All fields are updated with relaxed atomics by the (usually single)
+// goroutine whose descriptors hold the shard, and summed by Snapshot.
 type shard struct {
 	commits     atomic.Uint64
 	retries     atomic.Uint64
 	fallbacks   atomic.Uint64
 	escalations atomic.Uint64
 	aborts      [abort.NumReasons]atomic.Uint64
-	_           [shardPad - (4+abort.NumReasons)*8]byte
+	txLat       counts // whole-transaction latency (committed txs)
+	commitLat   counts // commit-phase latency
+	_           [shardPad - ((4+abort.NumReasons)*8+2*countsSize)%shardPad]byte
 }
 
 // Meter collects statistics for one transactional runtime (one algorithm).
@@ -63,9 +66,6 @@ type Meter struct {
 	shards []shard
 	next   atomic.Uint32 // round-robin shard assignment for Local()
 	policy atomic.Value  // string: contention-management policy label
-
-	txLat     Histogram // whole-transaction latency (committed txs)
-	commitLat Histogram // commit-phase latency
 }
 
 // Name returns the meter's (algorithm) name.
@@ -148,24 +148,34 @@ func since(s Stamp) int64 { return int64(now() - s) }
 
 // Commit records one committed transaction and, if start is a live stamp,
 // its whole-transaction latency.
-func (l *Local) Commit(start Stamp) {
+func (l *Local) Commit(start Stamp) { l.CommitAt(start, 0) }
+
+// CommitAt is Commit for a transaction whose end the caller has already
+// read: end is the stamp CommitPhase returned, or 0 to read the clock now.
+func (l *Local) CommitAt(start, end Stamp) {
 	if l == nil || !l.m.enabled() {
 		return
 	}
 	l.s.commits.Add(1)
 	if start != 0 {
-		l.m.txLat.Observe(since(start))
+		if end == 0 {
+			end = now()
+		}
+		l.s.txLat.observe(int64(end - start))
 	}
 }
 
 // CommitPhase records the latency of the commit phase itself (lock,
 // validate, publish, release), measured from a Start stamp taken at the
-// beginning of commit.
-func (l *Local) CommitPhase(start Stamp) {
+// beginning of commit, and returns the stamp it read at the end (0 when it
+// recorded nothing), for CommitAt.
+func (l *Local) CommitPhase(start Stamp) Stamp {
 	if l == nil || start == 0 || !l.m.enabled() {
-		return
+		return 0
 	}
-	l.m.commitLat.Observe(since(start))
+	end := now()
+	l.s.commitLat.observe(int64(end - start))
+	return end
 }
 
 // Abort records one aborted attempt classified by reason, and the retry it
@@ -263,9 +273,9 @@ func (m *Meter) Snapshot() MeterSnapshot {
 		for r := range sh.aborts {
 			out.Aborts[r] += sh.aborts[r].Load()
 		}
+		sh.txLat.addTo(&out.TxLatency)
+		sh.commitLat.addTo(&out.CommitLatency)
 	}
-	out.TxLatency = m.txLat.Snapshot()
-	out.CommitLatency = m.commitLat.Snapshot()
 	return out
 }
 
@@ -283,9 +293,9 @@ func (m *Meter) Reset() {
 		for r := range sh.aborts {
 			sh.aborts[r].Store(0)
 		}
+		sh.txLat.reset()
+		sh.commitLat.reset()
 	}
-	m.txLat.Reset()
-	m.commitLat.Reset()
 }
 
 // defaultShards is the shard count for new meters: enough to spread the

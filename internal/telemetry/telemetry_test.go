@@ -172,6 +172,72 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestShardedLatencySums: two goroutines record latencies through Locals
+// on different shards while a third snapshots; the final snapshot's
+// histograms are the sum of both shards' (run it under -race).
+func TestShardedLatencySums(t *testing.T) {
+	reg := NewRegistry()
+	reg.SetEnabled(true)
+	m := reg.Meter("alg")
+	const perG = 5000
+	stop := make(chan struct{})
+	snapped := make(chan struct{})
+	go func() {
+		defer close(snapped)
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				// Snapshots are not atomic, but each sum only grows.
+				if n := m.Snapshot().TxLatency.Total; n < last {
+					t.Errorf("tx latencies fell from %d to %d", last, n)
+				} else {
+					last = n
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	locals := [2]*Local{m.Local(), m.Local()}
+	if locals[0].s == locals[1].s {
+		t.Fatal("two Locals share a shard")
+	}
+	for _, l := range locals {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				s := l.Start()
+				end := l.CommitPhase(s)
+				l.CommitAt(s, end)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-snapped
+	s := m.Snapshot()
+	if s.Commits != 2*perG || s.TxLatency.Total != 2*perG || s.CommitLatency.Total != 2*perG {
+		t.Fatalf("commits %d, tx latencies %d, commit-phase latencies %d; want %d each",
+			s.Commits, s.TxLatency.Total, s.CommitLatency.Total, 2*perG)
+	}
+	var perShard uint64
+	for _, l := range locals {
+		var h HistogramSnapshot
+		l.s.txLat.addTo(&h)
+		perShard += h.Total
+	}
+	if perShard != s.TxLatency.Total {
+		t.Errorf("shards hold %d tx latencies, snapshot sums %d", perShard, s.TxLatency.Total)
+	}
+	m.Reset()
+	if s := m.Snapshot(); s.TxLatency.Total != 0 || s.CommitLatency.SumNS != 0 {
+		t.Errorf("reset left %d tx latencies, commit-phase sum %d", s.TxLatency.Total, s.CommitLatency.SumNS)
+	}
+}
+
 // TestDisabledNoAlloc checks the no-op paths allocate nothing: the default
 // disabled registry, and nil meters/locals.
 func TestDisabledNoAlloc(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/otb"
 )
@@ -235,9 +236,32 @@ func (s *OTBStore) Exec(ctx context.Context, ops []Op, res []OpResult) error {
 	if err := validateOps(s.kinds, ops); err != nil {
 		return err
 	}
-	return otb.AtomicCtx(ctx, nil, func(tx *otb.Tx) {
-		for i, op := range ops {
-			res[i] = s.structs[op.Struct].apply(tx, op)
-		}
-	})
+	b := execPool.Get().(*execBody)
+	b.s, b.ops, b.res = s, ops, res
+	err := otb.AtomicCtx(ctx, nil, b.fn)
+	b.s, b.ops, b.res = nil, nil, nil
+	execPool.Put(b)
+	return err
+}
+
+// execBody is one Exec's transaction body. It is pooled together with its
+// func value, so that an Exec allocates nothing: a closure over ops and
+// res would be one heap object per transaction.
+type execBody struct {
+	s   *OTBStore
+	ops []Op
+	res []OpResult
+	fn  func(*otb.Tx) // b.run, made once
+}
+
+var execPool = sync.Pool{New: func() any {
+	b := &execBody{}
+	b.fn = b.run
+	return b
+}}
+
+func (b *execBody) run(tx *otb.Tx) {
+	for i, op := range b.ops {
+		b.res[i] = b.s.structs[op.Struct].apply(tx, op)
+	}
 }

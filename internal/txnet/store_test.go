@@ -4,6 +4,8 @@ import (
 	"context"
 	"slices"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // TestOpMutatesMatchesBehaviour holds the one read/write classification to
@@ -79,5 +81,34 @@ func TestOpMutatesMatchesBehaviour(t *testing.T) {
 	}
 	if mutating([]Op{{Code: numOpCodes}, {Code: 0xff}}) {
 		t.Error("out-of-range codes classified as mutating (validateOps rejects them; they must not index the table)")
+	}
+}
+
+// TestOTBStoreExecAllocFree: a warm OTBStore.Exec allocates nothing, for a
+// read-only batch and for one that inserts and removes the same keys.
+func TestOTBStoreExecAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := NewOTBStore()
+	ctx := context.Background()
+	res := make([]OpResult, 4)
+	batches := map[string][]Op{
+		"read": {{Code: OpContains, Struct: 0, Key: 3}, {Code: OpGet, Struct: 1, Key: 3}},
+		"write": {{Code: OpAdd, Struct: 0, Key: 5}, {Code: OpPut, Struct: 1, Key: 5, Val: 1},
+			{Code: OpRemove, Struct: 0, Key: 5}, {Code: OpDelete, Struct: 1, Key: 5}},
+	}
+	for name, ops := range batches {
+		exec := func() {
+			if err := s.Exec(ctx, ops, res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 100 {
+			exec()
+		}
+		if got := testing.AllocsPerRun(1000, exec); got != 0 {
+			t.Errorf("%s: %.2f allocations per Exec, want 0", name, got)
+		}
 	}
 }

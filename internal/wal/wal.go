@@ -44,12 +44,16 @@ const (
 	// SyncAlways makes SyncTo block until the record is on disk; an
 	// acknowledgement sent after SyncTo can never be lost to a crash.
 	SyncAlways Policy = iota
-	// SyncInterval fsyncs on a background cadence (Options.Interval); a
-	// crash loses at most one interval of acknowledged work.
+	// SyncInterval flushes and fsyncs on a background cadence
+	// (Options.Interval); a crash, of the process or of the machine, loses
+	// at most one interval of acknowledged work.
 	SyncInterval
-	// SyncNever leaves persistence to the OS page cache; a process crash
-	// loses nothing (the kernel has the writes), a machine crash may lose
-	// everything since the last snapshot.
+	// SyncNever never fsyncs and never flushes on its own. An appended
+	// record sits in the log's 64 KB user-space buffer until Sync, a
+	// snapshot, Close or a full buffer writes it to the kernel, so a
+	// process crash (SIGKILL) loses the acknowledged tail still in the
+	// buffer: up to about 1,170 records of 56 bytes. A machine crash may
+	// lose everything since the last snapshot.
 	SyncNever
 )
 

@@ -439,3 +439,47 @@ func TestSyncNeverLosesNothingOnCleanClose(t *testing.T) {
 		t.Fatalf("recovered %d records, want 5", len(rec.Records))
 	}
 }
+
+// TestSyncNeverKeepsAckedTailInProcess pins what SyncNever promises and
+// what it does not: an appended record sits in the log's user-space buffer,
+// not in the kernel, until Sync (or a snapshot, Close or a full buffer)
+// flushes it. A process kill before that loses it.
+func TestSyncNeverKeepsAckedTailInProcess(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{Policy: SyncNever})
+	defer l.Close()
+	payload := []byte("acked-but-buffered")
+	lsn, err := l.Append(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SyncTo(lsn); err != nil {
+		t.Fatal(err)
+	}
+	onDisk := func() bool {
+		t.Helper()
+		segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("no segment files in %s (%v)", dir, err)
+		}
+		for _, seg := range segs {
+			b, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Contains(b, payload) {
+				return true
+			}
+		}
+		return false
+	}
+	if onDisk() {
+		t.Fatal("record reached the segment file before Sync: the buffer is not where this test thinks")
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if !onDisk() {
+		t.Fatal("record missing from the segment file after Sync")
+	}
+}
