@@ -118,9 +118,9 @@ func integrateAlg(alg integrate.Algorithm) (func(int64), func(int64), func()) {
 
 // norecValidate needs the clock to move mid-transaction before validation
 // (and its failpoint) is reachable, so it pairs a long-read-set victim with
-// a stirrer that commits writes concurrently.
-func norecValidate() (func(int64), func(int64), func()) {
-	s := norec.New()
+// a stirrer that commits writes concurrently. s is NOrec, or RTC, whose
+// clients validate with NOrec's code.
+func norecValidate(s stm.Algorithm) (func(int64), func(int64), func()) {
 	cells := mkCells(8)
 	run := func(k int64) {
 		s.Atomic(func(tx stm.Tx) {
@@ -163,7 +163,7 @@ var scenarios = []scenario{
 	{fp: "otb.commit.post-lock", mk: func(t *testing.T) (func(int64), func(int64), func()) { return otbSet() }},
 	{fp: "boosting.lock.partial", mk: func(t *testing.T) (func(int64), func(int64), func()) { return boostSet() }},
 	{fp: "boosting.commit.pre", mk: func(t *testing.T) (func(int64), func(int64), func()) { return boostSet() }},
-	{fp: "norec.validate.mid", mk: func(t *testing.T) (func(int64), func(int64), func()) { return norecValidate() }},
+	{fp: "norec.validate.mid", mk: func(t *testing.T) (func(int64), func(int64), func()) { return norecValidate(norec.New()) }},
 	{fp: "norec.commit.locked", mk: func(t *testing.T) (func(int64), func(int64), func()) { return memAlg(norec.New()) }},
 	{fp: "tl2.commit.locked", mk: func(t *testing.T) (func(int64), func(int64), func()) { return memAlg(tl2.New()) }},
 	{fp: "tml.commit.locked", mk: func(t *testing.T) (func(int64), func(int64), func()) { return memAlg(tml.New()) }},
@@ -174,6 +174,7 @@ var scenarios = []scenario{
 	// OTB-TL2 fires it with both the orecs and the semantic locks held, the
 	// deepest lock nesting in the repository: recovery unwinds both layers.
 	{fp: "tl2.commit.locked", runtime: "OTB-TL2", mk: func(t *testing.T) (func(int64), func(int64), func()) { return integrateAlg(integrate.NewOTBTL2()) }},
+	{fp: "norec.validate.mid", runtime: "RTC", mk: func(t *testing.T) (func(int64), func(int64), func()) { return norecValidate(rtc.New(rtc.Options{})) }},
 	{fp: "rtc.commit.pre", mk: func(t *testing.T) (func(int64), func(int64), func()) { return memAlg(rtc.New(rtc.Options{})) }},
 	{fp: "rtc.server.drop", recovered: true, mk: func(t *testing.T) (func(int64), func(int64), func()) { return memAlg(rtc.New(rtc.Options{})) }},
 	{fp: "rinval.commit.pre", mk: func(t *testing.T) (func(int64), func(int64), func()) { return memAlg(rinval.New(rinval.V1)) }},

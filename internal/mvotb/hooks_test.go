@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abort"
+	"repro/internal/chaos"
 	"repro/internal/chaos/failpoint"
 	"repro/internal/chaos/leak"
 	"repro/internal/otb"
@@ -145,4 +147,43 @@ func TestMixedInstallFailpointRecovery(t *testing.T) {
 	if inList, inMap := len(list.Keys()), len(m.Snapshot()); inList != 4 || inMap != 4 {
 		t.Errorf("after 100 clean follow-ups: %d keys in the list, %d in the map, want 4 and 4", inList, inMap)
 	}
+}
+
+// TestValidationNamesLockBusy: a commit whose validation finds another
+// transaction holding the bucket lock over one of its reads aborts with
+// LockBusy, as otb.ListSet's and the skip list's do; one whose semantic
+// check fails aborts with Conflict. The transaction reads 3 and inserts 5,
+// which hashes to another bucket, so its commit takes bucket(5)'s lock and
+// then validates the read of 3.
+func TestValidationNamesLockBusy(t *testing.T) {
+	rt := New(Options{GCInterval: time.Hour})
+	defer rt.Stop()
+	s := rt.NewSet(8)
+	b := s.t.bucket(3)
+	if b == s.t.bucket(5) {
+		t.Fatal("3 and 5 share a bucket: the commit would meet the lock in PreCommit, not in validation")
+	}
+
+	tx := otb.NewTx(nil)
+	tx.Pin()
+	s.Contains(tx, 3)
+	s.Add(tx, 5)
+	if _, ok := b.lock.TryLock(); !ok {
+		t.Fatal("bucket(3) already locked")
+	}
+	chaos.ExpectAbort(t, abort.LockBusy, tx.Commit)
+	tx.Rollback()
+	tx.Unpin()
+	b.lock.UnlockUnchanged()
+
+	// The same transaction with 3 inserted under it fails its semantic
+	// check: Conflict.
+	tx = otb.NewTx(nil)
+	tx.Pin()
+	defer tx.Unpin()
+	s.Contains(tx, 3)
+	s.Add(tx, 5)
+	otb.Atomic(nil, func(tx *otb.Tx) { s.Add(tx, 3) })
+	chaos.ExpectAbort(t, abort.Conflict, tx.Commit)
+	tx.Rollback()
 }

@@ -99,8 +99,9 @@ const ownedVersion = ^uint64(0)
 
 // ValidateWithLocks implements otb.Datastructure: the whole read set in the
 // three-phase style of OTB's Algorithm 2 — sample the involved bucket locks
-// (failing on foreign holders), re-check the semantic observations, then
-// confirm the sampled versions unchanged, which makes the read set validate
+// (failing on foreign holders, which names the abort LockBusy), re-check the
+// semantic observations, then confirm the sampled versions unchanged (a
+// moved version is a Conflict), which makes the read set validate
 // atomically.
 func (st *txState) ValidateWithLocks(tx *otb.Tx) bool {
 	tr := tx.Trace()
@@ -113,7 +114,7 @@ func (st *txState) ValidateWithLocks(tx *otb.Tx) bool {
 		}
 		v := b.lock.Sample()
 		if spin.IsLocked(v) {
-			tr.ValidateFail(otb.TraceKey(st.reads[i].key))
+			tx.LockSeen(otb.TraceKey(st.reads[i].key))
 			return false
 		}
 		st.lockSnap = append(st.lockSnap, v)

@@ -296,7 +296,7 @@ func (st *listState) ValidateWithLocks(tx *Tx) bool {
 			}
 			v := n.word().Load()
 			if mem.IsLocked(v) {
-				tx.lockSeen(TraceKey(n.key))
+				tx.LockSeen(TraceKey(n.key))
 				return false
 			}
 			st.lockSnap = append(st.lockSnap, v)

@@ -398,7 +398,7 @@ func (st *skipState) sample(tx *Tx, n *mem.Tower, held bool) bool {
 	}
 	v := n.Word.Load()
 	if mem.IsLocked(v) {
-		tx.lockSeen(TraceKey(n.Key))
+		tx.LockSeen(TraceKey(n.Key))
 		return false
 	}
 	st.lockSnap = append(st.lockSnap, lockSample{n, v})

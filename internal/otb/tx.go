@@ -357,9 +357,11 @@ func (tx *Tx) PostValidate() {
 	tx.tr.Validated()
 }
 
-// lockSeen records that a validation failed on a lock another
-// transaction holds over the node with trace key k.
-func (tx *Tx) lockSeen(k uint64) {
+// LockSeen records that a validation failed on a lock another transaction
+// holds over the entry with trace key k, so the abort that follows is
+// LockBusy rather than Conflict. A Datastructure's ValidateWithLocks calls
+// it before returning false.
+func (tx *Tx) LockSeen(k uint64) {
 	tx.tr.ValidateFail(k)
 	tx.busy = true
 }

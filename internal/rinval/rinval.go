@@ -16,6 +16,9 @@
 // Like InvalSTM, readers never validate their read sets: committers doom
 // conflicting readers through bloom-filter intersection, making per-read
 // overhead constant instead of NOrec's quadratic incremental validation.
+// The clients are InvalSTM's own client half (invalstm.Client), and the
+// servers find and doom victims with InvalSTM's registry scan; what is
+// RInval's is the request array, the servers and their commit windows.
 package rinval
 
 import (
@@ -27,7 +30,6 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/chaos/failpoint"
 	"repro/internal/cm"
-	"repro/internal/mem"
 	"repro/internal/spin"
 	"repro/internal/stm"
 	"repro/internal/stm/invalstm"
@@ -68,22 +70,15 @@ const DefaultClients = 64
 // request is one slot of the cache-aligned requests array.
 type request struct {
 	state atomic.Int32
-	tx    *txDesc
+	tx    *client
 	_     spin.Pad
-}
-
-// txDesc is a client transaction context.
-type txDesc struct {
-	slot   int // registry slot (descs index)
-	writes stm.WriteSet
-	wf     bloom.Filter
 }
 
 // STM is an RInval instance. Stop must be called to release its servers.
 type STM struct {
 	version Version
 	clock   spin.SeqLock
-	descs   []invalstm.Desc
+	descs   invalstm.Registry
 	reqs    []request
 	clients chan *client
 	ctr     spin.Counters
@@ -91,6 +86,10 @@ type STM struct {
 	// so an escalated client's requests are still served while other clients
 	// pause.
 	*cm.Core
+
+	// The servers' victim sets: the commit server's (its deferral check
+	// and V1's invalidation) and the invalidation server's.
+	commitVictims, invalVictims invalstm.Victims
 
 	// Commit/invalidation server rendezvous (V2, V3). The committer's slot
 	// and write filter are copied here before the window opens, because V3
@@ -113,15 +112,23 @@ func New(version Version) *STM { return NewWithClients(version, DefaultClients) 
 // size.
 func NewWithClients(version Version, n int) *STM {
 	s := &STM{
-		version: version,
-		descs:   make([]invalstm.Desc, n),
-		reqs:    make([]request, n),
-		clients: make(chan *client, n),
+		version:       version,
+		descs:         make(invalstm.Registry, n),
+		reqs:          make([]request, n),
+		clients:       make(chan *client, n),
+		commitVictims: invalstm.NewVictims(n),
+		invalVictims:  invalstm.NewVictims(n),
 	}
 	s.invalReq.Store(-1)
 	s.Core = cm.NewCore(s.Name())
 	for i := 0; i < n; i++ {
-		s.clients <- &client{s: s, tx: &txDesc{slot: i}, h: s.NewHandle()}
+		// A client is bound to its registry and request slots for life, so
+		// the request's descriptor pointer is written once, before any
+		// server can read it.
+		c := &client{Client: invalstm.NewClient(&s.clock, &s.ctr, s.NewHandle()), s: s, slot: i}
+		c.Bind(&s.descs[i])
+		s.reqs[i].tx = c
+		s.clients <- c
 	}
 	s.wg.Add(1)
 	go s.commitServer()
@@ -153,13 +160,14 @@ func (s *STM) Stop() {
 	s.wg.Wait()
 }
 
-// client is a transaction descriptor bound to one registry slot and one
-// request slot; it implements cm.Tx.
+// client is a transaction descriptor bound to one registry slot and the
+// request slot of the same index: InvalSTM's client half, whose writes the
+// servers commit. It implements cm.Tx.
 type client struct {
-	s  *STM
-	tx *txDesc
-	fn func(stm.Tx)
-	h  cm.Handle
+	invalstm.Client
+	s    *STM
+	slot int
+	fn   func(stm.Tx)
 }
 
 // Atomic implements stm.Algorithm.
@@ -178,109 +186,41 @@ func (s *STM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
 		return err
 	}
 	c.fn = fn
-	d := c.desc()
+	d := &s.descs[c.slot]
 	d.Active.Store(true)
 	defer func() {
 		c.fn = nil
-		d.Starved.Store(0)
-		d.ClearFilter()
-		d.Active.Store(false)
+		d.Release()
 		s.clients <- c
 	}()
-	return c.h.Run(ctx, nil, c)
-}
-
-func (c *client) desc() *invalstm.Desc { return &c.s.descs[c.tx.slot] }
-
-// Begin implements cm.Tx: start one attempt.
-func (c *client) Begin() {
-	d := c.desc()
-	d.ClearFilter()
-	d.Invalidated.Store(false)
-	c.tx.writes.Reset()
-	c.tx.wf.Clear()
+	return c.Handle().Run(ctx, nil, c)
 }
 
 // Run implements cm.Tx.
 func (c *client) Run() { c.fn(c) }
 
-// Rollback implements cm.Tx: nothing is held client-side; an invalidation
-// is noted for the contention manager's starvation rule.
-func (c *client) Rollback(r abort.Reason) {
-	if r == abort.Invalidated {
-		c.desc().Starved.Add(1)
-	}
-}
-
-// Read implements stm.Tx: publish the read filter bit, read under a stable
-// even timestamp, and check the doomed flag (constant work per read).
-func (c *client) Read(cell *mem.Cell) uint64 {
-	if v, ok := c.tx.writes.Get(cell); ok {
-		return v
-	}
-	d := c.desc()
-	publishRead(d, cell.ID())
-	start := c.s.Profile().Now()
-	defer c.s.Profile().AddValidation(start)
-	var b spin.Backoff
-	for {
-		ts := c.s.clock.WaitUnlocked(&c.s.ctr)
-		v := cell.Load()
-		if c.s.clock.Load() == ts {
-			if d.Invalidated.Load() {
-				c.h.Trace().ValidateFail(cell.ID())
-				abort.Retry(abort.Invalidated)
-			}
-			return v
-		}
-		b.Wait()
-	}
-}
-
-// publishRead sets the bloom bits for key in the shared descriptor.
-func publishRead(d *invalstm.Desc, key uint64) {
-	var f bloom.Filter
-	f.Add(key)
-	for i, w := range f {
-		if w != 0 {
-			d.ReadFilter[i].Or(w)
-		}
-	}
-}
-
-// Write implements stm.Tx.
-func (c *client) Write(cell *mem.Cell, v uint64) {
-	c.tx.wf.Add(cell.ID())
-	c.tx.writes.Put(cell, v)
-}
-
 // Commit implements cm.Tx: post the request to the commit server and wait
 // for the verdict.
 func (c *client) Commit() {
-	d := c.desc()
-	if c.tx.writes.Len() == 0 {
-		if d.Invalidated.Load() {
-			c.h.Trace().ValidateFail(0)
-			abort.Retry(abort.Invalidated)
-		}
+	if c.CommitReadOnly() {
 		return
 	}
 	fpCommitPre.Hit()
 	start := c.s.Profile().Now()
 	defer c.s.Profile().AddCommit(start)
-	req := &c.s.reqs[c.tx.slot]
-	req.tx = c.tx
-	qs := c.h.Trace().Now()
+	req := &c.s.reqs[c.slot]
+	h := c.Handle()
+	qs := h.Trace().Now()
 	req.state.Store(statePending)
 	var b spin.Backoff
 	for {
 		st := req.state.Load()
 		if st == stateReady {
-			c.h.Trace().QueueWait(qs)
+			h.Trace().QueueWait(qs)
 			return
 		}
 		if st == stateAborted {
-			c.h.Trace().QueueWait(qs)
+			h.Trace().QueueWait(qs)
 			abort.Retry(abort.Invalidated)
 		}
 		c.s.ctr.IncSpin()
@@ -306,13 +246,14 @@ func (s *STM) commitServer() {
 				req.state.Store(stateAborted)
 				continue
 			}
-			if !cm.SerialActive() && s.starvedConflict(t) {
+			if !cm.SerialActive() && s.descs.Find(s.commitVictims, t.slot, t.WriteFilter()) {
 				// Contention manager: defer to a starving doomed reader
 				// instead of invalidating it yet again. Suspended while a
 				// transaction runs in serial mode: the starving reader is
 				// paused at the gate and can never clear its own starvation,
 				// so deferring to it would stall the escalated committer
-				// forever.
+				// forever. The victims found here are only a forecast: the
+				// window's own scan dooms them.
 				req.state.Store(stateAborted)
 				continue
 			}
@@ -331,7 +272,7 @@ func (s *STM) commitServer() {
 // opens, so nothing is held; the request is aborted — the client retries —
 // and the server keeps running. Anything else still crashes: a real bug in
 // a commit routine must stay loud.
-func (s *STM) dispatch(req *request, t *txDesc, h *cm.Handle) {
+func (s *STM) dispatch(req *request, t *client, h *cm.Handle) {
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -360,20 +301,20 @@ func (s *STM) dispatch(req *request, t *txDesc, h *cm.Handle) {
 }
 
 // commitV1: one server publishes and invalidates inside the window.
-func (s *STM) commitV1(req *request, t *txDesc) {
+func (s *STM) commitV1(req *request, t *client) {
 	s.lockClock()
-	t.writes.Publish()
-	s.invalidate(t.slot, &t.wf)
+	t.Publish()
+	s.invalidate(s.commitVictims, t.slot, t.WriteFilter())
 	s.clock.Unlock()
 	req.state.Store(stateReady)
 }
 
 // commitV2: the invalidation server dooms readers concurrently with the
 // write-set publication; the client is answered when both are done.
-func (s *STM) commitV2(req *request, t *txDesc) {
+func (s *STM) commitV2(req *request, t *client) {
 	s.lockClock()
 	s.openInval(t)
-	t.writes.Publish()
+	t.Publish()
 	s.waitInval()
 	s.clock.Unlock()
 	req.state.Store(stateReady)
@@ -381,10 +322,10 @@ func (s *STM) commitV2(req *request, t *txDesc) {
 
 // commitV3: the client is released right after publication; the window is
 // closed (and readers released) once the invalidation server finishes.
-func (s *STM) commitV3(req *request, t *txDesc) {
+func (s *STM) commitV3(req *request, t *client) {
 	s.lockClock()
 	s.openInval(t)
-	t.writes.Publish()
+	t.Publish()
 	req.state.Store(stateReady)
 	s.waitInval()
 	s.clock.Unlock()
@@ -399,9 +340,9 @@ func (s *STM) lockClock() {
 
 // openInval hands the committer's slot and write filter to the
 // invalidation server. The atomic store of invalReq publishes the copies.
-func (s *STM) openInval(t *txDesc) {
+func (s *STM) openInval(t *client) {
 	s.invalSlot = t.slot
-	s.invalWF = t.wf
+	s.invalWF = *t.WriteFilter()
 	s.invalDone.Store(false)
 	s.invalReq.Store(int32(t.slot))
 }
@@ -417,35 +358,12 @@ func (s *STM) waitInval() {
 	}
 }
 
-// starvedConflict reports whether committing t would doom a transaction
-// the contention manager says t must defer to.
-func (s *STM) starvedConflict(t *txDesc) bool {
-	mine := s.descs[t.slot].Starved.Load()
-	for i := range s.descs {
-		if i == t.slot {
-			continue
-		}
-		d := &s.descs[i]
-		if d.Active.Load() && d.IntersectsWrite(&t.wf) &&
-			invalstm.ShouldDefer(d, i, mine, t.slot) {
-			return true
-		}
-	}
-	return false
-}
-
 // invalidate dooms every active transaction (other than the committer at
-// slot) whose read filter intersects the committed write filter.
-func (s *STM) invalidate(slot int, wf *bloom.Filter) {
-	for i := range s.descs {
-		if i == slot {
-			continue
-		}
-		d := &s.descs[i]
-		if d.Active.Load() && d.IntersectsWrite(wf) {
-			d.Invalidated.Store(true)
-		}
-	}
+// slot) whose read filter intersects the committed write filter; v is the
+// calling server's victim set.
+func (s *STM) invalidate(v invalstm.Victims, slot int, wf *bloom.Filter) {
+	s.descs.Find(v, slot, wf)
+	s.descs.Doom(v)
 }
 
 // invalServer runs the invalidation routine for V2/V3 windows.
@@ -457,7 +375,7 @@ func (s *STM) invalServer() {
 			b.Wait()
 			continue
 		}
-		s.invalidate(s.invalSlot, &s.invalWF)
+		s.invalidate(s.invalVictims, s.invalSlot, &s.invalWF)
 		s.invalReq.Store(-1)
 		s.invalDone.Store(true)
 		b.Reset()

@@ -1,9 +1,10 @@
-// Package rtc implements Remote Transaction Commit (Chapter 5): a
-// NOrec-style STM whose commit phases execute on dedicated server
-// goroutines instead of in the application threads. Clients post commit
-// requests into a cache-padded request array and spin (yielding) on their
+// Package rtc implements Remote Transaction Commit (Chapter 5): NOrec
+// whose commit phases execute on dedicated server goroutines instead of in
+// the application threads. A client is a norec.Tx that keeps read and write
+// bloom filters beside its read and write sets, and whose Commit posts the
+// transaction into a cache-padded request array and spins (yielding) on its
 // own slot; the main server executes commits serially, and one or more
-// secondary servers use bloom filters to detect requests independent of the
+// secondary servers use the filters to detect requests independent of the
 // in-flight commit and execute them concurrently.
 //
 // The "dedicated cores" of the paper become dedicated goroutines here: the
@@ -26,6 +27,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/spin"
 	"repro/internal/stm"
+	"repro/internal/stm/norec"
 )
 
 // Failpoints on the RTC commit paths.
@@ -59,18 +61,8 @@ const DefaultDDThreshold = 4
 // request is one slot of the cache-aligned requests array.
 type request struct {
 	state atomic.Int32
-	tx    *txDesc
+	tx    *client
 	_     spin.Pad
-}
-
-// txDesc is the transaction context a client hands to the servers.
-type txDesc struct {
-	snapshot uint64
-	attempts uint32 // aborted attempts of this transaction (CM priority)
-	reads    []stm.ReadEntry
-	writes   stm.WriteSet
-	wf       bloom.Filter // write filter
-	rwf      bloom.Filter // read-write filter
 }
 
 // Options configure an RTC instance.
@@ -93,21 +85,20 @@ type Options struct {
 
 // STM is an RTC instance. Stop must be called to release its servers.
 type STM struct {
-	clock       spin.SeqLock // global timestamp; only the main server advances it
-	reqs        []request
-	clients     chan *client
-	serversLock atomic.Bool
-	ddActive    atomic.Bool
-	mainReq     atomic.Int32
-	windowWF    bloom.Filter // union of write filters committed in the open window
-	threshold   int
-	secondaries int
-	fair        bool
-	ctr         spin.Counters
-	// Core.SetManager: the servers themselves are never gated, so an
-	// escalated client's commit requests are still served while the other
-	// clients pause.
-	*cm.Core
+	// The NOrec instance the clients run on: its clock, which only the main
+	// server advances, its counters and its contention manager. The servers
+	// are never gated by the manager, so an escalated client's commit
+	// requests are still served while the other clients pause.
+	*norec.STM
+	reqs             []request
+	clients          chan *client
+	serversLock      atomic.Bool
+	ddActive         atomic.Bool
+	mainReq          atomic.Int32
+	windowWF         bloom.Filter // union of write filters committed in the open window
+	threshold        int
+	secondaries      int
+	fair             bool
 	secondaryCommits atomic.Uint64 // commits executed by secondary servers
 	stop             atomic.Bool
 	wg               sync.WaitGroup
@@ -125,19 +116,20 @@ func New(opts Options) *STM {
 		thr = DefaultDDThreshold
 	}
 	s := &STM{
+		STM:         norec.NewNamed("RTC"),
 		reqs:        make([]request, n),
 		clients:     make(chan *client, n),
 		threshold:   thr,
 		secondaries: opts.Secondaries,
 		fair:        opts.FairScheduling,
-		Core:        cm.NewCore("RTC"),
 	}
 	s.mainReq.Store(-1)
 	for i := 0; i < n; i++ {
 		// A client is bound to its request slot for life, so the slot's
 		// descriptor pointer is written once, before any server can read it.
-		s.reqs[i].tx = &txDesc{}
-		s.clients <- &client{s: s, slot: i, tx: s.reqs[i].tx, h: s.NewHandle()}
+		c := &client{Tx: *s.NewTx(nil, false), s: s, slot: i}
+		s.reqs[i].tx = c
+		s.clients <- c
 	}
 	s.wg.Add(1)
 	go s.mainServer()
@@ -147,12 +139,6 @@ func New(opts Options) *STM {
 	}
 	return s
 }
-
-// Name implements stm.Algorithm.
-func (s *STM) Name() string { return "RTC" }
-
-// Counters implements stm.Algorithm.
-func (s *STM) Counters() *spin.Counters { return &s.ctr }
 
 // Stop shuts down the server goroutines. In-flight transactions must have
 // drained first (callers stop their workers before the algorithm).
@@ -165,14 +151,17 @@ func (s *STM) Stop() {
 // executed (Figure 5.11's effectiveness measure).
 func (s *STM) SecondaryCommits() uint64 { return s.secondaryCommits.Load() }
 
-// client is a transaction descriptor bound to one request slot; it
-// implements cm.Tx.
+// client is a transaction descriptor bound to one request slot: NOrec's
+// protocol half, which it hands to the servers, plus the filters dependency
+// detection reads. It implements cm.Tx.
 type client struct {
-	s    *STM
-	slot int
-	tx   *txDesc
-	fn   func(stm.Tx)
-	h    cm.Handle
+	norec.Tx
+	s        *STM
+	slot     int
+	attempts uint32       // aborted attempts of this transaction (CM priority)
+	wf       bloom.Filter // write filter
+	rwf      bloom.Filter // read-write filter
+	fn       func(stm.Tx)
 }
 
 // Atomic implements stm.Algorithm.
@@ -190,120 +179,76 @@ func (s *STM) AtomicCtx(ctx context.Context, fn func(stm.Tx)) error {
 		return err
 	}
 	c.fn = fn
-	c.tx.attempts = 0
+	c.attempts = 0
 	defer func() {
 		c.fn = nil
 		s.clients <- c
 	}()
-	return c.h.Run(ctx, nil, c)
+	return c.Handle().Run(ctx, nil, c)
 }
 
 // Begin implements cm.Tx: start one attempt.
 func (c *client) Begin() {
-	t := c.tx
-	t.reads = t.reads[:0]
-	t.writes.Reset()
-	t.wf.Clear()
-	t.rwf.Clear()
-	t.snapshot = c.s.clock.WaitUnlocked(&c.s.ctr)
+	c.wf.Clear()
+	c.rwf.Clear()
+	c.Tx.Begin()
 }
 
 // Run implements cm.Tx.
 func (c *client) Run() { c.fn(c) }
 
-// Rollback implements cm.Tx: nothing is held client-side; the aborted
-// attempt only raises the transaction's priority with a fair-scheduling
-// server.
-func (c *client) Rollback(abort.Reason) { c.tx.attempts++ }
+// Rollback implements cm.Tx: nothing is held client-side (NOrec's release
+// finds no clock to release); the aborted attempt only raises the
+// transaction's priority with a fair-scheduling server.
+func (c *client) Rollback(r abort.Reason) {
+	c.attempts++
+	c.Tx.Rollback(r)
+}
 
-// Read implements stm.Tx: NOrec-style post-read validation plus read-write
-// filter maintenance (Algorithm 8).
+// Read implements stm.Tx: NOrec's read and post-read validation, plus
+// read-write filter maintenance (Algorithm 8).
 func (c *client) Read(cell *mem.Cell) uint64 {
-	t := c.tx
-	if v, ok := t.writes.Get(cell); ok {
-		return v
-	}
-	t.rwf.Add(cell.ID())
-	v := cell.Load()
-	for t.snapshot != c.s.clock.Load() {
-		t.snapshot = c.validate()
-		v = cell.Load()
-	}
-	t.reads = append(t.reads, stm.ReadEntry{Cell: cell, Val: v})
-	return v
+	c.rwf.Add(cell.ID())
+	return c.Tx.Read(cell)
 }
 
 // Write implements stm.Tx.
 func (c *client) Write(cell *mem.Cell, v uint64) {
-	t := c.tx
-	t.wf.Add(cell.ID())
-	t.rwf.Add(cell.ID())
-	t.writes.Put(cell, v)
-}
-
-// validate is the client-side value validation (Algorithm 8).
-func (c *client) validate() uint64 {
-	var b spin.Backoff
-	for {
-		ts := c.s.clock.Load()
-		if spin.IsLocked(ts) {
-			c.s.ctr.IncSpin()
-			b.Wait()
-			continue
-		}
-		for i := range c.tx.reads {
-			if c.tx.reads[i].Cell.Load() != c.tx.reads[i].Val {
-				c.h.Trace().ValidateFail(c.tx.reads[i].Cell.ID())
-				abort.Retry(abort.Conflict)
-			}
-		}
-		if ts == c.s.clock.Load() {
-			return ts
-		}
-	}
+	c.wf.Add(cell.ID())
+	c.rwf.Add(cell.ID())
+	c.Tx.Write(cell, v)
 }
 
 // Commit implements cm.Tx: post the request and wait for a server verdict
 // (Algorithm 9). Read-only transactions commit locally.
 func (c *client) Commit() {
-	if c.tx.writes.Len() == 0 {
+	if c.NumWrites() == 0 {
 		return
 	}
 	fpCommitPre.Hit()
-	if !serverValidateWouldPass(c.tx) {
+	if !c.ReadsValid() {
 		// Cheap pre-check to spare the server a doomed request.
-		c.h.Trace().ValidateFail(0)
+		c.Handle().Trace().ValidateFail(0)
 		abort.Retry(abort.Conflict)
 	}
 	req := &c.s.reqs[c.slot]
-	qs := c.h.Trace().Now()
+	h := c.Handle()
+	qs := h.Trace().Now()
 	req.state.Store(statePending)
 	var b spin.Backoff
 	for {
 		st := req.state.Load()
 		if st == stateReady {
-			c.h.Trace().QueueWait(qs)
+			h.Trace().QueueWait(qs)
 			return
 		}
 		if st == stateAborted {
-			c.h.Trace().QueueWait(qs)
+			h.Trace().QueueWait(qs)
 			abort.Retry(abort.Conflict)
 		}
-		c.s.ctr.IncSpin()
+		c.s.Counters().IncSpin()
 		b.Wait()
 	}
-}
-
-// serverValidateWouldPass re-checks the read set values (shared by the
-// client pre-check and the servers; the servers call it when the timestamp
-// is stable).
-func serverValidateWouldPass(t *txDesc) bool {
-	for i := range t.reads {
-		if t.reads[i].Cell.Load() != t.reads[i].Val {
-			return false
-		}
-	}
-	return true
 }
 
 // mainServer executes commit requests serially (Algorithm 10). With fair
@@ -379,11 +324,11 @@ func (s *STM) serve(i int, h *cm.Handle) {
 	defer h.Trace().Execute(es)
 	fpServerDrop.Hit()
 	t := req.tx
-	if !serverValidateWouldPass(t) {
+	if !t.ReadsValid() {
 		req.state.Store(stateAborted)
 		return
 	}
-	if s.secondaries == 0 || t.writes.Len() < s.threshold {
+	if s.secondaries == 0 || t.NumWrites() < s.threshold {
 		s.commitNoDD(req, t)
 	} else {
 		s.commitDD(i, req, t)
@@ -392,28 +337,30 @@ func (s *STM) serve(i int, h *cm.Handle) {
 
 // commitNoDD is the dependency-detection-disabled commit: bump the
 // timestamp to odd, publish, bump to even, answer the client.
-func (s *STM) commitNoDD(req *request, t *txDesc) {
-	ts := s.clock.Load()
-	if !s.clock.TryLock(ts) {
-		// Only the main server advances the clock; this cannot fail.
+func (s *STM) commitNoDD(req *request, t *client) {
+	s.lockClock()
+	t.Publish()
+	s.Clock().Unlock()
+	req.state.Store(stateReady)
+}
+
+// lockClock makes the global timestamp odd. Only the main server advances
+// the clock, so this cannot fail.
+func (s *STM) lockClock() {
+	clock := s.Clock()
+	if !clock.TryLock(clock.Load()) {
 		panic("rtc: main server lost the clock")
 	}
-	t.writes.Publish()
-	s.clock.Unlock()
-	req.state.Store(stateReady)
 }
 
 // commitDD opens a dependency-detection window around the commit so
 // secondary servers can execute independent requests concurrently.
-func (s *STM) commitDD(i int, req *request, t *txDesc) {
+func (s *STM) commitDD(i int, req *request, t *client) {
 	s.windowWF = t.wf
 	s.mainReq.Store(int32(i))
 	s.ddActive.Store(true)
-	ts := s.clock.Load()
-	if !s.clock.TryLock(ts) {
-		panic("rtc: main server lost the clock")
-	}
-	t.writes.Publish()
+	s.lockClock()
+	t.Publish()
 	// Give the detectors a scheduling point while the window is open: on a
 	// machine with fewer cores than servers they would otherwise never
 	// observe it (on the paper's hardware they run truly in parallel).
@@ -421,11 +368,11 @@ func (s *STM) commitDD(i int, req *request, t *txDesc) {
 	// Wait for any in-flight secondary commit before closing the window.
 	var b spin.Backoff
 	for !s.serversLock.CompareAndSwap(false, true) {
-		s.ctr.IncCAS()
+		s.Counters().IncCAS()
 		b.Wait()
 	}
 	s.ddActive.Store(false)
-	s.clock.Unlock()
+	s.Clock().Unlock()
 	s.serversLock.Store(false)
 	s.mainReq.Store(-1)
 	req.state.Store(stateReady)
@@ -442,7 +389,7 @@ func (s *STM) secondaryServer() {
 			b.Wait()
 			continue
 		}
-		ts := s.clock.Load()
+		ts := s.Clock().Load()
 		if !spin.IsLocked(ts) {
 			b.Wait()
 			continue
@@ -483,10 +430,10 @@ func (s *STM) secondaryServer() {
 func (s *STM) trySecondaryCommit(ts uint64, req *request) bool {
 	t := req.tx
 	if !s.serversLock.CompareAndSwap(false, true) {
-		s.ctr.IncCAS()
+		s.Counters().IncCAS()
 		return false
 	}
-	if s.clock.Load() != ts || !s.ddActive.Load() {
+	if s.Clock().Load() != ts || !s.ddActive.Load() {
 		s.serversLock.Store(false)
 		return false
 	}
@@ -497,12 +444,12 @@ func (s *STM) trySecondaryCommit(ts uint64, req *request) bool {
 		s.serversLock.Store(false)
 		return false
 	}
-	if !serverValidateWouldPass(t) {
+	if !t.ReadsValid() {
 		req.state.Store(stateAborted)
 		s.serversLock.Store(false)
 		return true
 	}
-	t.writes.Publish()
+	t.Publish()
 	s.windowWF.Union(&t.wf)
 	req.state.Store(stateReady)
 	s.secondaryCommits.Add(1)
@@ -510,7 +457,7 @@ func (s *STM) trySecondaryCommit(ts uint64, req *request) bool {
 	// Wait for the window to close so at most one of this detector's
 	// commits extends any given main commit.
 	var b spin.Backoff
-	for s.clock.Load() == ts && !s.stop.Load() {
+	for s.Clock().Load() == ts && !s.stop.Load() {
 		b.Wait()
 	}
 	return true

@@ -13,10 +13,12 @@
 //     re-validating on failure; publish the redo log; release (even).
 //     Read-only transactions commit without any shared-memory writes.
 //
-// A layer that extends NOrec (package integrate's OTB-NOrec) drives Tx, the
-// protocol half of the descriptor, with an stm.Semantic: validation then
+// Two layers run on Tx, the protocol half of the descriptor. Package
+// integrate's OTB-NOrec drives it with an stm.Semantic: validation then
 // co-validates the semantic read sets, and a commit publishes them under the
-// global lock.
+// global lock. Package rtc's clients replace only its Commit, posting the
+// transaction to a server that checks it with ReadsValid and publishes it
+// with Publish under the instance's Clock.
 package norec
 
 import (
@@ -80,6 +82,10 @@ func (s *STM) Counters() *spin.Counters { return &s.ctr }
 
 // Stop implements stm.Algorithm. NOrec has no background goroutines.
 func (s *STM) Stop() {}
+
+// Clock returns the global timestamp, for a layer that commits its
+// descriptors elsewhere (package rtc's servers).
+func (s *STM) Clock() *spin.SeqLock { return &s.clock }
 
 // Tx is the protocol half of a NOrec descriptor, reused across attempts:
 // snapshot, read and write sets, validation, commit and rollback. It
@@ -204,11 +210,9 @@ func (t *Tx) validate() uint64 {
 			b.Wait()
 			continue
 		}
-		for i := range t.reads {
-			if t.reads[i].Cell.Load() != t.reads[i].Val {
-				t.h.Trace().ValidateFail(t.reads[i].Cell.ID())
-				abort.Retry(abort.Conflict)
-			}
+		if c := t.staleRead(); c != nil {
+			t.h.Trace().ValidateFail(c.ID())
+			abort.Retry(abort.Conflict)
 		}
 		if t.sem != nil && !t.sem.ValidateAllWithoutLocks() {
 			abort.Retry(abort.Conflict)
@@ -219,6 +223,27 @@ func (t *Tx) validate() uint64 {
 		}
 	}
 }
+
+// staleRead returns the first read cell that no longer holds the value
+// read, or nil.
+func (t *Tx) staleRead() *mem.Cell {
+	for i := range t.reads {
+		if t.reads[i].Cell.Load() != t.reads[i].Val {
+			return t.reads[i].Cell
+		}
+	}
+	return nil
+}
+
+// ReadsValid reports whether every read cell still holds the value read:
+// validate's check, once, for a committer that holds the clock stable.
+func (t *Tx) ReadsValid() bool { return t.staleRead() == nil }
+
+// NumWrites returns the number of distinct cells written.
+func (t *Tx) NumWrites() int { return t.writes.Len() }
+
+// Publish writes the redo log back to memory; the caller holds the clock.
+func (t *Tx) Publish() { t.writes.Publish() }
 
 // Commit implements cm.Tx: publish the redo log, and the semantic write
 // sets, under the global lock. Read-only transactions return immediately:
