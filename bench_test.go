@@ -28,13 +28,15 @@ import (
 	"repro/internal/stmds"
 )
 
-// benchMixes is the pair of workload mixes exercised per set benchmark.
+// benchMixes are the workload mixes exercised per set benchmark: the
+// Chapter 3 panels (internal/bench chapter3Mixes) that carry writes.
 var benchMixes = []struct {
 	name     string
 	writePct int
 	opsPerTx int
 }{
 	{"read-intensive", 20, 1},
+	{"write-intensive", 80, 1},
 	{"high-contention", 80, 5},
 }
 

@@ -303,10 +303,8 @@ func main() {
 	workload := fmt.Sprintf("%s/w%d/t%d", *structure, *writes, *threads)
 	var tput float64
 	var memStats bench.MemStats
-	telemetry.Default.Do(d.Name(), func() {
-		trace.Do(d.Name(), workload, func() {
-			tput, memStats = bench.ThroughputMem(cfg, *threads, runOne)
-		})
+	trace.Do(d.Name(), workload, func() {
+		tput, memStats = bench.ThroughputMem(cfg, *threads, runOne)
 	})
 	fmt.Printf("%-16s %-10s threads=%-3d size=%-7d writes=%d%% ops/tx=%d\n",
 		*structure, d.Name(), *threads, *size, *writes, *opsPerTx)

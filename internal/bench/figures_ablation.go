@@ -41,7 +41,7 @@ func AblValidation(cfg Config) Figure {
 			for _, th := range cfg.Threads {
 				d := mk()
 				s.Name = d.Name()
-				y := runSetPoint(cfg, th, wl, d)
+				y := runSetPoint(cfg, th, sp.Name, wl, d)
 				d.Stop()
 				s.Points = append(s.Points, Point{X: th, Y: y})
 			}
@@ -85,7 +85,7 @@ func AblLocks(cfg Config) Figure {
 		for _, th := range cfg.Threads {
 			alg := v.mk()
 			d := NewIntegratedDriver(alg, otb.NewListSet())
-			y := runSetPoint(cfg, th, wl, d)
+			y := runSetPoint(cfg, th, sp.Name, wl, d)
 			d.Stop()
 			s.Points = append(s.Points, Point{X: th, Y: y})
 		}

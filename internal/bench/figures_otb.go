@@ -6,7 +6,7 @@ import (
 	"repro/internal/boosting"
 	"repro/internal/conc"
 	"repro/internal/otb"
-	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // setMix is one workload panel of the Chapter 3 set figures.
@@ -27,17 +27,17 @@ func chapter3Mixes() []setMix {
 }
 
 // runSetPoint measures one (driver, workload, threads) point in
-// transactions per second. The run carries a per-driver pprof label (via
-// telemetry.Do) so CPU profiles can be split by algorithm; the label is
-// inherited by Throughput's worker goroutines.
-func runSetPoint(cfg Config, threads int, wl SetWorkload, d SetDriver) float64 {
+// transactions per second. The run carries pprof labels naming the driver
+// and the panel (via trace.Do) so CPU profiles can be split by algorithm
+// and workload; the labels are inherited by Throughput's worker goroutines.
+func runSetPoint(cfg Config, threads int, panel string, wl SetWorkload, d SetDriver) float64 {
 	wl.Populate(d)
 	gens := make([]func(*rand.Rand) []SetOp, threads)
 	for i := range gens {
 		gens[i] = wl.NewSetWorker(i)
 	}
 	var tput float64
-	telemetry.Default.Do(d.Name(), func() {
+	trace.Do(d.Name(), panel, func() {
 		tput = Throughput(cfg, threads, func(id int, rng *rand.Rand) {
 			d.RunTx(gens[id](rng))
 		})
@@ -61,7 +61,7 @@ func setFigure(cfg Config, id, title string, size int, mixes []setMix,
 			sp.addPoints(interleave(cfg, th, len(drivers), func(i int, c Config) (string, float64) {
 				d := drivers[i]()
 				defer d.Stop()
-				return d.Name(), runSetPoint(c, th, wl, d)
+				return d.Name(), runSetPoint(c, th, mix.name, wl, d)
 			}))
 		}
 		fig.SubPlots = append(fig.SubPlots, sp)
@@ -101,8 +101,9 @@ func Fig35(cfg Config) Figure {
 	return setFigure(cfg, "fig3.5", "skip-list set, 64K elements", 64*1024, chapter3Mixes(), drivers)
 }
 
-// runPQPoint measures one priority-queue point: 50% add / 50% removeMin.
-func runPQPoint(cfg Config, threads, size, opsPerTx int, d PQDriver) float64 {
+// runPQPoint measures one priority-queue point of panel: 50% add / 50%
+// removeMin, labelled as runSetPoint's are.
+func runPQPoint(cfg Config, threads, size, opsPerTx int, panel string, d PQDriver) float64 {
 	seed := make([]PQOp, 0, size)
 	rng := rand.New(rand.NewPCG(42, 42))
 	for i := 0; i < size; i++ {
@@ -116,7 +117,7 @@ func runPQPoint(cfg Config, threads, size, opsPerTx int, d PQDriver) float64 {
 		d.RunTx(seed)
 	}
 	var tput float64
-	telemetry.Default.Do(d.Name(), func() {
+	trace.Do(d.Name(), panel, func() {
 		tput = Throughput(cfg, threads, func(id int, rng *rand.Rand) {
 			ops := make([]PQOp, opsPerTx)
 			for i := range ops {
@@ -141,7 +142,7 @@ func pqFigure(cfg Config, id, title string, size int, drivers []func() PQDriver)
 			sp.addPoints(interleave(cfg, th, len(drivers), func(i int, c Config) (string, float64) {
 				d := drivers[i]()
 				defer d.Stop()
-				return d.Name(), runPQPoint(c, th, size, txSize, d)
+				return d.Name(), runPQPoint(c, th, size, txSize, sp.Name, d)
 			}))
 		}
 		fig.SubPlots = append(fig.SubPlots, sp)

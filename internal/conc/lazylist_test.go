@@ -8,17 +8,16 @@ import (
 	"repro/internal/race"
 )
 
-// TestListNodeSize: the lazy list's node is 16 bytes (lock and mark live in
-// the slab's word table), so it shares the OTB list's slab geometry —
-// boosting's side of the paper's comparison gets the same allocator.
+// TestListNodeSize: the list core's node is 16 bytes (lock and mark live in
+// the slab's word table), and the lazy list's sentinels share one block.
 func TestListNodeSize(t *testing.T) {
-	if n := unsafe.Sizeof(listNode{}); n != mem.SlotSize {
-		t.Fatalf("unsafe.Sizeof(listNode{}) = %d, want %d", n, mem.SlotSize)
+	if n := unsafe.Sizeof(ListNode{}); n != mem.SlotSize {
+		t.Fatalf("unsafe.Sizeof(ListNode{}) = %d, want %d", n, mem.SlotSize)
 	}
 	l := NewLazyList()
-	tail := l.head.next.Load()
-	if mem.SlotOf(tail)/mem.BlockSlots != mem.SlotOf(l.head)/mem.BlockSlots {
-		t.Errorf("sentinels in slots %d and %d, want one block", mem.SlotOf(tail), mem.SlotOf(l.head))
+	head := l.core.Head
+	if tail := head.Next(); tail.Slot()/mem.BlockSlots != head.Slot()/mem.BlockSlots {
+		t.Errorf("sentinels in slots %d and %d, want one block", tail.Slot(), head.Slot())
 	}
 }
 

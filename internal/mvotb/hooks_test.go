@@ -3,13 +3,22 @@ package mvotb
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/abort"
 	"repro/internal/chaos"
 	"repro/internal/chaos/failpoint"
 	"repro/internal/chaos/leak"
 	"repro/internal/otb"
+	"repro/internal/spin"
 )
+
+// TestBucketIsOneCacheLine: neighbouring bucket locks never share a line.
+func TestBucketIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(bucket{}); n != spin.CacheLineSize {
+		t.Fatalf("unsafe.Sizeof(bucket{}) = %d, want %d", n, spin.CacheLineSize)
+	}
+}
 
 // TestTwoTablesOneTimestamp: the runtime attaches once per transaction, not
 // once per table, so a commit over a set and a map draws one timestamp —
@@ -109,7 +118,7 @@ func TestMixedInstallFailpointRecovery(t *testing.T) {
 	versions := func() []uint64 {
 		out := make([]uint64, len(m.t.buckets))
 		for i := range m.t.buckets {
-			out[i] = m.t.buckets[i].lock.Sample()
+			out[i] = m.t.buckets[i].lock.Load()
 		}
 		return out
 	}
@@ -168,7 +177,7 @@ func TestValidationNamesLockBusy(t *testing.T) {
 	tx.Pin()
 	s.Contains(tx, 3)
 	s.Add(tx, 5)
-	if _, ok := b.lock.TryLock(); !ok {
+	if !b.lock.TryLock(b.lock.Load()) {
 		t.Fatal("bucket(3) already locked")
 	}
 	chaos.ExpectAbort(t, abort.LockBusy, tx.Commit)

@@ -300,7 +300,7 @@ func (rt *Runtime) scan(minSnap uint64, sweep bool) (maxChain int) {
 			if !sweep || !dirty {
 				continue
 			}
-			if _, ok := b.lock.TryLock(); !ok {
+			if !b.lock.TryLock(b.lock.Load()) {
 				continue // a committer owns it; next cycle
 			}
 			sweepBucket(b, minSnap, g)

@@ -66,12 +66,12 @@ func freeKeyNode(v any) { keyNodePool.Put(v) }
 // and a map).
 var bucketSeq atomic.Uint64
 
-// bucket is one hash bucket: a versioned lock covering key insertion and
+// bucket is one hash bucket: a sequence lock covering key insertion and
 // version installs for every key that hashes here, and the key-chain head.
 // Padded so neighbouring bucket locks never share a cache line.
 type bucket struct {
 	id   uint64
-	lock spin.VersionedLock
+	lock spin.SeqLock
 	head atomic.Pointer[keyNode]
 	_    [spin.CacheLineSize - 24]byte
 }
@@ -163,7 +163,7 @@ func (t *table) snapRead(x *STx, key int64) (uint64, bool) {
 	x.h.Trace().Op(otb.TraceKey(key))
 	b := t.bucket(key)
 	var bo spin.Backoff
-	for spin.IsLocked(b.lock.Sample()) {
+	for spin.IsLocked(b.lock.Load()) {
 		bo.Wait()
 	}
 	n := b.find(key)

@@ -112,7 +112,7 @@ func (st *txState) ValidateWithLocks(tx *otb.Tx) bool {
 			st.lockSnap = append(st.lockSnap, ownedVersion)
 			continue
 		}
-		v := b.lock.Sample()
+		v := b.lock.Load()
 		if spin.IsLocked(v) {
 			tx.LockSeen(otb.TraceKey(st.reads[i].key))
 			return false
@@ -127,7 +127,7 @@ func (st *txState) ValidateWithLocks(tx *otb.Tx) bool {
 		if v == ownedVersion {
 			continue
 		}
-		if st.reads[i].b.lock.Sample() != v {
+		if st.reads[i].b.lock.Load() != v {
 			tr.ValidateFail(otb.TraceKey(st.reads[i].key))
 			return false
 		}
@@ -170,7 +170,7 @@ func (st *txState) lockWrites(tr *trace.Local, wait bool) {
 	for _, b := range st.toLock {
 		var bo spin.Backoff
 		for {
-			if _, ok := b.lock.TryLock(); ok {
+			if b.lock.TryLock(b.lock.Load()) {
 				break
 			}
 			if !wait {

@@ -1,6 +1,9 @@
 package otb
 
-import "repro/internal/mem"
+import (
+	"repro/internal/conc"
+	"repro/internal/mem"
+)
 
 // HashSet is an optimistically boosted unordered set: a fixed array of
 // bucket ListSets, each a full OTB structure. Because OTB transactions
@@ -23,7 +26,7 @@ func NewHashSet(n int) *HashSet {
 		size *= 2
 	}
 	s := &HashSet{buckets: make([]*ListSet, size), mask: uint64(size - 1)}
-	slab := mem.NewSlab[lnode]()
+	slab := mem.NewSlab[conc.ListNode]()
 	for i := range s.buckets {
 		s.buckets[i] = newListSetIn(slab)
 	}

@@ -17,11 +17,11 @@ func TestCommitAbortsWhenNodeLockedExternally(t *testing.T) {
 	run(t, func(tx *Tx) { s.Add(tx, 10); s.Add(tx, 30) })
 
 	// Lock node 10 (the pred of an insert of 20) as a foreign holder.
-	victim := s.head.next.Load() // node 10
-	if victim.key != 10 {
-		t.Fatalf("unexpected layout: first key %d", victim.key)
+	victim := s.core.Head.Next() // node 10
+	if victim.Key != 10 {
+		t.Fatalf("unexpected layout: first key %d", victim.Key)
 	}
-	release := chaos.HoldLock(t, victim.word())
+	release := chaos.HoldLock(t, victim.Word())
 
 	// Drive one attempt by hand: PreCommit must abort with LockBusy.
 	tx := NewTx(nil)
@@ -148,37 +148,48 @@ func TestAbortInjectorForcesRetries(t *testing.T) {
 // transaction holds on a node its read set rests on aborts with LockBusy,
 // and one whose semantic check fails with Conflict. A transaction reads 10
 // and inserts 40, whose predecessor is 30, so its commit takes 30's lock
-// and then validates the read of 10 under its locks.
+// and then validates the read of 10 under its locks. mk builds {10, 30, 50};
+// the skip list is rebuilt until 10's tower is no taller than 30's, so that
+// 10 is 40's predecessor on no level and the commit does not lock it.
 func TestValidationNamesLockBusy(t *testing.T) {
+	add := func(s keyed) {
+		Atomic(nil, func(tx *Tx) { s.add(tx, 10); s.add(tx, 30); s.add(tx, 50) })
+	}
 	lists := []struct {
 		name string
 		mk   func() (keyed, func(k int64) *mem.Word)
 	}{
 		{"listset", func() (keyed, func(int64) *mem.Word) {
 			s := NewListSet()
+			add(keyedList{s})
 			return keyedList{s}, func(k int64) *mem.Word {
-				n := s.head
-				for n.key != k {
-					n = n.next.Load()
+				n := s.core.Head
+				for n.Key != k {
+					n = n.Next()
 				}
-				return n.word()
+				return n.Word()
 			}
 		}},
 		{"skipset", func() (keyed, func(int64) *mem.Word) {
-			s := NewSkipSet()
-			return keyedSet{s}, func(k int64) *mem.Word {
-				n := s.core.Head
-				for n.Key != k {
-					n = n.Next(0).Load()
+			for {
+				s := NewSkipSet()
+				add(keyedSet{s})
+				tower := func(k int64) *mem.Tower {
+					n := s.core.Head
+					for n.Key != k {
+						n = n.Next(0).Load()
+					}
+					return n
 				}
-				return &n.Word
+				if tower(10).Top() <= tower(30).Top() {
+					return keyedSet{s}, func(k int64) *mem.Word { return &tower(k).Word }
+				}
 			}
 		}},
 	}
 	for _, l := range lists {
 		t.Run(l.name, func(t *testing.T) {
 			s, word := l.mk()
-			run(t, func(tx *Tx) { s.add(tx, 10); s.add(tx, 30); s.add(tx, 50) })
 
 			var ctr spin.Counters
 			tx := NewTx(&ctr)

@@ -4,51 +4,11 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/abort"
+	"repro/internal/conc"
 	"repro/internal/mem"
-	"repro/internal/mem/epoch"
 )
-
-// lnode is an OTB linked-list node: the lazy-list layout (key, next, marked)
-// plus a versioned semantic lock, which replaces the lazy list's mutex so
-// that validation can sample versions. The node itself is only what a
-// traversal reads, 16 bytes, so eight share one 128-byte slab block; lock,
-// mark and version are one mem.Word in the slab page's header. Its slab
-// slot is also its lock-acquisition order.
-type lnode struct {
-	key  int64
-	next atomic.Pointer[lnode]
-}
-
-// word returns the node's lock-and-mark word.
-func (n *lnode) word() *mem.Word { return mem.WordOf(n) }
-
-// marked reports whether the node is logically deleted.
-func (n *lnode) marked() bool { return mem.IsMarked(n.word().Load()) }
-
-// slot returns the node's slab slot.
-func (n *lnode) slot() uint32 { return mem.SlotOf(n) }
-
-// lnodes is a list's node allocator (one per ListSet, one shared by a
-// HashSet's buckets).
-type lnodes = mem.Slab[lnode]
-
-// newNode allocates a node for key next to pred (else succ) in memory. Nodes
-// come back to the slab through epoch reclamation only (lnodes.Free is the
-// Retire callback), so a slot is never reused while any pinned transaction
-// could still reach its old node. A reused slot keeps its lock version
-// (monotone, so readers holding a stale sample of the node's previous life
-// fail validation instead of silently passing); key, next and the mark are
-// reset.
-func (s *ListSet) newNode(key int64, pred, succ *lnode) *lnode {
-	n := s.nodes.Alloc(pred, succ)
-	n.key = key
-	n.word().Reuse()
-	n.next.Store(succ)
-	return n
-}
 
 // checkKey rejects the sentinel keys, which would otherwise alias the
 // head/tail nodes and corrupt the structure.
@@ -81,11 +41,13 @@ const (
 
 // ListSet is the optimistically boosted linked-list set (paper Algorithms
 // 1–3). Operations traverse the shared list unmonitored, record semantic
-// read/write entries, and defer all physical modification to commit.
+// read/write entries, and defer all physical modification to commit. Its
+// node, allocation, search and walk are conc.ListCore, the lazy list's own;
+// the node's word is its versioned semantic lock, and its slab slot the
+// lock-acquisition order.
 type ListSet struct {
-	head  *lnode
-	nodes *lnodes
-	slot  Slot
+	core conc.ListCore
+	slot Slot
 	// fullValidation disables the paper's per-operation validation
 	// optimization (presentOnly entries) so every read entry validates full
 	// adjacency — the ablation of Section 3.2.1's "optimized validation".
@@ -95,14 +57,13 @@ type ListSet struct {
 }
 
 // NewListSet creates an empty set. Keys exclude the int64 sentinels.
-func NewListSet() *ListSet { return newListSetIn(mem.NewSlab[lnode]()) }
+func NewListSet() *ListSet { return newListSetIn(mem.NewSlab[conc.ListNode]()) }
 
 // newListSetIn creates an empty set drawing its nodes from slab.
-func newListSetIn(slab *lnodes) *ListSet {
-	s := &ListSet{nodes: slab}
+func newListSetIn(slab *mem.Slab[conc.ListNode]) *ListSet {
+	s := &ListSet{}
 	s.slot = NewSlot(func() Datastructure { return &listState{set: s} })
-	tail := s.newNode(math.MaxInt64, nil, nil)
-	s.head = s.newNode(math.MinInt64, nil, tail)
+	s.core.Init(slab)
 	return s
 }
 
@@ -120,13 +81,13 @@ func NewListSetFullValidation() *ListSet {
 // all others validate full adjacency (pred unmarked, curr unmarked,
 // pred.next == curr).
 type listRead struct {
-	pred, curr  *lnode
+	pred, curr  *conc.ListNode
 	presentOnly bool
 }
 
 // listWrite is a semantic write (redo) entry.
 type listWrite struct {
-	pred, curr *lnode
+	pred, curr *conc.ListNode
 	key        int64
 	isAdd      bool
 }
@@ -140,9 +101,9 @@ type listState struct {
 	// locked holds the nodes semantically locked by this transaction: after
 	// PreCommit in slot order (owns searches it during commit validation),
 	// then the nodes OnCommit creates.
-	locked   []*lnode
-	lockSnap []uint32 // scratch: sampled lock words during validation
-	toLock   []*lnode // scratch: PreCommit's lock targets
+	locked   []*conc.ListNode
+	lockSnap []uint32         // scratch: sampled lock words during validation
+	toLock   []*conc.ListNode // scratch: PreCommit's lock targets
 
 	view counterView // the transaction's view of the list's commit counter
 }
@@ -203,13 +164,8 @@ func (s *ListSet) op(tx *Tx, key int64, kind opKind) bool {
 
 	// Step 2: unmonitored traversal, exactly as in the lazy list.
 	start := s.commits.load()
-	pred := s.head
-	curr := pred.next.Load()
-	for curr.key < key {
-		pred = curr
-		curr = curr.next.Load()
-	}
-	present := curr.key == key && !curr.marked()
+	pred, curr := s.core.Advance(s.core.Head, key)
+	present := curr.Key == key && !curr.Marked()
 	st.view.traversed(start, len(st.reads) > 0)
 
 	// Step 3: compute the outcome and record semantic entries.
@@ -254,14 +210,14 @@ func (st *listState) deleteWrite(i int) {
 // owns reports whether this transaction holds n's lock: a binary search of
 // the slot-ordered lock list PreCommit built. Only commit validation asks,
 // and it runs before OnCommit appends anything.
-func (st *listState) owns(n *lnode) bool {
-	_, ok := slices.BinarySearchFunc(st.locked, n.slot(), func(m *lnode, i uint32) int { return cmp.Compare(m.slot(), i) })
+func (st *listState) owns(n *conc.ListNode) bool {
+	_, ok := slices.BinarySearchFunc(st.locked, n.Slot(), func(m *conc.ListNode, i uint32) int { return cmp.Compare(m.Slot(), i) })
 	return ok
 }
 
 // involved appends the nodes whose locks guard entry e (curr only for
 // presentOnly entries; pred and curr otherwise).
-func (e *listRead) involved(buf []*lnode) []*lnode {
+func (e *listRead) involved(buf []*conc.ListNode) []*conc.ListNode {
 	if e.presentOnly {
 		return append(buf, e.curr)
 	}
@@ -271,10 +227,10 @@ func (e *listRead) involved(buf []*lnode) []*lnode {
 // check re-evaluates the entry's semantic condition (Algorithm 2).
 func (e *listRead) check() bool {
 	if e.presentOnly {
-		return !e.curr.marked()
+		return !e.curr.Marked()
 	}
-	return !e.pred.marked() && !e.curr.marked() &&
-		e.pred.next.Load() == e.curr
+	return !e.pred.Marked() && !e.curr.Marked() &&
+		e.pred.Next() == e.curr
 }
 
 // ValidateWithLocks implements Algorithm 2's three phases: sample the
@@ -285,7 +241,7 @@ func (st *listState) ValidateWithLocks(tx *Tx) bool {
 	if len(st.reads) == 0 {
 		return true
 	}
-	var scratch [2]*lnode
+	var scratch [2]*conc.ListNode
 	held := len(st.locked) > 0 // only commit validation runs with locks held
 	st.lockSnap = st.lockSnap[:0]
 	for i := range st.reads {
@@ -294,9 +250,9 @@ func (st *listState) ValidateWithLocks(tx *Tx) bool {
 				st.lockSnap = append(st.lockSnap, ownedVersion)
 				continue
 			}
-			v := n.word().Load()
+			v := n.Word().Load()
 			if mem.IsLocked(v) {
-				tx.LockSeen(TraceKey(n.key))
+				tx.LockSeen(TraceKey(n.Key))
 				return false
 			}
 			st.lockSnap = append(st.lockSnap, v)
@@ -313,8 +269,8 @@ func (st *listState) ValidateWithLocks(tx *Tx) bool {
 			if v == ownedVersion {
 				continue
 			}
-			if n.word().Load() != v {
-				tx.tr.ValidateFail(TraceKey(n.key))
+			if n.Word().Load() != v {
+				tx.tr.ValidateFail(TraceKey(n.Key))
 				return false
 			}
 		}
@@ -333,7 +289,7 @@ func (st *listState) ValidateWithoutLocks(tx *Tx) bool {
 	st.view.checks += len(st.reads)
 	for i := range st.reads {
 		if !st.reads[i].check() {
-			tx.tr.ValidateFail(TraceKey(st.reads[i].curr.key))
+			tx.tr.ValidateFail(TraceKey(st.reads[i].curr.Key))
 			return false
 		}
 	}
@@ -357,15 +313,15 @@ func (st *listState) PreCommit(tx *Tx) {
 			st.toLock = append(st.toLock, st.writes[i].curr)
 		}
 	}
-	slices.SortFunc(st.toLock, func(a, b *lnode) int { return cmp.Compare(a.slot(), b.slot()) })
+	slices.SortFunc(st.toLock, func(a, b *conc.ListNode) int { return cmp.Compare(a.Slot(), b.Slot()) })
 	st.toLock = slices.Compact(st.toLock)
 	for _, n := range st.toLock {
-		if !n.word().TryLock() {
+		if !n.Word().TryLock() {
 			tx.Counters().IncCAS()
-			tx.tr.LockBusy(TraceKey(n.key))
+			tx.tr.LockBusy(TraceKey(n.Key))
 			abort.Retry(abort.LockBusy)
 		}
-		tx.tr.Lock(TraceKey(n.key))
+		tx.tr.Lock(TraceKey(n.Key))
 		st.locked = append(st.locked, n)
 	}
 }
@@ -383,25 +339,19 @@ func (st *listState) OnCommit(tx *Tx) {
 	s.commits.announce(&st.view) // a context that skips PreCommit (OTB-NOrec) announces here
 	for i := range st.writes {
 		w := &st.writes[i]
-		pred := w.pred
-		curr := pred.next.Load()
-		for curr.key < w.key {
-			pred = curr
-			curr = pred.next.Load()
-		}
+		pred, curr := s.core.Advance(w.pred, w.key)
 		if w.isAdd {
-			n := s.newNode(w.key, pred, curr)
-			n.word().TryLock() // created locked until the commit finishes
-			pred.next.Store(n)
+			n := s.core.NewNode(w.key, pred, curr)
+			n.Word().TryLock() // created locked until the commit finishes
+			pred.Link(n)
 			st.locked = append(st.locked, n)
 		} else {
 			// curr must be the victim: it is locked by us, so no other
 			// transaction can have unlinked it. Once unlinked it is retired:
 			// the epoch scheme returns its slot to the slab after every
 			// transaction that could still be traversing it has unpinned.
-			curr.word().Mark()
-			pred.next.Store(curr.next.Load())
-			tx.retire(curr, s.nodes.Free)
+			pred.Unlink(curr)
+			tx.retire(curr, s.core.Nodes.Free)
 		}
 	}
 	s.commits.settle(&st.view)
@@ -411,8 +361,8 @@ func (st *listState) OnCommit(tx *Tx) {
 // concurrent validations observe the commit.
 func (st *listState) PostCommit(tx *Tx) {
 	for _, n := range st.locked {
-		n.word().Unlock()
-		tx.tr.Unlock(TraceKey(n.key))
+		n.Word().Unlock()
+		tx.tr.Unlock(TraceKey(n.Key))
 	}
 	st.locked = st.locked[:0]
 }
@@ -422,7 +372,7 @@ func (st *listState) PostCommit(tx *Tx) {
 // avoid spuriously invalidating concurrent readers.
 func (st *listState) OnAbort(tx *Tx) {
 	for _, n := range st.locked {
-		n.word().UnlockUnchanged()
+		n.Word().UnlockUnchanged()
 	}
 	st.locked = st.locked[:0]
 	st.set.commits.settle(&st.view)
@@ -432,32 +382,9 @@ func (st *listState) OnAbort(tx *Tx) {
 func (st *listState) Dirty(tx *Tx) bool { return len(st.writes) > 0 }
 
 // Len counts the unmarked elements (not linearizable; tests and reporting).
-// The traversal pins an epoch guard so concurrent removals cannot recycle
-// nodes out from under it.
-func (s *ListSet) Len() int {
-	g := epoch.Default.Enter()
-	defer g.Exit()
-	n := 0
-	for curr := s.head.next.Load(); curr.key != math.MaxInt64; curr = curr.next.Load() {
-		if !curr.marked() {
-			n++
-		}
-	}
-	return n
-}
+func (s *ListSet) Len() int { return s.core.Len() }
 
-// Keys returns the unmarked keys in ascending order (tests only). Pinned
-// like Len.
-func (s *ListSet) Keys() []int64 {
-	g := epoch.Default.Enter()
-	defer g.Exit()
-	var out []int64
-	for curr := s.head.next.Load(); curr.key != math.MaxInt64; curr = curr.next.Load() {
-		if !curr.marked() {
-			out = append(out, curr.key)
-		}
-	}
-	return out
-}
+// Keys returns the unmarked keys in ascending order (tests only).
+func (s *ListSet) Keys() []int64 { return s.core.Keys() }
 
 var _ Datastructure = (*listState)(nil)

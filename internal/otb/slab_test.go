@@ -10,21 +10,19 @@ import (
 	"repro/internal/mem/epoch"
 )
 
-// TestListNodeSize pins the layout the list's speed rests on: a node is 16
-// bytes, so eight share one 128-byte block, and a fresh slab's first block —
-// where the sentinels land — is 128-byte aligned.
+// TestListNodeSize pins the layout the list's speed rests on: a node is
+// 16 bytes (conc's TestListNodeSize checks the shared node type), so eight
+// share one 128-byte block, and a fresh slab's first block — where the
+// sentinels land — is 128-byte aligned.
 func TestListNodeSize(t *testing.T) {
-	if n := unsafe.Sizeof(lnode{}); n != mem.SlotSize {
-		t.Fatalf("unsafe.Sizeof(lnode{}) = %d, want %d", n, mem.SlotSize)
-	}
 	s := NewListSet()
-	tail := s.head.next.Load()
+	tail := s.core.Head.Next()
 	if a := uintptr(unsafe.Pointer(tail)); a%(mem.SlotSize*mem.BlockSlots) != 0 {
 		t.Errorf("first slab block at %#x, not 128-byte aligned", a)
 	}
-	if tail.slot() != 0 || s.head.slot() != 1 {
+	if tail.Slot() != 0 || s.core.Head.Slot() != 1 {
 		t.Errorf("sentinels in slots %d (tail) and %d (head), want 0 and 1",
-			tail.slot(), s.head.slot())
+			tail.Slot(), s.core.Head.Slot())
 	}
 }
 
@@ -32,9 +30,9 @@ func TestListNodeSize(t *testing.T) {
 // ends share one slab block.
 func (s *ListSet) inBlockHops() float64 {
 	hops, near := 0, 0
-	for pred, curr := s.head, s.head.next.Load(); curr != nil; pred, curr = curr, curr.next.Load() {
+	for pred, curr := s.core.Head, s.core.Head.Next(); curr != nil; pred, curr = curr, curr.Next() {
 		hops++
-		if pred.slot()/mem.BlockSlots == curr.slot()/mem.BlockSlots {
+		if pred.Slot()/mem.BlockSlots == curr.Slot()/mem.BlockSlots {
 			near++
 		}
 	}
@@ -65,7 +63,7 @@ func TestListLayoutUnderChurn(t *testing.T) {
 				s.Add(tx, int64(k))
 			}
 		})
-		peak = max(peak, s.nodes.Live())
+		peak = max(peak, s.core.Nodes.Live())
 	}
 	if f := s.inBlockHops(); f < minNear {
 		t.Errorf("after preload %.1f%% of hops stay inside one block, want ≥ %.0f%%", 100*f, 100*minNear)
@@ -85,7 +83,7 @@ func TestListLayoutUnderChurn(t *testing.T) {
 				s.Remove(tx, k)
 			}
 		})
-		peak = max(peak, s.nodes.Live())
+		peak = max(peak, s.core.Nodes.Live())
 	}
 	if f := s.inBlockHops(); f < minNear {
 		t.Errorf("after %d churn transactions %.1f%% of hops stay inside one block, want ≥ %.0f%%",
@@ -95,10 +93,10 @@ func TestListLayoutUnderChurn(t *testing.T) {
 	}
 
 	epoch.Default.Drain()
-	if live, want := s.nodes.Live(), s.Len()+2; live != want {
+	if live, want := s.core.Nodes.Live(), s.Len()+2; live != want {
 		t.Errorf("slab live = %d after drain, want Len()+2 sentinels = %d", live, want)
 	}
-	if c, bound := s.nodes.Cap(), 2*peak+mem.ChunkSlots; c > bound {
+	if c, bound := s.core.Nodes.Cap(), 2*peak+mem.ChunkSlots; c > bound {
 		t.Errorf("slab capacity %d > 2 × peak live %d + one chunk = %d", c, peak, bound)
 	}
 }
@@ -134,19 +132,19 @@ func TestSlabConcurrentChurn(t *testing.T) {
 	epoch.Default.Drain()
 
 	owner := map[uint32]int64{}
-	for n := s.head; n != nil; n = n.next.Load() {
-		if prev, dup := owner[n.slot()]; dup {
-			t.Fatalf("slot %d held by keys %d and %d", n.slot(), prev, n.key)
+	for n := s.core.Head; n != nil; n = n.Next() {
+		if prev, dup := owner[n.Slot()]; dup {
+			t.Fatalf("slot %d held by keys %d and %d", n.Slot(), prev, n.Key)
 		}
-		owner[n.slot()] = n.key
+		owner[n.Slot()] = n.Key
 	}
-	for i := uint32(0); i < uint32(s.nodes.Cap()); i++ {
+	for i := uint32(0); i < uint32(s.core.Nodes.Cap()); i++ {
 		_, reachable := owner[i]
-		if used := s.nodes.InUse(i); used != reachable {
+		if used := s.core.Nodes.InUse(i); used != reachable {
 			t.Errorf("slot %d: free mask says in use = %v, list says %v", i, used, reachable)
 		}
 	}
-	if live := s.nodes.Live(); live != len(owner) {
+	if live := s.core.Nodes.Live(); live != len(owner) {
 		t.Errorf("slab live = %d, %d nodes reachable", live, len(owner))
 	}
 }
@@ -173,7 +171,7 @@ func TestSlabResolveUnderChurn(t *testing.T) {
 			}
 		})
 	}
-	if c := s.nodes.Cap(); c <= 3*mem.ChunkSlots {
+	if c := s.core.Nodes.Cap(); c <= 3*mem.ChunkSlots {
 		t.Fatalf("list spans %d slots, want more than three chunks (%d)", c, 3*mem.ChunkSlots)
 	}
 
@@ -195,17 +193,17 @@ func TestSlabResolveUnderChurn(t *testing.T) {
 				clear(slots)
 				clear(words)
 				g := epoch.Default.Enter()
-				for n := s.head; n != nil; n = n.next.Load() {
-					slot, word := n.slot(), n.word()
+				for n := s.core.Head; n != nil; n = n.Next() {
+					slot, word := n.Slot(), n.Word()
 					if prev, dup := slots[slot]; dup {
-						t.Errorf("one walk reached slot %d twice (keys %d and %d)", slot, prev, n.key)
+						t.Errorf("one walk reached slot %d twice (keys %d and %d)", slot, prev, n.Key)
 					}
 					if prev, dup := words[word]; dup {
-						t.Errorf("keys %d and %d share a word", prev, n.key)
+						t.Errorf("keys %d and %d share a word", prev, n.Key)
 					}
-					slots[slot], words[word] = n.key, n.key
-					if !s.nodes.InUse(slot) {
-						t.Errorf("key %d reachable in slot %d, which the slab counts free", n.key, slot)
+					slots[slot], words[word] = n.Key, n.Key
+					if !s.core.Nodes.InUse(slot) {
+						t.Errorf("key %d reachable in slot %d, which the slab counts free", n.Key, slot)
 					}
 				}
 				g.Exit()
@@ -249,9 +247,9 @@ func TestHashSetSharesSlab(t *testing.T) {
 			s.Add(tx, k)
 		}
 	})
-	slab := s.buckets[0].nodes
+	slab := s.buckets[0].core.Nodes
 	for i, b := range s.buckets {
-		if b.nodes != slab {
+		if b.core.Nodes != slab {
 			t.Fatalf("bucket %d has its own slab", i)
 		}
 	}

@@ -133,49 +133,6 @@ func (l *SeqLock) WaitUnlocked(c *Counters) uint64 {
 	}
 }
 
-// VersionedLock is a per-object sequence lock used on data structure nodes
-// (OTB semantic locks) and on TL2 ownership records. Like SeqLock, even
-// versions are unlocked; the version doubles as the validation timestamp.
-type VersionedLock struct {
-	v atomic.Uint64
-}
-
-// Sample returns the current version; callers validate by re-sampling.
-func (l *VersionedLock) Sample() uint64 { return l.v.Load() }
-
-// TryLock acquires the lock iff it is currently unlocked, returning the
-// pre-acquisition version and whether the acquisition succeeded.
-func (l *VersionedLock) TryLock() (uint64, bool) {
-	v := l.v.Load()
-	if IsLocked(v) {
-		return v, false
-	}
-	if l.v.CompareAndSwap(v, v+1) {
-		return v, true
-	}
-	return v, false
-}
-
-// Unlock releases the lock, advancing to the next even version so that any
-// reader holding an older sample observes the change.
-func (l *VersionedLock) Unlock() {
-	v := l.v.Load()
-	if !IsLocked(v) {
-		panic("spin: Unlock of unlocked VersionedLock")
-	}
-	l.v.Store(v + 1)
-}
-
-// UnlockUnchanged releases the lock restoring the pre-acquisition version,
-// for aborts that did not modify the protected object.
-func (l *VersionedLock) UnlockUnchanged() {
-	v := l.v.Load()
-	if !IsLocked(v) {
-		panic("spin: UnlockUnchanged of unlocked VersionedLock")
-	}
-	l.v.Store(v - 1)
-}
-
 // Counters aggregates the contention events used as the portable proxy for
 // the hardware cache-miss counters of Figure 5.6: every failed CAS and every
 // spin iteration on a shared lock is, on real hardware, a coherence miss.

@@ -62,25 +62,27 @@ func TestSeqLockMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestVersionedLockRestores(t *testing.T) {
-	var l VersionedLock
-	v0 := l.Sample()
-	if _, ok := l.TryLock(); !ok {
+// TestSeqLockRestores: UnlockUnchanged restores the version an aborted
+// holder found, and Unlock advances it.
+func TestSeqLockRestores(t *testing.T) {
+	var l SeqLock
+	v0 := l.Load()
+	if !l.TryLock(l.Load()) {
 		t.Fatal("TryLock on free lock")
 	}
-	if _, ok := l.TryLock(); ok {
+	if l.TryLock(l.Load()) {
 		t.Fatal("TryLock on held lock must fail")
 	}
 	l.UnlockUnchanged()
-	if l.Sample() != v0 {
+	if l.Load() != v0 {
 		t.Fatal("UnlockUnchanged must restore the version")
 	}
-	l.TryLock()
+	l.TryLock(l.Load())
 	l.Unlock()
-	if l.Sample() == v0 {
+	if l.Load() == v0 {
 		t.Fatal("Unlock must advance the version")
 	}
-	if IsLocked(l.Sample()) {
+	if IsLocked(l.Load()) {
 		t.Fatal("lock should be free")
 	}
 }

@@ -1,11 +1,9 @@
 package telemetry
 
 import (
-	"context"
 	"expvar"
 	"fmt"
 	"io"
-	"runtime/pprof"
 	"sync"
 	"text/tabwriter"
 
@@ -63,19 +61,6 @@ func Publish() {
 			return Default.Vars()
 		}))
 	})
-}
-
-// Do runs f with the runtime/pprof label {"algorithm": name} when the
-// registry is enabled, so CPU profiles taken during a run can be split per
-// algorithm. Labels are inherited by goroutines started inside f, which
-// covers the bench harness's worker goroutines. When disabled, f runs
-// unlabeled with no overhead.
-func (r *Registry) Do(name string, f func()) {
-	if !r.Enabled() {
-		f()
-		return
-	}
-	pprof.Do(context.Background(), pprof.Labels("algorithm", name), func(context.Context) { f() })
 }
 
 // sectionsMu guards sections; sections holds extra table renderers appended

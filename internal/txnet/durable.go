@@ -149,22 +149,6 @@ const (
 	recSessionClose byte = 3
 )
 
-func appendOp(b []byte, op Op) []byte {
-	b = append(b, byte(op.Code))
-	b = binary.BigEndian.AppendUint32(b, op.Struct)
-	b = binary.BigEndian.AppendUint64(b, uint64(op.Key))
-	return binary.BigEndian.AppendUint64(b, op.Val)
-}
-
-func parseOp(p []byte) Op {
-	return Op{
-		Code:   OpCode(p[0]),
-		Struct: binary.BigEndian.Uint32(p[1:]),
-		Key:    int64(binary.BigEndian.Uint64(p[5:])),
-		Val:    binary.BigEndian.Uint64(p[13:]),
-	}
-}
-
 // commitTxn is execTxn's commit path in durable mode: execute, log, ack —
 // in that order, with the ack written to the wire only after SyncTo
 // honours the fsync policy. Called with sess.mu held and resp empty (the

@@ -154,8 +154,27 @@ type OpResult struct {
 	OK  bool
 }
 
-// opWireSize is the encoded size of one Op.
+// opWireSize is the encoded size of one Op, on the wire and in the log:
+// code, struct, key, value.
 const opWireSize = 1 + 4 + 8 + 8
+
+// appendOp encodes one Op.
+func appendOp(b []byte, op Op) []byte {
+	b = append(b, byte(op.Code))
+	b = binary.BigEndian.AppendUint32(b, op.Struct)
+	b = binary.BigEndian.AppendUint64(b, uint64(op.Key))
+	return binary.BigEndian.AppendUint64(b, op.Val)
+}
+
+// parseOp decodes one Op from p, which holds at least opWireSize bytes.
+func parseOp(p []byte) Op {
+	return Op{
+		Code:   OpCode(p[0]),
+		Struct: binary.BigEndian.Uint32(p[1:]),
+		Key:    int64(binary.BigEndian.Uint64(p[5:])),
+		Val:    binary.BigEndian.Uint64(p[13:]),
+	}
+}
 
 // txnReq is a parsed transaction request.
 type txnReq struct {
@@ -260,10 +279,7 @@ func appendTxn(b []byte, session, seq uint64, deadline time.Duration,
 	b = append(b, flags)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(ops)))
 	for _, op := range ops {
-		b = append(b, byte(op.Code))
-		b = binary.BigEndian.AppendUint32(b, op.Struct)
-		b = binary.BigEndian.AppendUint64(b, uint64(op.Key))
-		b = binary.BigEndian.AppendUint64(b, op.Val)
+		b = appendOp(b, op)
 	}
 	return finishFrame(b, at)
 }
@@ -308,14 +324,8 @@ func parseTxn(p []byte, ops []Op) (txnReq, []Op, error) {
 		ops = make([]Op, n)
 	}
 	ops = ops[:n]
-	for i := 0; i < n; i++ {
-		o := p[i*opWireSize:]
-		ops[i] = Op{
-			Code:   OpCode(o[0]),
-			Struct: binary.BigEndian.Uint32(o[1:]),
-			Key:    int64(binary.BigEndian.Uint64(o[5:])),
-			Val:    binary.BigEndian.Uint64(o[13:]),
-		}
+	for i := range ops {
+		ops[i] = parseOp(p[i*opWireSize:])
 	}
 	req.ops = ops
 	return req, ops, nil

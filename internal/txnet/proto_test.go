@@ -105,7 +105,7 @@ func TestTxnMalformed(t *testing.T) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	b := payloadOf(t, appendHello(nil, 1234))
-	if b[0] != msgHello || be64(b[1:]) != 1234 {
+	if b[0] != msgHello || binary.BigEndian.Uint64(b[1:]) != 1234 {
 		t.Fatalf("hello request encoding: % x", b)
 	}
 	r, err := parseResponse(payloadOf(t, appendHelloResp(nil, 55, 9)))

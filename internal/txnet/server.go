@@ -3,6 +3,7 @@ package txnet
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -389,7 +390,7 @@ func (s *Server) handleFrame(cs *connState, frame []byte) (err error) {
 			return fmt.Errorf("txnet: malformed hello")
 		}
 		var sess *session
-		if id := be64(frame[1:]); id == 0 {
+		if id := binary.BigEndian.Uint64(frame[1:]); id == 0 {
 			sess = s.sess.open()
 			if s.dur != nil {
 				// The grant must survive a crash: a client holding an
@@ -411,7 +412,7 @@ func (s *Server) handleFrame(cs *connState, frame []byte) (err error) {
 		if len(frame) != 9 {
 			return fmt.Errorf("txnet: malformed bye")
 		}
-		if id := be64(frame[1:]); id != 0 && s.sess.remove(id) {
+		if id := binary.BigEndian.Uint64(frame[1:]); id != 0 && s.sess.remove(id) {
 			sessStats.closed.Add(1)
 			if s.dur != nil {
 				s.dur.logSessionClose(id)
@@ -704,10 +705,4 @@ func (s *Server) logSlow(req *txnReq, st Status, totalNS int64, o *reqObs) {
 	}
 	b.WriteByte('\n')
 	_, _ = io.WriteString(s.slow, b.String())
-}
-
-func be64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
 }
