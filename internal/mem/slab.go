@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"cmp"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -90,6 +91,13 @@ func (w *Word) UnlockUnchanged() {
 		panic("mem: UnlockUnchanged of unlocked Word")
 	}
 	w.v.Store(v &^ wordLocked)
+}
+
+// WordOrder compares words by address: a total order among live words that
+// never changes (the collector does not move objects, and a recycled slot or
+// tower keeps its word), in which a transaction takes their locks.
+func WordOrder(a, b *Word) int {
+	return cmp.Compare(uintptr(unsafe.Pointer(a)), uintptr(unsafe.Pointer(b)))
 }
 
 // Mark sets the mark bit.

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"cmp"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -72,13 +71,6 @@ func (t *Tower) SetLinked() { t.lvl.Or(linkedBit) }
 
 // Marked reports whether the tower is logically deleted.
 func (t *Tower) Marked() bool { return IsMarked(t.Word.Load()) }
-
-// TowerOrder compares towers by address: a total order among live towers
-// that never changes (the collector does not move objects, and a recycled
-// tower keeps its address), in which a list takes their locks.
-func TowerOrder(a, b *Tower) int {
-	return cmp.Compare(uintptr(unsafe.Pointer(a)), uintptr(unsafe.Pointer(b)))
-}
 
 // towerPools holds the free towers of each size class.
 var towerPools = [3]sync.Pool{

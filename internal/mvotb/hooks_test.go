@@ -115,8 +115,8 @@ func TestMixedInstallFailpointRecovery(t *testing.T) {
 	for k := int64(0); k < 8; k++ {
 		move(k) // all eight keys start in the list
 	}
-	versions := func() []uint64 {
-		out := make([]uint64, len(m.t.buckets))
+	versions := func() []uint32 {
+		out := make([]uint32, len(m.t.buckets))
 		for i := range m.t.buckets {
 			out[i] = m.t.buckets[i].lock.Load()
 		}
@@ -160,34 +160,47 @@ func TestMixedInstallFailpointRecovery(t *testing.T) {
 
 // TestValidationNamesLockBusy: a commit whose validation finds another
 // transaction holding the bucket lock over one of its reads aborts with
-// LockBusy, as otb.ListSet's and the skip list's do; one whose semantic
-// check fails aborts with Conflict. The transaction reads 3 and inserts 5,
-// which hashes to another bucket, so its commit takes bucket(5)'s lock and
-// then validates the read of 3.
+// LockBusy, as otb.ListSet's and the skip list's do, and fails no lock
+// attempt; one whose semantic check fails aborts with Conflict. The
+// transaction reads 3 and inserts 5, which hashes to another bucket, so its
+// commit takes bucket(5)'s lock and then validates the read of 3. When
+// bucket(5) is the one held, PreCommit meets it: LockBusy, and exactly one
+// failed lock attempt counted.
 func TestValidationNamesLockBusy(t *testing.T) {
 	rt := New(Options{GCInterval: time.Hour})
 	defer rt.Stop()
 	s := rt.NewSet(8)
-	b := s.t.bucket(3)
-	if b == s.t.bucket(5) {
+	if s.t.bucket(3) == s.t.bucket(5) {
 		t.Fatal("3 and 5 share a bucket: the commit would meet the lock in PreCommit, not in validation")
 	}
-
-	tx := otb.NewTx(nil)
-	tx.Pin()
-	s.Contains(tx, 3)
-	s.Add(tx, 5)
-	if !b.lock.TryLock(b.lock.Load()) {
-		t.Fatal("bucket(3) already locked")
+	for _, c := range []struct {
+		name     string
+		held     int64 // the key whose bucket another transaction holds
+		failures uint64
+	}{
+		{"validation", 3, 0},
+		{"precommit", 5, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var ctr spin.Counters
+			tx := otb.NewTx(&ctr)
+			tx.Pin()
+			s.Contains(tx, 3)
+			s.Add(tx, 5)
+			release := chaos.HoldLock(t, &s.t.bucket(c.held).lock)
+			chaos.ExpectAbort(t, abort.LockBusy, tx.Commit)
+			tx.Rollback()
+			tx.Unpin()
+			release()
+			if n := ctr.CASFailures.Load(); n != c.failures {
+				t.Errorf("%d failed lock attempts counted, want %d", n, c.failures)
+			}
+		})
 	}
-	chaos.ExpectAbort(t, abort.LockBusy, tx.Commit)
-	tx.Rollback()
-	tx.Unpin()
-	b.lock.UnlockUnchanged()
 
 	// The same transaction with 3 inserted under it fails its semantic
 	// check: Conflict.
-	tx = otb.NewTx(nil)
+	tx := otb.NewTx(nil)
 	tx.Pin()
 	defer tx.Unpin()
 	s.Contains(tx, 3)

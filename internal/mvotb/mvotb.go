@@ -300,7 +300,7 @@ func (rt *Runtime) scan(minSnap uint64, sweep bool) (maxChain int) {
 			if !sweep || !dirty {
 				continue
 			}
-			if !b.lock.TryLock(b.lock.Load()) {
+			if !b.lock.TryLock() {
 				continue // a committer owns it; next cycle
 			}
 			sweepBucket(b, minSnap, g)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/mem"
 	"repro/internal/mem/epoch"
 	"repro/internal/otb"
 	"repro/internal/spin"
@@ -61,17 +62,16 @@ func newKeyNode(key int64) *keyNode {
 
 func freeKeyNode(v any) { keyNodePool.Put(v) }
 
-// bucketSeq hands out bucket allocation ids, the global lock-acquisition
-// order across every table of every runtime (transactions may span a set
-// and a map).
+// bucketSeq hands out bucket ids, which name bucket locks in trace events.
 var bucketSeq atomic.Uint64
 
-// bucket is one hash bucket: a sequence lock covering key insertion and
-// version installs for every key that hashes here, and the key-chain head.
-// Padded so neighbouring bucket locks never share a cache line.
+// bucket is one hash bucket: a versioned lock covering key insertion and
+// version installs for every key that hashes here (the mem.Word every OTB
+// semantic lock is), and the key-chain head. Padded so neighbouring bucket
+// locks never share a cache line.
 type bucket struct {
 	id   uint64
-	lock spin.SeqLock
+	lock mem.Word
 	head atomic.Pointer[keyNode]
 	_    [spin.CacheLineSize - 24]byte
 }
@@ -163,7 +163,7 @@ func (t *table) snapRead(x *STx, key int64) (uint64, bool) {
 	x.h.Trace().Op(otb.TraceKey(key))
 	b := t.bucket(key)
 	var bo spin.Backoff
-	for spin.IsLocked(b.lock.Load()) {
+	for mem.IsLocked(b.lock.Load()) {
 		bo.Wait()
 	}
 	n := b.find(key)

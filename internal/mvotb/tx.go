@@ -1,13 +1,7 @@
 package mvotb
 
 import (
-	"cmp"
-	"slices"
-
-	"repro/internal/abort"
 	"repro/internal/otb"
-	"repro/internal/spin"
-	"repro/internal/trace"
 )
 
 // readEntry is one semantic observation: "key currently resolves to version
@@ -51,16 +45,14 @@ type writeEntry struct {
 // txState is what one otb.Tx holds for a Runtime (the value tx.Attach
 // returns): the semantic read and write sets over every table of the runtime
 // — one attachment per runtime, not per table, so a transaction over a set
-// and a map still draws a single commit timestamp — plus the lock scratch.
+// and a map still draws a single commit timestamp — and its bucket locks.
 // Its methods are the runtime's otb.Datastructure hooks.
 type txState struct {
-	rt       *Runtime
-	reads    []readEntry
-	writes   []writeEntry
-	toLock   []*bucket // scratch: deduplicated lock targets
-	locked   []*bucket // buckets locked by this transaction
-	lockSnap []uint64  // scratch: sampled lock versions during validation
-	hint     uint32    // clock shard hint, assigned once per pooled descriptor
+	otb.LockSet // the buckets' words
+	rt          *Runtime
+	reads       []readEntry
+	writes      []writeEntry
+	hint        uint32 // clock shard hint, assigned once per pooled descriptor
 }
 
 var _ otb.Datastructure = (*txState)(nil)
@@ -75,9 +67,7 @@ func (rt *Runtime) state(tx *otb.Tx) *txState {
 func (st *txState) Reset() {
 	st.reads = st.reads[:0]
 	st.writes = st.writes[:0]
-	st.toLock = st.toLock[:0]
-	st.locked = st.locked[:0]
-	st.lockSnap = st.lockSnap[:0]
+	st.LockSet.Reset()
 }
 
 func (st *txState) findWrite(t *table, key int64) *writeEntry {
@@ -93,60 +83,23 @@ func (st *txState) addWrite(t *table, key int64, present bool, val uint64) {
 	st.writes = append(st.writes, writeEntry{t: t, b: t.bucket(key), key: key, present: present, val: val})
 }
 
-// ownedVersion marks a lock-snapshot slot for a bucket this transaction
-// itself holds (valid by construction).
-const ownedVersion = ^uint64(0)
-
-// ValidateWithLocks implements otb.Datastructure: the whole read set in the
-// three-phase style of OTB's Algorithm 2 — sample the involved bucket locks
-// (failing on foreign holders, which names the abort LockBusy), re-check the
-// semantic observations, then confirm the sampled versions unchanged (a
-// moved version is a Conflict), which makes the read set validate
-// atomically.
+// ValidateWithLocks implements otb.Datastructure: OTB's Algorithm 2
+// (otb.LockSet.Validate) over the bucket lock of every read. A foreign
+// holder names the abort LockBusy, a moved version Conflict.
 func (st *txState) ValidateWithLocks(tx *otb.Tx) bool {
-	tr := tx.Trace()
-	st.lockSnap = st.lockSnap[:0]
 	for i := range st.reads {
-		b := st.reads[i].b
-		if slices.Contains(st.locked, b) {
-			st.lockSnap = append(st.lockSnap, ownedVersion)
-			continue
-		}
-		v := b.lock.Load()
-		if spin.IsLocked(v) {
-			tx.LockSeen(otb.TraceKey(st.reads[i].key))
-			return false
-		}
-		st.lockSnap = append(st.lockSnap, v)
+		st.Guard(&st.reads[i].b.lock, otb.TraceKey(st.reads[i].key))
 	}
-	if !st.checkReads(tr) {
-		return false
-	}
-	for i := range st.reads {
-		v := st.lockSnap[i]
-		if v == ownedVersion {
-			continue
-		}
-		if st.reads[i].b.lock.Load() != v {
-			tr.ValidateFail(otb.TraceKey(st.reads[i].key))
-			return false
-		}
-	}
-	return true
+	return st.Validate(tx, st)
 }
 
-// ValidateWithoutLocks implements otb.Datastructure: the semantic conditions
-// only, for contexts that exclude writers by other means (OTB-NOrec's global
-// lock).
+// ValidateWithoutLocks implements otb.Datastructure: the semantic
+// observations alone, for contexts that exclude writers by other means
+// (OTB-NOrec's global lock), and validation's second phase.
 func (st *txState) ValidateWithoutLocks(tx *otb.Tx) bool {
-	return st.checkReads(tx.Trace())
-}
-
-// checkReads re-evaluates every semantic observation.
-func (st *txState) checkReads(tr *trace.Local) bool {
 	for i := range st.reads {
 		if !st.reads[i].check() {
-			tr.ValidateFail(otb.TraceKey(st.reads[i].key))
+			tx.Trace().ValidateFail(otb.TraceKey(st.reads[i].key))
 			return false
 		}
 	}
@@ -156,42 +109,24 @@ func (st *txState) checkReads(tr *trace.Local) bool {
 // Dirty implements otb.Datastructure.
 func (st *txState) Dirty(tx *otb.Tx) bool { return len(st.writes) > 0 }
 
-// lockWrites takes the bucket lock of every pending write in the global
-// order (ascending allocation id). A busy lock aborts the transaction unless
-// wait is set, in which case it is waited out.
-func (st *txState) lockWrites(tr *trace.Local, wait bool) {
-	st.toLock = st.toLock[:0]
+// lock takes the bucket lock of every pending write, of every table of the
+// runtime, in the lock set's order.
+func (st *txState) lock(tx *otb.Tx, wait bool) {
 	for i := range st.writes {
-		if b := st.writes[i].b; !slices.Contains(st.toLock, b) {
-			st.toLock = append(st.toLock, b)
-		}
+		b := st.writes[i].b
+		st.Target(&b.lock, lockTraceKey(b))
 	}
-	slices.SortFunc(st.toLock, func(a, b *bucket) int { return cmp.Compare(a.id, b.id) })
-	for _, b := range st.toLock {
-		var bo spin.Backoff
-		for {
-			if b.lock.TryLock(b.lock.Load()) {
-				break
-			}
-			if !wait {
-				tr.LockBusy(lockTraceKey(b))
-				abort.Retry(abort.LockBusy)
-			}
-			bo.Wait()
-		}
-		tr.Lock(lockTraceKey(b))
-		st.locked = append(st.locked, b)
-	}
+	st.Lock(tx, wait)
 }
 
-// PreCommit implements otb.Datastructure: lock the write set's buckets (of
-// every table of the runtime) in global order. A transaction that only read
-// takes no lock and is serialized by its commit-time validation alone.
+// PreCommit implements otb.Datastructure: lock the write set's buckets; a
+// busy one aborts. A transaction that only read takes no lock and is
+// serialized by its commit-time validation alone.
 func (st *txState) PreCommit(tx *otb.Tx) {
 	if len(st.writes) == 0 {
 		return
 	}
-	st.lockWrites(tx.Trace(), false)
+	st.lock(tx, false)
 	fpInstall.Hit()
 }
 
@@ -207,8 +142,8 @@ func (st *txState) OnCommit(tx *otb.Tx) {
 	if len(st.writes) == 0 {
 		return
 	}
-	if len(st.locked) == 0 {
-		st.lockWrites(tx.Trace(), true)
+	if !st.Holding() {
+		st.lock(tx, true)
 	}
 	ts := st.rt.clock.Tick(st.hint)
 	for i := range st.writes {
@@ -216,25 +151,12 @@ func (st *txState) OnCommit(tx *otb.Tx) {
 	}
 }
 
-// PostCommit implements otb.Datastructure: release the bucket locks, bumping
-// their versions so concurrent validations observe the commit.
-func (st *txState) PostCommit(tx *otb.Tx) {
-	for _, b := range st.locked {
-		b.lock.Unlock()
-		tx.Trace().Unlock(lockTraceKey(b))
-	}
-	st.locked = st.locked[:0]
-}
+// PostCommit implements otb.Datastructure: release the bucket locks,
+// advancing their versions.
+func (st *txState) PostCommit(tx *otb.Tx) { st.Unlock(tx) }
 
-// OnAbort implements otb.Datastructure: release anything held with lock
-// versions unchanged — nothing was published (install cannot fail), so
-// concurrent readers are not spuriously invalidated.
-func (st *txState) OnAbort(tx *otb.Tx) {
-	for _, b := range st.locked {
-		b.lock.UnlockUnchanged()
-	}
-	st.locked = st.locked[:0]
-}
+// OnAbort implements otb.Datastructure: release the bucket locks unchanged.
+func (st *txState) OnAbort(tx *otb.Tx) { st.UnlockUnchanged() }
 
 // install publishes one write as a new chain head at commit timestamp ts.
 // The bucket lock is held: no other committer can race, and the reader

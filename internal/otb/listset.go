@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/abort"
 	"repro/internal/conc"
 	"repro/internal/mem"
 )
@@ -39,12 +38,22 @@ const (
 	opRemove
 )
 
+// eliminate is Algorithm 1's step 1 for an op on a key the transaction has a
+// pending write for: the op reads its own deferred write, and opposite
+// operations on the key cancel. It returns the op's result and whether the
+// pending write is dropped.
+func eliminate(pendingAdd bool, kind opKind) (ok, drop bool) {
+	if pendingAdd && kind == opRemove || !pendingAdd && kind == opAdd {
+		return true, true
+	}
+	return pendingAdd && kind == opContains, false
+}
+
 // ListSet is the optimistically boosted linked-list set (paper Algorithms
 // 1–3). Operations traverse the shared list unmonitored, record semantic
 // read/write entries, and defer all physical modification to commit. Its
 // node, allocation, search and walk are conc.ListCore, the lazy list's own;
-// the node's word is its versioned semantic lock, and its slab slot the
-// lock-acquisition order.
+// the node's word is its versioned semantic lock, in a LockSet.
 type ListSet struct {
 	core conc.ListCore
 	slot Slot
@@ -95,15 +104,10 @@ type listWrite struct {
 // listState is the per-transaction state for one ListSet, and the
 // Datastructure hooks that drive it.
 type listState struct {
-	set    *ListSet
-	reads  []listRead
-	writes []listWrite
-	// locked holds the nodes semantically locked by this transaction: after
-	// PreCommit in slot order (owns searches it during commit validation),
-	// then the nodes OnCommit creates.
-	locked   []*conc.ListNode
-	lockSnap []uint32         // scratch: sampled lock words during validation
-	toLock   []*conc.ListNode // scratch: PreCommit's lock targets
+	LockSet // the nodes' words
+	set     *ListSet
+	reads   []listRead
+	writes  []listWrite
 
 	view counterView // the transaction's view of the list's commit counter
 }
@@ -113,10 +117,10 @@ func (st *listState) Reset() {
 	st.view.reset()
 	st.reads = st.reads[:0]
 	st.writes = st.writes[:0]
-	st.locked = st.locked[:0]
-	st.lockSnap = st.lockSnap[:0]
-	st.toLock = st.toLock[:0]
+	st.LockSet.Reset()
 }
+
+func (st *listState) revalidate(tx *Tx) bool { return st.set.commits.revalidate(tx, st, &st.view) }
 
 func (s *ListSet) state(tx *Tx) *listState {
 	return tx.Attach(&s.slot).(*listState)
@@ -142,24 +146,13 @@ func (s *ListSet) op(tx *Tx, key int64, kind opKind) bool {
 	st := s.state(tx)
 	tx.tr.Op(TraceKey(key))
 
-	// Step 1: consult the local write set so the transaction reads its own
-	// deferred writes; opposite operations on the same key eliminate.
+	// Step 1: consult the local write set.
 	if i := st.findWrite(key); i >= 0 {
-		isAdd := st.writes[i].isAdd
-		switch {
-		case isAdd && kind == opAdd:
-			return false
-		case isAdd && kind == opContains:
-			return true
-		case isAdd && kind == opRemove:
+		ok, drop := eliminate(st.writes[i].isAdd, kind)
+		if drop {
 			st.deleteWrite(i)
-			return true
-		case !isAdd && kind == opAdd:
-			st.deleteWrite(i)
-			return true
-		default: // pending remove: key locally absent
-			return false
 		}
+		return ok
 	}
 
 	// Step 2: unmonitored traversal, exactly as in the lazy list.
@@ -207,21 +200,13 @@ func (st *listState) deleteWrite(i int) {
 	st.writes = st.writes[:last]
 }
 
-// owns reports whether this transaction holds n's lock: a binary search of
-// the slot-ordered lock list PreCommit built. Only commit validation asks,
-// and it runs before OnCommit appends anything.
-func (st *listState) owns(n *conc.ListNode) bool {
-	_, ok := slices.BinarySearchFunc(st.locked, n.Slot(), func(m *conc.ListNode, i uint32) int { return cmp.Compare(m.Slot(), i) })
-	return ok
-}
-
-// involved appends the nodes whose locks guard entry e (curr only for
-// presentOnly entries; pred and curr otherwise).
-func (e *listRead) involved(buf []*conc.ListNode) []*conc.ListNode {
-	if e.presentOnly {
-		return append(buf, e.curr)
+// guard adds the words whose locks guard entry e to ls: curr's for a
+// presentOnly entry, pred's and curr's otherwise.
+func (e *listRead) guard(ls *LockSet) {
+	if !e.presentOnly {
+		ls.Guard(e.pred.Word(), TraceKey(e.pred.Key))
 	}
-	return append(buf, e.pred, e.curr)
+	ls.Guard(e.curr.Word(), TraceKey(e.curr.Key))
 }
 
 // check re-evaluates the entry's semantic condition (Algorithm 2).
@@ -233,55 +218,14 @@ func (e *listRead) check() bool {
 		e.pred.Next() == e.curr
 }
 
-// ValidateWithLocks implements Algorithm 2's three phases: sample the
-// involved locks (failing on foreign holders), re-check the semantic
-// conditions, then confirm the sampled versions are unchanged, which makes
-// the whole read set validate atomically.
+// ValidateWithLocks is Algorithm 2 (LockSet.Validate) over the words every
+// read entry rests on.
 func (st *listState) ValidateWithLocks(tx *Tx) bool {
-	if len(st.reads) == 0 {
-		return true
-	}
-	var scratch [2]*conc.ListNode
-	held := len(st.locked) > 0 // only commit validation runs with locks held
-	st.lockSnap = st.lockSnap[:0]
 	for i := range st.reads {
-		for _, n := range st.reads[i].involved(scratch[:0]) {
-			if held && st.owns(n) {
-				st.lockSnap = append(st.lockSnap, ownedVersion)
-				continue
-			}
-			v := n.Word().Load()
-			if mem.IsLocked(v) {
-				tx.LockSeen(TraceKey(n.Key))
-				return false
-			}
-			st.lockSnap = append(st.lockSnap, v)
-		}
+		st.reads[i].guard(&st.LockSet)
 	}
-	if !st.ValidateWithoutLocks(tx) {
-		return false
-	}
-	k := 0
-	for i := range st.reads {
-		for _, n := range st.reads[i].involved(scratch[:0]) {
-			v := st.lockSnap[k]
-			k++
-			if v == ownedVersion {
-				continue
-			}
-			if n.Word().Load() != v {
-				tx.tr.ValidateFail(TraceKey(n.Key))
-				return false
-			}
-		}
-	}
-	return true
+	return st.Validate(tx, st)
 }
-
-// ownedVersion marks a lock-snapshot slot belonging to a node this
-// transaction itself holds (valid by construction). It is a locked word, so
-// no sample that phase 1 keeps can equal it.
-const ownedVersion = ^uint32(0)
 
 // ValidateWithoutLocks re-checks only the semantic conditions of the read
 // set.
@@ -296,34 +240,22 @@ func (st *listState) ValidateWithoutLocks(tx *Tx) bool {
 	return true
 }
 
-// PreCommit announces the commit on the list's counter, then acquires the
-// semantic locks covering the write set: pred for adds, pred and curr for
-// removes (the lazy-list locking rule), collected with repeats, then
-// ordered by slab slot (unique per node; TryLock-or-abort never waits, so
-// any fixed order will do) and deduplicated. Any busy lock aborts.
+// PreCommit announces the commit on the list's counter, then locks the
+// nodes covering the write set: pred for adds, pred and curr for removes
+// (the lazy-list locking rule). Any busy lock aborts.
 func (st *listState) PreCommit(tx *Tx) {
 	if len(st.writes) == 0 {
 		return
 	}
 	st.set.commits.announce(&st.view)
-	st.toLock = st.toLock[:0]
 	for i := range st.writes {
-		st.toLock = append(st.toLock, st.writes[i].pred)
-		if !st.writes[i].isAdd {
-			st.toLock = append(st.toLock, st.writes[i].curr)
+		w := &st.writes[i]
+		st.Target(w.pred.Word(), TraceKey(w.pred.Key))
+		if !w.isAdd {
+			st.Target(w.curr.Word(), TraceKey(w.curr.Key))
 		}
 	}
-	slices.SortFunc(st.toLock, func(a, b *conc.ListNode) int { return cmp.Compare(a.Slot(), b.Slot()) })
-	st.toLock = slices.Compact(st.toLock)
-	for _, n := range st.toLock {
-		if !n.Word().TryLock() {
-			tx.Counters().IncCAS()
-			tx.tr.LockBusy(TraceKey(n.Key))
-			abort.Retry(abort.LockBusy)
-		}
-		tx.tr.Lock(TraceKey(n.Key))
-		st.locked = append(st.locked, n)
-	}
+	st.Lock(tx, false)
 }
 
 // OnCommit publishes the write set (Algorithm 3): entries are applied in
@@ -342,9 +274,8 @@ func (st *listState) OnCommit(tx *Tx) {
 		pred, curr := s.core.Advance(w.pred, w.key)
 		if w.isAdd {
 			n := s.core.NewNode(w.key, pred, curr)
-			n.Word().TryLock() // created locked until the commit finishes
+			st.LockNew(n.Word(), TraceKey(n.Key))
 			pred.Link(n)
-			st.locked = append(st.locked, n)
 		} else {
 			// curr must be the victim: it is locked by us, so no other
 			// transaction can have unlinked it. Once unlinked it is retired:
@@ -357,24 +288,12 @@ func (st *listState) OnCommit(tx *Tx) {
 	s.commits.settle(&st.view)
 }
 
-// PostCommit releases all semantic locks, bumping their versions so
-// concurrent validations observe the commit.
-func (st *listState) PostCommit(tx *Tx) {
-	for _, n := range st.locked {
-		n.Word().Unlock()
-		tx.tr.Unlock(TraceKey(n.Key))
-	}
-	st.locked = st.locked[:0]
-}
+// PostCommit releases the locks, advancing their versions.
+func (st *listState) PostCommit(tx *Tx) { st.Unlock(tx) }
 
-// OnAbort releases locks held by an aborting transaction. Nothing was
-// published (OnCommit cannot fail), so versions are restored unchanged to
-// avoid spuriously invalidating concurrent readers.
+// OnAbort releases the locks unchanged and settles the counter.
 func (st *listState) OnAbort(tx *Tx) {
-	for _, n := range st.locked {
-		n.Word().UnlockUnchanged()
-	}
-	st.locked = st.locked[:0]
+	st.UnlockUnchanged()
 	st.set.commits.settle(&st.view)
 }
 

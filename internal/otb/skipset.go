@@ -20,9 +20,10 @@ const maxLevel = conc.MaxLevel
 // ListSet, with per-level predecessors in the semantic entries and the
 // paper's level-aware validation optimizations. Its towers, live height and
 // search are conc.SkipCore, the lazy skip list's own; what is OTB's is the
-// versioned semantic locking and validation on top. A set is this list with
-// every value 0; a map adds reads of a tower's value and in-place value
-// updates. The list, not its wrapper, is what a transaction attaches.
+// semantic entries, validated and locked through a LockSet of the towers'
+// words. A set is this list with every value 0; a map adds reads of a
+// tower's value and in-place value updates. The list, not its wrapper, is
+// what a transaction attaches.
 type skipList struct {
 	core conc.SkipCore
 	slot Slot
@@ -108,13 +109,6 @@ type skipWrite struct {
 	kind     skipWriteKind
 }
 
-// lockSample is a lock version validation's first phase sampled and its
-// third phase confirms unchanged.
-type lockSample struct {
-	n *mem.Tower
-	v uint32
-}
-
 // writeRef names a write entry by position, carrying its key for sorting.
 type writeRef struct {
 	key int64
@@ -124,18 +118,13 @@ type writeRef struct {
 // skipState is the per-transaction state for one skipList, and the
 // Datastructure hooks that drive it.
 type skipState struct {
+	LockSet    // the towers' words
 	list       *skipList
 	reads      []skipRead
 	writes     []skipWrite
 	readLevels []levelPair  // arena: levels 0..topLevel of each skipLevels read
 	writePreds []*mem.Tower // arena: levels 0..topLevel of each insert and delete
-	// locked holds, after PreCommit, the acquired locks in address order
-	// (owns searches it during commit validation); OnCommit then appends
-	// the towers it creates.
-	locked   []*mem.Tower
-	lockSnap []lockSample // scratch: validation's sampled lock versions
-	toLock   []*mem.Tower // scratch: PreCommit's lock targets
-	order    []writeRef   // scratch: OnCommit's publication order
+	order      []writeRef   // scratch: OnCommit's publication order
 
 	view counterView // the transaction's view of the list's commit counter
 }
@@ -147,11 +136,11 @@ func (st *skipState) Reset() {
 	st.writes = st.writes[:0]
 	st.readLevels = st.readLevels[:0]
 	st.writePreds = st.writePreds[:0]
-	st.locked = st.locked[:0]
-	st.lockSnap = st.lockSnap[:0]
-	st.toLock = st.toLock[:0]
 	st.order = st.order[:0]
+	st.LockSet.Reset()
 }
+
+func (st *skipState) revalidate(tx *Tx) bool { return st.list.commits.revalidate(tx, st, &st.view) }
 
 // levelsOf returns the levels skipLevels entry e guards.
 func (st *skipState) levelsOf(e *skipRead) []levelPair {
@@ -272,23 +261,13 @@ func (s *SkipSet) Contains(tx *Tx, key int64) bool { return s.op(tx, key, opCont
 func (s *SkipSet) op(tx *Tx, key int64, kind opKind) bool {
 	st := s.begin(tx, key)
 
-	// Step 1: local write-set check with elimination (as in ListSet).
+	// Step 1: local write-set check.
 	if i := st.findWrite(key); i >= 0 {
-		isAdd := st.writes[i].kind == skipInsert
-		switch {
-		case isAdd && kind == opAdd:
-			return false
-		case isAdd && kind == opContains:
-			return true
-		case isAdd && kind == opRemove:
+		ok, drop := eliminate(st.writes[i].kind == skipInsert, kind)
+		if drop {
 			st.deleteWrite(i)
-			return true
-		case !isAdd && kind == opAdd:
-			st.deleteWrite(i)
-			return true
-		default:
-			return false
 		}
+		return ok
 	}
 
 	// Step 2: unmonitored traversal.
@@ -331,14 +310,6 @@ func (st *skipState) deleteWrite(i int) {
 	st.writes = st.writes[:last]
 }
 
-// owns reports whether this transaction holds n's lock: a binary search of
-// the address-ordered lock list PreCommit built. Only commit validation
-// finds locks held, and it runs before OnCommit appends anything.
-func (st *skipState) owns(n *mem.Tower) bool {
-	_, ok := slices.BinarySearchFunc(st.locked, n, mem.TowerOrder)
-	return ok
-}
-
 // check re-evaluates entry e's semantic condition using the paper's
 // level-aware rules.
 func (st *skipState) check(e *skipRead) bool {
@@ -353,56 +324,22 @@ func (st *skipState) check(e *skipRead) bool {
 	return true
 }
 
-// ValidateWithLocks implements the three-phase validation of Algorithm 2
-// over skip-list entries.
+// ValidateWithLocks is Algorithm 2 (LockSet.Validate) over the towers whose
+// locks guard each entry: its node for a skipPresent entry, pred and succ on
+// every guarded level otherwise.
 func (st *skipState) ValidateWithLocks(tx *Tx) bool {
-	if len(st.reads) == 0 {
-		return true
-	}
-	held := len(st.locked) > 0 // only commit validation runs with locks held
-	st.lockSnap = st.lockSnap[:0]
-	// The nodes whose locks guard an entry: its node for a skipPresent
-	// entry, pred and succ on every guarded level otherwise.
 	for i := range st.reads {
 		e := &st.reads[i]
 		if e.kind == skipPresent {
-			if !st.sample(tx, e.curr, held) {
-				return false
-			}
+			st.Guard(&e.curr.Word, TraceKey(e.curr.Key))
 			continue
 		}
 		for _, lv := range st.levelsOf(e) {
-			if !st.sample(tx, lv.pred, held) || !st.sample(tx, lv.succ, held) {
-				return false
-			}
+			st.Guard(&lv.pred.Word, TraceKey(lv.pred.Key))
+			st.Guard(&lv.succ.Word, TraceKey(lv.succ.Key))
 		}
 	}
-	if !st.ValidateWithoutLocks(tx) {
-		return false
-	}
-	for _, ls := range st.lockSnap {
-		if ls.n.Word.Load() != ls.v {
-			tx.tr.ValidateFail(TraceKey(ls.n.Key))
-			return false
-		}
-	}
-	return true
-}
-
-// sample is validation's first phase for one involved node: unless this
-// transaction holds the lock itself (held says whether it holds any), it
-// records the lock's version, failing if another transaction holds it.
-func (st *skipState) sample(tx *Tx, n *mem.Tower, held bool) bool {
-	if held && st.owns(n) {
-		return true
-	}
-	v := n.Word.Load()
-	if mem.IsLocked(v) {
-		tx.LockSeen(TraceKey(n.Key))
-		return false
-	}
-	st.lockSnap = append(st.lockSnap, lockSample{n, v})
-	return true
+	return st.Validate(tx, st)
 }
 
 // ValidateWithoutLocks re-checks only the semantic conditions.
@@ -427,37 +364,26 @@ func (st *skipState) traceNode(e *skipRead) *mem.Tower {
 	return st.readLevels[e.off].succ
 }
 
-// PreCommit announces the commit on the list's counter, then locks, in
-// address order, the distinct predecessor towers of every insert and
-// delete (all levels), the victims of deletes, and the target nodes of
-// updates. The targets are collected with repeats, then sorted and
-// compacted.
+// PreCommit announces the commit on the list's counter, then locks the
+// predecessor towers of every insert and delete (all levels), the victims of
+// deletes, and the target nodes of updates.
 func (st *skipState) PreCommit(tx *Tx) {
 	if len(st.writes) == 0 {
 		return
 	}
 	st.list.commits.announce(&st.view)
-	st.toLock = st.toLock[:0]
 	for i := range st.writes {
 		w := &st.writes[i]
 		if w.kind != skipUpdate {
-			st.toLock = append(st.toLock, st.predsOf(w)...)
+			for _, n := range st.predsOf(w) {
+				st.Target(&n.Word, TraceKey(n.Key))
+			}
 		}
 		if w.kind != skipInsert {
-			st.toLock = append(st.toLock, w.victim)
+			st.Target(&w.victim.Word, TraceKey(w.victim.Key))
 		}
 	}
-	slices.SortFunc(st.toLock, mem.TowerOrder)
-	st.toLock = slices.Compact(st.toLock)
-	for _, n := range st.toLock {
-		if !n.Word.TryLock() {
-			tx.Counters().IncCAS()
-			tx.tr.LockBusy(TraceKey(n.Key))
-			abort.Retry(abort.LockBusy)
-		}
-		tx.tr.Lock(TraceKey(n.Key))
-		st.locked = append(st.locked, n)
-	}
+	st.Lock(tx, false)
 }
 
 // OnCommit publishes the write set in descending key order (through a
@@ -484,7 +410,7 @@ func (st *skipState) OnCommit(tx *Tx) {
 		case skipInsert:
 			n := mem.NewTower(w.key, int(w.topLevel))
 			n.Val.Store(w.val)
-			n.Word.TryLock() // created locked until the commit finishes
+			st.LockNew(&n.Word, TraceKey(n.Key))
 			s.core.Raise(int(w.topLevel))
 			// Link bottom-up: once a reader can reach n at some level, all
 			// lower next pointers are already set.
@@ -494,7 +420,6 @@ func (st *skipState) OnCommit(tx *Tx) {
 				pred.Next(l).Store(n)
 			}
 			n.SetLinked()
-			st.locked = append(st.locked, n)
 		default: // skipDelete
 			w.victim.Word.Mark()
 			preds := st.predsOf(w)
@@ -509,21 +434,12 @@ func (st *skipState) OnCommit(tx *Tx) {
 	s.commits.settle(&st.view)
 }
 
-// PostCommit releases all semantic locks, bumping versions.
-func (st *skipState) PostCommit(tx *Tx) {
-	for _, n := range st.locked {
-		n.Word.Unlock()
-		tx.tr.Unlock(TraceKey(n.Key))
-	}
-	st.locked = st.locked[:0]
-}
+// PostCommit releases the locks, advancing their versions.
+func (st *skipState) PostCommit(tx *Tx) { st.Unlock(tx) }
 
-// OnAbort releases locks without publishing, restoring versions.
+// OnAbort releases the locks unchanged and settles the counter.
 func (st *skipState) OnAbort(tx *Tx) {
-	for _, n := range st.locked {
-		n.Word.UnlockUnchanged()
-	}
-	st.locked = st.locked[:0]
+	st.UnlockUnchanged()
 	st.list.commits.settle(&st.view)
 }
 

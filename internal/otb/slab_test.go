@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/mem/epoch"
+	"repro/internal/race"
 )
 
 // TestListNodeSize pins the layout the list's speed rests on: a node is
@@ -46,11 +47,13 @@ func (s *ListSet) inBlockHops() float64 {
 // its accounting matches the list, and that capacity stays within its bound.
 // With eight slots to a block, seeds 1–8 keep 41.8–45.3 % of hops inside one
 // block after the preload and after 10 k churn transactions, and 55.9–58.2 %
-// after 200 k; the floor is the minimum, rounded down.
+// after 200 k; the floor is the minimum, rounded down. Under -race the 10 k
+// churn runs even without -short: 200 k race-instrumented transactions take
+// minutes.
 func TestListLayoutUnderChurn(t *testing.T) {
 	const keyRange, preload, batch, minNear = 16384, 8192, 64, 0.40
 	churn := 200_000
-	if testing.Short() {
+	if testing.Short() || race.Enabled {
 		churn = 10_000
 	}
 	rng := rand.New(rand.NewPCG(21, 4))

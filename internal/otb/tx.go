@@ -169,12 +169,9 @@ func (tx *Tx) ValidateAllWithLocks() bool {
 func (tx *Tx) revalidateAll() bool {
 	for _, ds := range tx.attached {
 		var ok bool
-		switch st := ds.(type) {
-		case *skipState:
-			ok = st.list.commits.revalidate(tx, st, &st.view)
-		case *listState:
-			ok = st.set.commits.revalidate(tx, st, &st.view)
-		default:
+		if c, counted := ds.(revalidator); counted {
+			ok = c.revalidate(tx)
+		} else {
 			ok = ds.ValidateWithLocks(tx)
 		}
 		if !ok {
@@ -183,6 +180,10 @@ func (tx *Tx) revalidateAll() bool {
 	}
 	return true
 }
+
+// revalidator is the state of a list with a commit counter (ListSet, and
+// the skip list behind SkipSet, Map and SkipPQ): its commitCounter.revalidate.
+type revalidator interface{ revalidate(tx *Tx) bool }
 
 // PreCommitAll / OnCommitAll / PostCommitAll drive the commit sub-routines
 // of every attached structure; Commit sequences them for a standalone
